@@ -59,10 +59,29 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_range(text: str) -> list[int]:
     """Accept "3", "1..5", or "0,2,5"."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'expected an integer, a range like "1..5" or a list like "0,2,5", got {text!r}'
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+class _UsageError(Exception):
+    """Bad input found after argument parsing; exits 2 like argparse's errors."""
 
 
 def _parse_deform(text: str) -> tuple[str, tuple[int, ...]] | None:
@@ -165,7 +184,10 @@ def _cmd_laurent(args, out) -> int:
     budget = laurent_mod.DEFAULT_TERM_BUDGET
     env = os.environ.get("QUIVERSEQ_BUDGET")
     if env:
-        budget = int(env)
+        try:
+            budget = int(env)
+        except ValueError:
+            raise _UsageError(f"QUIVERSEQ_BUDGET must be an integer, got {env!r}") from None
     if args.budget is not None:
         budget = args.budget
     reports = laurent_mod.verify_laurent_run(
@@ -216,11 +238,10 @@ def _family_spec(args) -> seqgen.RecurrenceSpec:
     else:
         params = {}
         for key in ("N", "r", "s", "p", "q"):
-            value = getattr(args, key, None)
-            if value is not None:
-                values = _parse_range(value)
+            values = getattr(args, key, None)
+            if values is not None:
                 if len(values) != 1:
-                    raise QuiverSeqError(f"--{key} must be a single value here, got {value!r}")
+                    raise QuiverSeqError(f"--{key} must be a single value here, got {values}")
                 params[key] = values[0]
         spec = seqgen.builtin(args.family, **params)
     if getattr(args, "deform", None):
@@ -265,14 +286,14 @@ def _cmd_decompose(args, out) -> int:
 def _cmd_scan(args, out) -> int:
     grid = {}
     for key in ("N", "r", "s", "p", "q"):
-        value = getattr(args, key, None)
-        if value is not None:
-            grid[key] = _parse_range(value)
+        values = getattr(args, key, None)
+        if values is not None:
+            grid[key] = values
     if not grid:
         raise QuiverSeqError("scan needs at least one parameter range (e.g. --q 0..5)")
     deform = _parse_deform(args.deform) if args.deform else None
     cells = seqgen.integrality_scan(args.family, grid, args.horizon, deform)
-    for cell in cells:
+    for index, cell in enumerate(cells):
         ff = cell.run.first_fraction
         row = {
             "params": cell.params,
@@ -290,7 +311,7 @@ def _cmd_scan(args, out) -> int:
                 status = f"first fraction {row['first_fraction_value']} at n={row['first_fraction_paper_index']}"
             print(f"{params}: {status}", file=out)
         elif args.format == "csv":
-            if cells.index(cell) == 0:
+            if index == 0:
                 print("params,clean,degenerate,first_fraction_index,first_fraction_paper_index,first_fraction_value", file=out)
             params = ";".join(f"{k}={v}" for k, v in row["params"].items())
             blank_if_none = lambda v: "" if v is None else v
@@ -356,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="weight period under mutate-then-rotate cycles")
     p.add_argument("--quiver", required=True)
     p.add_argument("--weights", help="comma-separated weights (overrides file/solved)")
-    p.add_argument("--max", type=int, default=64)
+    p.add_argument("--max", type=_positive_int, default=64)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_period)
 
     p = sub.add_parser("laurent", help="symbolic Laurent verification run")
     p.add_argument("--quiver", required=True)
     p.add_argument("--weights", help="comma-separated weights (overrides file/solved)")
-    p.add_argument("--steps", type=int, default=6)
+    p.add_argument("--steps", type=_positive_int, default=6)
     p.add_argument("--check", action="store_true", help="exit 1 if any step is non-Laurent")
     p.add_argument(
         "--hold-weights",
@@ -380,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--family", help="built-in family name (see catalog)")
         source.add_argument("--quiver", help="compile the recurrence from a weighted quiver")
         for key in ("N", "r", "s", "p", "q"):
-            p.add_argument(f"--{key}", help=f"family parameter {key} (single value)")
+            p.add_argument(f"--{key}", type=_parse_range, help=f"family parameter {key} (single value)")
 
     p = sub.add_parser("seq", help="run a dual recurrence")
     add_family_args(p)
@@ -403,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="integrality scan over a parameter grid")
     p.add_argument("--family", required=True)
     for key in ("N", "r", "s", "p", "q"):
-        p.add_argument(f"--{key}", help=f"family parameter {key} (range like 1..3)")
+        p.add_argument(f"--{key}", type=_parse_range, help=f"family parameter {key} (range like 1..3)")
     p.add_argument("--deform", help='deformation applied to every cell, e.g. "m1:1"')
     p.add_argument("--horizon", type=int, default=30, help="total terms per cell")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -422,6 +443,8 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         return args.func(args, out)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except QuiverSeqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,17 @@
 
 Terms are a dict from exponent tuples to nonzero integer coefficients;
 exponents may be negative.  Besides ring arithmetic the module provides
-exact division and a primitive-PRS multivariate GCD, which back the
-fraction reduction in the symbolic exchange engine.  The expected case
-there is a monomial denominator, so reduction tries content extraction
-and a single trial division first and only falls back to the full GCD.
+exact division and a multivariate GCD, which back the fraction reduction
+in the symbolic exchange engine.  The expected case there is a monomial
+denominator, so reduction tries content extraction and a single trial
+division first and only falls back to the full GCD.
+
+The GCD is the heuristic GCDHEU of Char, Geddes & Gonnet (JSC 1989):
+evaluate one variable at a large integer, recurse down to integer gcds,
+rebuild the gcd or a cofactor from symmetric base-xi digits and accept
+the result only if it divides both inputs exactly.  Primitive PRS
+(pseudo-remainder sequences) remains the fallback for inputs on which
+every evaluation point fails, and the reference the tests compare against.
 
 Monomial order is lexicographic on the exponent tuple; for division by a
 single divisor that is all we need (leading monomials multiply).
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import isqrt
 
 
 class Poly:
@@ -306,7 +314,7 @@ class Poly:
         return "(+ " + " ".join(parts) + ")"
 
 
-# -- multivariate gcd (primitive pseudo-remainder sequences) ---------------
+# -- multivariate gcd fallback and reference (primitive PRS) ---------------
 
 
 def _positive_lead(p: Poly) -> Poly:
@@ -371,13 +379,142 @@ def _gcd_nonneg(a: Poly, b: Poly) -> Poly:
     return _positive_lead(d * g)
 
 
+# -- multivariate gcd (heuristic, GCDHEU) ------------------------------------
+
+# Evaluation points tried before giving up; each is larger than the last.
+_HEU_POINTS = 6
+
+
+def _strip(p: Poly, mins: tuple[int, ...], content: int) -> Poly:
+    """p divided by its monomial factor x^mins and its integer content."""
+    return Poly(
+        p.nvars,
+        {tuple(a - m for a, m in zip(e, mins)): c // content for e, c in p.terms.items()},
+    )
+
+
+def _evaluate_at(p: Poly, slot: int, xi: int) -> Poly:
+    """p with one variable set to the integer xi (that slot becomes zero)."""
+    powers = [1]
+    for _ in range(p.degree(slot)):
+        powers.append(powers[-1] * xi)
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in p.terms.items():
+        key = e[:slot] + (0,) + e[slot + 1 :]
+        out[key] = out.get(key, 0) + c * powers[e[slot]]
+    return Poly(p.nvars, out)
+
+
+def _interpolate(gamma: Poly, slot: int, xi: int) -> Poly:
+    """Inverse of _evaluate_at: each coefficient of gamma is read as
+    symmetric base-xi digits (in (-xi/2, xi/2]), the coefficients of
+    successive powers of the variable in the given slot."""
+    half = xi // 2
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in gamma.terms.items():
+        power = 0
+        while c:
+            c, digit = divmod(c, xi)
+            if digit > half:
+                digit -= xi
+                c += 1
+            if digit:
+                out[e[:slot] + (power,) + e[slot + 1 :]] = digit
+            power += 1
+    return Poly(gamma.nvars, out)
+
+
+def _heu_candidate(
+    f: Poly, g: Poly, ff: Poly, gg: Poly, gamma: Poly, slot: int, xi: int
+) -> Poly | None:
+    """The gcd of f and g read off gamma = gcd(ff, gg) at xi, or None.
+
+    f and g are primitive and free of monomial factors; ff and gg are
+    their images at xi, and the caller made sure xi divides no
+    coefficient of f or none of g.  The candidates are the primitive part
+    of gamma's digits, and f or g divided by the cofactor whose digits
+    are ff/gamma or gg/gamma; the first that divides both inputs exactly
+    is returned with a positive lex-leading coefficient.
+
+    Any such h is the gcd G.  Its image divides gamma up to an integer of
+    size at most xi/2, so the factor G/h takes a value that small at xi.
+    A factor in the evaluated variable cannot, because xi exceeds twice
+    the Cauchy root bound of f or g.  A factor involving other variables
+    would make xi a root of a nonzero polynomial whose coefficients are
+    coefficients of f, and likewise of g, so xi would divide one of each.
+    The same divisibility rules out a monomial factor in gamma's digits;
+    a cofactor's digits can still carry one, so that is checked.
+    """
+    h = _interpolate(gamma, slot, xi)
+    scale = h.content() if h.lex_lead()[1] > 0 else -h.content()
+    h = Poly(h.nvars, {e: c // scale for e, c in h.terms.items()})
+    if f.exact_div(h) is not None and g.exact_div(h) is not None:
+        return h
+    for p, image, other in ((f, ff, g), (g, gg, f)):
+        cofactor = _interpolate(image.exact_div(gamma), slot, xi)
+        if not any(cofactor.min_exponents()):
+            h = p.exact_div(cofactor)
+            if h is not None and other.exact_div(h) is not None:
+                return h if h.lex_lead()[1] > 0 else -h
+    return None
+
+
+def _heu_gcd(f: Poly, g: Poly) -> Poly | None:
+    """GCD of two nonzero polynomials with nonnegative exponents, or None.
+
+    The gcd of the monomial factors and of the integer contents is split
+    off first.  For the rest, the first variable present (the most
+    significant one in lex order) is evaluated at xi, the gcd of the
+    images is found recursively and _heu_candidate lifts it back.  Up to
+    _HEU_POINTS growing values of xi are tried; None means all failed.
+    """
+    nvars = f.nvars
+    fmin, gmin = f.min_exponents(), g.min_exponents()
+    mono = tuple(map(min, fmin, gmin))
+    fc, gc = f.content(), g.content()
+    content = int_gcd(fc, gc)
+    f, g = _strip(f, fmin, fc), _strip(g, gmin, gc)
+    if f.is_constant() or g.is_constant():
+        return Poly.monomial(nvars, mono, content)
+    slot = next(i for i in range(nvars) if f.degree(i) > 0 or g.degree(i) > 0)
+    fnorm = max(map(abs, f.terms.values()))
+    gnorm = max(map(abs, g.terms.values()))
+    bound = 2 * min(fnorm, gnorm) + 29
+    xi = max(
+        min(bound, 99 * isqrt(bound)),
+        2 * min(fnorm // abs(f.lex_lead()[1]), gnorm // abs(g.lex_lead()[1])) + 4,
+    )
+    for attempt in range(_HEU_POINTS):
+        if attempt:
+            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+        if any(c % xi == 0 for c in f.terms.values()) and any(
+            c % xi == 0 for c in g.terms.values()
+        ):
+            continue
+        ff, gg = _evaluate_at(f, slot, xi), _evaluate_at(g, slot, xi)
+        if ff.is_zero() or gg.is_zero():
+            continue
+        gamma = _heu_gcd(ff, gg)
+        if gamma is None:
+            return None
+        h = _heu_candidate(f, g, ff, gg, gamma, slot, xi)
+        if h is not None:
+            return Poly(nvars, {e: c * content for e, c in h.terms.items()}).shift(mono)
+    return None
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """GCD in the Laurent ring, returned with nonnegative exponents.
 
     Monomial factors are units, so they are stripped from the inputs and
-    never appear in the result; the result has a positive leading
-    coefficient.
+    never appear in the result; the result has a positive lex-leading
+    coefficient and carries the gcd of the integer contents.  The
+    heuristic GCDHEU runs first; primitive PRS runs only when it gives
+    up, and both return the same polynomial.
     """
     a = p if p.is_zero() else p.shift(tuple(-m for m in p.min_exponents()))
     b = q if q.is_zero() else q.shift(tuple(-m for m in q.min_exponents()))
-    return _gcd_nonneg(a, b)
+    if a.is_zero() or b.is_zero():
+        return _gcd_nonneg(a, b)
+    g = _heu_gcd(a, b)
+    return _gcd_nonneg(a, b) if g is None else g

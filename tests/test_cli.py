@@ -172,6 +172,35 @@ class TestScan:
         assert by_q[2]["clean"] is True
         assert by_q[3]["first_fraction_value"] == "6539/2"
 
+    def test_csv(self):
+        status, output = run_cli(
+            [
+                "scan", "--family", "fordy-marsh-s4", "--p", "1", "--q", "0..3",
+                "--deform", "m1:1", "--horizon", "12", "--format", "csv",
+            ]
+        )
+        assert status == 0
+        assert output.splitlines() == [
+            "params,clean,degenerate,first_fraction_index,first_fraction_paper_index,first_fraction_value",
+            "p=1;q=0,false,false,9,9,307/3",
+            "p=1;q=1,false,false,8,8,159/2",
+            "p=1;q=2,true,false,,,",
+            "p=1;q=3,false,false,8,8,6539/2",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["scan", "--family", "fordy-marsh-s4", "--p", "1..x", "--q", "0"], "1..x"),
+            (["seq", "--family", "gale_robinson", "--N", "six", "--r", "1", "--s", "2"], "six"),
+        ],
+    )
+    def test_bad_range_is_usage_error(self, argv, bad, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert repr(bad) in capsys.readouterr().err
+
 
 class TestLaurent:
     def test_somos4_check(self, somos4a_weighted_path):
@@ -207,6 +236,22 @@ class TestLaurent:
         )
         assert status == 1  # BudgetExceeded surfaces as a domain error
 
+    def test_budget_env_not_integer_is_usage_error(
+        self, somos4a_weighted_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("QUIVERSEQ_BUDGET", "abc")
+        with pytest.raises(SystemExit) as err:
+            main(["laurent", "--quiver", somos4a_weighted_path, "--steps", "1"])
+        assert err.value.code == 2
+        assert "QUIVERSEQ_BUDGET" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["-3", "0", "two"])
+    def test_non_positive_steps_is_usage_error(self, somos4a_weighted_path, steps, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["laurent", "--quiver", somos4a_weighted_path, "--steps", steps])
+        assert err.value.code == 2
+        assert repr(steps) in capsys.readouterr().err
+
 
 class TestPeriod:
     def test_p31_all_ones(self, p31_path):
@@ -221,6 +266,13 @@ class TestPeriod:
             ["period", "--quiver", somos4a_weighted_path, "--format", "json"]
         )
         assert json.loads(output) == {"max_cycles": 64, "period": 1}
+
+    @pytest.mark.parametrize("cycles", ["0", "-1"])
+    def test_non_positive_max_is_usage_error(self, p31_path, cycles, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["period", "--quiver", p31_path, "--weights", "1,1,1", "--max", cycles])
+        assert err.value.code == 2
+        assert repr(cycles) in capsys.readouterr().err
 
 
 class TestCatalog:

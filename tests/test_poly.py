@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverseq.poly import Poly, poly_gcd
+import quiverseq.poly as poly_module
+from quiverseq.poly import Poly, _gcd_nonneg, poly_gcd
 
 
 def P(nvars=2, **terms):
@@ -31,6 +32,35 @@ def small_polys(draw, nvars=2):
         )
         terms[exps] = draw(st.integers(min_value=-6, max_value=6))
     return Poly(nvars, terms)
+
+
+@st.composite
+def gcd_triples(draw):
+    """Two cofactors and a common factor in 1 to 3 variables, small or huge coefficients."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    coeffs = st.one_of(
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=-(10**12), max_value=10**12),
+    )
+
+    def poly(min_terms):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=min_terms, max_value=4))):
+            exps = tuple(draw(st.integers(min_value=-1, max_value=3)) for _ in range(nvars))
+            terms[exps] = draw(coeffs)
+        return Poly(nvars, terms)
+
+    return poly(0), poly(0), poly(1)
+
+
+def unit_free(p):
+    """p with its monomial factor (a unit in the Laurent ring) removed."""
+    return p if p.is_zero() else p.shift(tuple(-m for m in p.min_exponents()))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
 
 
 class TestArithmetic:
@@ -116,8 +146,66 @@ class TestGcd:
             return
         result = poly_gcd(a * g, b * g)
         # the common factor g (up to units) must divide the gcd
-        shifted = g.shift(tuple(-m for m in g.min_exponents()))
-        assert result.exact_div(shifted) is not None
+        assert result.exact_div(unit_free(g)) is not None
+
+    @given(small_polys(), small_polys(), small_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_prs_reference(self, a, b, g):
+        a, b = a * g, b * g
+        assert poly_gcd(a, b) == _gcd_nonneg(unit_free(a), unit_free(b))
+
+    @given(triple=gcd_triples())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy(self, sympy, triple):
+        a, b, g = triple
+        a, b = unit_free(a * g), unit_free(b * g)
+        gens = sympy.symbols(f"v0:{a.nvars}")
+        expected = sympy.Poly.from_dict(a.terms, *gens, domain="ZZ").gcd(
+            sympy.Poly.from_dict(b.terms, *gens, domain="ZZ")
+        )
+        want = {tuple(e): int(c) for e, c in expected.terms() if c}
+        if want and want[max(want)] < 0:  # shared normalisation: positive lex lead
+            want = {e: -c for e, c in want.items()}
+        assert poly_gcd(a, b).terms == want
+
+    def test_large_gcd_small_cofactors(self):
+        # The gcd's coefficient 10^7 does not fit a digit at the first point,
+        # so it is found by dividing out the cofactor read off f(xi)/gamma;
+        # that quotient comes out with a negative lex-leading coefficient.
+        common = 10**7 * x - y
+        assert poly_gcd(common * (x + 1), common * (x + 2)) == common
+
+    def test_prs_fallback_when_heuristic_gives_up(self, monkeypatch):
+        prs_calls = []
+
+        def prs(a, b):
+            prs_calls.append((a, b))
+            return _gcd_nonneg(a, b)
+
+        monkeypatch.setattr(poly_module, "_heu_gcd", lambda f, g: None)
+        monkeypatch.setattr(poly_module, "_gcd_nonneg", prs)
+        common = x * y + 1
+        g = poly_gcd(4 * x * common * (x + y), 6 * common * (x - y + 3))
+        assert g == 2 * common
+        assert prs_calls
+
+    def test_skips_a_point_that_divides_coefficients(self, monkeypatch):
+        # Both norms and leading coefficients are m, so the first point is
+        # 99 * isqrt(2m + 29) = 139986, which divides 7*139986 and 5*139986.
+        # Evaluating there could not rule out a spurious factor in y.
+        m, first = 1000003, 139986
+        f = m * x * y + 7 * first
+        g = m * x + 5 * first * y
+        points = []
+        evaluate = poly_module._evaluate_at
+
+        def spy(p, slot, xi):
+            points.append(xi)
+            return evaluate(p, slot, xi)
+
+        monkeypatch.setattr(poly_module, "_evaluate_at", spy)
+        assert poly_gcd(f, g) == _gcd_nonneg(f, g) == one
+        assert points[0] > first
 
 
 class TestEvaluate:
