@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverseq import laurent
 from quiverseq.dualnum import DualScalar
 from quiverseq.laurent import (
     BudgetExceededError,
@@ -132,6 +133,54 @@ class TestNormalize:
         bad = normalize(_dual_expr(x1 + 1, Poly.zero(nv), Poly.const(nv, 2)))
         assert isinstance(bad, NotLaurent)
         assert bad.denominator == Poly.const(nv, 2)
+
+    def test_body_reduces_but_slope_does_not(self):
+        nv = 4
+        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
+        result = normalize(_dual_expr((x1 + 1) * x2, y1, x1 + 1))
+        assert isinstance(result, NotLaurent)
+        assert result.part == "slope"
+        assert result.denominator == x1 + 1
+
+
+class TestReduced:
+    def test_gcd_leaves_a_non_monomial_denominator(self):
+        nv = 4
+        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
+        expr = _dual_expr(x1 + 1, (x1 + 1) * y1, (x1 + 1) * (x2 + 1))
+        assert expr.reduced() == _dual_expr(Poly.one(nv), y1, x2 + 1)
+
+    def test_trial_division_cancels_jointly(self):
+        nv = 4
+        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
+        den = x1 * x1 * (x2 + 1)
+        expr = _dual_expr((x2 + 1) * x2, (x2 + 1) * y1, den)
+        shift = (-2, 0, 0, 0)
+        assert expr.reduced() == _dual_expr(x2.shift(shift), y1.shift(shift), Poly.one(nv))
+
+    def test_negative_leading_denominator_is_flipped(self):
+        nv = 4
+        x1, x2, y2 = (Poly.variable(nv, i) for i in (0, 1, 3))
+        expr = _dual_expr(x1 - 3, x2 * y2, -x1 - x2)
+        assert expr.reduced() == _dual_expr(-x1 + 3, -x2 * y2, x1 + x2)
+        result = normalize(expr)
+        assert isinstance(result, NotLaurent)
+        assert result.part == "body"
+        assert result.denominator == x1 + x2
+
+    def test_monomial_left_by_the_gcd_is_folded(self, monkeypatch):
+        # In the Laurent ring a gcd is fixed only up to a unit; one that
+        # carries a monomial leaves that monomial in the quotient of the
+        # denominator, and the reducer folds it into the numerators.
+        nv = 4
+        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
+        gcd = laurent.poly_gcd
+        monkeypatch.setattr(laurent, "poly_gcd", lambda p, q: x1 * gcd(p, q))
+        expr = _dual_expr(x2 + 1, (x2 + 1) * y1, (x2 + 1) * (x2 + 2))
+        assert expr.reduced() == _dual_expr(Poly.one(nv), y1, x2 + 2)
+        result = normalize(expr)
+        assert isinstance(result, NotLaurent)
+        assert result.denominator == x2 + 2
 
 
 class TestVerifyRun:
