@@ -17,6 +17,12 @@ unit content; normalization folds such denominators into negative
 exponents.  ``verify_laurent_run`` iterates the cycle "mutate at vertex
 1, shift labels" and reports Laurent-or-not per step, continuing with
 reduced fractions either way.
+
+All cancellation goes through one reducer, ``_reduce``: fold the
+monomial part of the denominator, try one trial division, take the GCD
+with the numerators, fold again and make the leading coefficient
+positive.  ``RationalDualExpr.reduced`` runs it once on the body and
+slope numerators together; ``normalize`` runs it on each part alone.
 """
 
 from __future__ import annotations
@@ -203,38 +209,9 @@ class RationalDualExpr:
     def reduced(self) -> "RationalDualExpr":
         """Cancel the denominator as far as possible, jointly for both parts.
 
-        Monomial factors of the denominator are units and fold into
-        (possibly negative) numerator exponents; a non-monomial remainder
-        is cancelled by one trial division, then by a full GCD.
+        One pass of ``_reduce`` over the body and slope numerators.
         """
-        nb, ns, den = self.num_body, self.num_slope, self.den
-        mins = den.min_exponents()
-        if any(mins):
-            back = tuple(-m for m in mins)
-            den = den.shift(back)
-            nb = nb.shift(back)
-            ns = ns.shift(back)
-        if not den.is_one():
-            qb = nb.exact_div(den)
-            qs = ns.exact_div(den) if qb is not None else None
-            if qb is not None and qs is not None:
-                nb, ns, den = qb, qs, Poly.one(den.nvars)
-            else:
-                g = _common_with_xonly(den, [nb, ns])
-                if not g.is_one():
-                    nb = nb.exact_div(g)
-                    ns = ns.exact_div(g)
-                    den = den.exact_div(g)
-                mins = den.min_exponents()
-                if any(mins):
-                    back = tuple(-m for m in mins)
-                    den = den.shift(back)
-                    nb = nb.shift(back)
-                    ns = ns.shift(back)
-        if not den.is_zero():
-            _, lead = den.lex_lead()
-            if lead < 0:
-                nb, ns, den = -nb, -ns, -den
+        (nb, ns), den = _reduce((self.num_body, self.num_slope), self.den)
         return RationalDualExpr(nb, ns, den)
 
 
@@ -265,50 +242,60 @@ def _common_with_xonly(den: Poly, numerators) -> Poly:
     return g
 
 
-def _reduce_part(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Reduce a single fraction; returns (numerator, reduced denominator)."""
+def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
+    """Divide den and the numerators by den's monomial factor, a unit."""
     mins = den.min_exponents()
-    if any(mins):
-        back = tuple(-m for m in mins)
-        den = den.shift(back)
-        num = num.shift(back)
+    if not any(mins):
+        return list(nums), den
+    back = tuple(-m for m in mins)
+    return [num.shift(back) for num in nums], den.shift(back)
+
+
+def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
+    """Cancel a shared x-only denominator against every numerator.
+
+    The monomial part of den folds into (possibly negative) numerator
+    exponents.  What is left is cancelled by one trial division of every
+    numerator, and failing that by the GCD of den with all of them, whose
+    quotient is folded again.  The reduced denominator comes back with a
+    positive lex-leading coefficient.
+    """
+    nums, den = _fold_monomial(nums, den)
     if den.is_one():
-        return num, den
-    q = num.exact_div(den)
-    if q is not None:
-        return q, Poly.one(den.nvars)
-    g = _common_with_xonly(den, [num])
+        return nums, den
+    quotients = []
+    for num in nums:
+        q = num.exact_div(den)
+        if q is None:
+            break
+        quotients.append(q)
+    else:
+        return quotients, Poly.one(den.nvars)
+    g = _common_with_xonly(den, nums)
     if not g.is_one():
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-        mins = den.min_exponents()
-        if any(mins):
-            back = tuple(-m for m in mins)
-            den = den.shift(back)
-            num = num.shift(back)
-    if not den.is_zero():
-        _, lead = den.lex_lead()
-        if lead < 0:
-            num, den = -num, -den
-    return num, den
+        nums, den = _fold_monomial([num.exact_div(g) for num in nums], den.exact_div(g))
+    if den.lex_lead()[1] < 0:
+        nums, den = [-num for num in nums], -den
+    return nums, den
 
 
 def normalize(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
-    """Reduce both component fractions; Laurent iff both denominators vanish.
+    """Reduce the body and then the slope fraction, each on its own.
 
-    "Vanish" means the reduced denominator is the unit monomial: monomial
-    factors have already been folded into negative exponents, so anything
-    left over (a non-monomial polynomial, or an integer > 1 that does not
-    divide the numerator content) makes the value non-Laurent, and the
-    offending reduced denominator is reported.
+    Each part is one pass of ``_reduce`` over that numerator alone.  The
+    value is Laurent when both reduced denominators are the unit
+    monomial: monomial factors have already been folded into negative
+    exponents, so anything left over (a non-monomial polynomial, or an
+    integer > 1 that does not divide the numerator content) makes it
+    non-Laurent, and the first offending denominator is reported.
     """
-    body, bden = _reduce_part(expr.num_body, expr.den)
-    if not bden.is_one():
-        return NotLaurent("body", bden)
-    slope, sden = _reduce_part(expr.num_slope, expr.den)
-    if not sden.is_one():
-        return NotLaurent("slope", sden)
-    return DualLaurent(body, slope)
+    parts = []
+    for part, num in (("body", expr.num_body), ("slope", expr.num_slope)):
+        (num,), den = _reduce((num,), expr.den)
+        if not den.is_one():
+            return NotLaurent(part, den)
+        parts.append(num)
+    return DualLaurent(*parts)
 
 
 def _exchange_fraction(
@@ -365,8 +352,8 @@ def verify_laurent_run(
     """Iterate the cycle (mutate at vertex 1, shift labels) symbolically.
 
     Each cycle produces the next sequence variable; the report records
-    whether it normalized to a Laurent value, its term counts, and the
-    reduced denominator.  The run continues through non-Laurent steps
+    whether it normalized to a Laurent value, the term counts of its
+    jointly reduced fraction, and the reduced denominator.  The run continues through non-Laurent steps
     with reduced fractions.  Exceeding the term budget aborts with
     BudgetExceededError.
 
@@ -387,31 +374,15 @@ def verify_laurent_run(
             )
         result = normalize(frac)
         if isinstance(result, NotLaurent):
-            reports.append(
-                StepReport(
-                    step,
-                    False,
-                    frac.num_body.term_count,
-                    frac.num_slope.term_count,
-                    result.denominator,
-                    frac,
-                )
-            )
-            new_state = frac
+            denominator, variable = result.denominator, frac
         else:
-            denom = Poly.monomial(2 * n, result.denominator_monomial() + (0,) * n)
-            reports.append(
-                StepReport(
-                    step,
-                    True,
-                    result.body.term_count,
-                    result.slope.term_count,
-                    denom,
-                    result,
-                )
-            )
-            new_state = RationalDualExpr.from_dual(result)
-        state = state[1:] + [new_state]
+            denominator = Poly.monomial(2 * n, result.denominator_monomial() + (0,) * n)
+            variable = result
+        counts = frac.num_body.term_count, frac.num_slope.term_count
+        reports.append(StepReport(step, variable is result, *counts, denominator, variable))
+        # A Laurent result holds the numerators of frac, whose jointly
+        # reduced denominator is already 1, so frac carries on either way.
+        state = state[1:] + [frac]
         if evolve_weights:
             current = current.mutate(1).rotate()
         else:
