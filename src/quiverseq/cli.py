@@ -28,7 +28,7 @@ def _read_quiver(path: str) -> Quiver | WeightedQuiver:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QuiverSeqError(f"cannot read {path}: {exc}") from exc
     return load_quiver(text)
 

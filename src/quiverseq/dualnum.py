@@ -54,9 +54,6 @@ class DualScalar:
             return True
         return self.body.denominator == 1 and self.slope.denominator == 1
 
-    def to_rational(self) -> "DualScalar":
-        return DualScalar(Fraction(self.body), Fraction(self.slope))
-
     def to_integer(self) -> "DualScalar":
         """Demote to integer kind; raises ValueError if not integral."""
         if not self.is_integral:

@@ -33,6 +33,10 @@ class NotPeriodOneError(QuiverSeqError, ValueError):
     """Operation only meaningful for period-1 quivers."""
 
 
+class NoWeightPeriodError(QuiverSeqError, ValueError):
+    """The weights did not return within the cycle limit."""
+
+
 def primitive(n: int, t: int) -> Quiver:
     """The primitive quiver P(n, t): one arrow per pair {i, i+t mod n}.
 
@@ -138,6 +142,23 @@ def solve_weight(q: Quiver) -> WeightSolution | None:
     return WeightSolution(w)
 
 
+def _weight_orbit(wq: WeightedQuiver, max_cycles: int, what: str) -> tuple[int, ...] | None:
+    """w_1 at each mutate-at-1-then-rotate cycle until the weights return.
+
+    None when they do not return within max_cycles.
+    """
+    if not wq.quiver.is_period_one():
+        raise NotPeriodOneError(f"{what} requires a period-1 quiver")
+    trace: list[int] = []
+    current = wq
+    for _ in range(max_cycles):
+        trace.append(current.weights[0])
+        current = current.mutate(1).rotate()
+        if current.weights == wq.weights:
+            return tuple(trace)
+    return None
+
+
 def weight_period(wq: WeightedQuiver, max_cycles: int = 64) -> int | None:
     """Smallest number of mutate-at-1-then-rotate cycles fixing the weights.
 
@@ -146,14 +167,8 @@ def weight_period(wq: WeightedQuiver, max_cycles: int = 64) -> int | None:
     found.  One cycle is one mutation plus one label shift, so for two
     vertices a cycle is a single mutation step.
     """
-    if not wq.quiver.is_period_one():
-        raise NotPeriodOneError("weight period requires a period-1 quiver")
-    current = wq
-    for p in range(1, max_cycles + 1):
-        current = current.mutate(1).rotate()
-        if current.weights == wq.weights:
-            return p
-    return None
+    trace = _weight_orbit(wq, max_cycles, "weight period")
+    return None if trace is None else len(trace)
 
 
 def weight_trace(wq: WeightedQuiver, max_cycles: int = 64) -> tuple[int, ...]:
@@ -161,15 +176,9 @@ def weight_trace(wq: WeightedQuiver, max_cycles: int = 64) -> tuple[int, ...]:
 
     This is the deformation schedule that the quiver's recurrence applies.
     Raises NotPeriodOneError when the quiver is not period-1 and
-    ValueError when the weights do not return within max_cycles.
+    NoWeightPeriodError when the weights do not return within max_cycles.
     """
-    if not wq.quiver.is_period_one():
-        raise NotPeriodOneError("weight trace requires a period-1 quiver")
-    trace: list[int] = []
-    current = wq
-    for _ in range(max_cycles):
-        trace.append(current.weights[0])
-        current = current.mutate(1).rotate()
-        if current.weights == wq.weights:
-            return tuple(trace)
-    raise ValueError(f"weights did not return within {max_cycles} cycles")
+    trace = _weight_orbit(wq, max_cycles, "weight trace")
+    if trace is None:
+        raise NoWeightPeriodError(f"weights did not return within {max_cycles} cycles")
+    return trace

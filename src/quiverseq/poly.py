@@ -71,16 +71,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
     @property
     def term_count(self) -> int:
         return len(self.terms)

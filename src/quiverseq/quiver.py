@@ -34,8 +34,15 @@ def neg_part(c: int) -> int:
     return c if c < 0 else 0
 
 
+def _row(i: int, row) -> tuple:
+    try:
+        return tuple(row)
+    except TypeError:
+        raise QuiverFormatError(f"row {i + 1} = {row!r} is not a list of entries") from None
+
+
 def _validated_rows(rows) -> tuple[tuple[int, ...], ...]:
-    b = tuple(tuple(row) for row in rows)
+    b = tuple(_row(i, row) for i, row in enumerate(rows))
     n = len(b)
     for i, row in enumerate(b):
         if len(row) != n:
@@ -64,7 +71,7 @@ class Quiver:
 
     @classmethod
     def from_rows(cls, rows) -> "Quiver":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def empty(cls, n: int) -> "Quiver":
@@ -144,11 +151,7 @@ class Quiver:
 
     @classmethod
     def from_json(cls, text: str) -> "Quiver":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise QuiverFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_parse_json(text))
 
 
 @dataclass(frozen=True)
@@ -219,19 +222,19 @@ class WeightedQuiver:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedQuiver":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise QuiverFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_parse_json(text))
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise QuiverFormatError(f"invalid JSON: {exc}") from exc
 
 
 def load_quiver(text: str) -> Quiver | WeightedQuiver:
     """Parse quiver JSON; returns a WeightedQuiver when "w" is present."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise QuiverFormatError(f"invalid JSON: {exc}") from exc
+    data = _parse_json(text)
     if isinstance(data, dict) and "w" in data:
         return WeightedQuiver.from_dict(data)
     return Quiver.from_dict(data)

@@ -21,7 +21,7 @@ built-in families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -109,30 +109,12 @@ class RecurrenceSpec:
         return self.schedule[step % len(self.schedule)]
 
     def with_deform(self, placement: str, schedule: Sequence[int], label: str = "") -> "RecurrenceSpec":
-        return RecurrenceSpec(
-            self.name,
-            self.order,
-            self.monomial1,
-            self.monomial2,
-            placement,
-            tuple(schedule),
-            label or f"w cycles {','.join(map(str, schedule))}",
-            self.init_a,
-            self.index_origin,
-        )
+        schedule = tuple(schedule)
+        label = label or f"w cycles {','.join(map(str, schedule))}"
+        return replace(self, deform=placement, schedule=schedule, schedule_label=label)
 
     def without_deform(self) -> "RecurrenceSpec":
-        return RecurrenceSpec(
-            self.name,
-            self.order,
-            self.monomial1,
-            self.monomial2,
-            "none",
-            (0,),
-            "",
-            self.init_a,
-            self.index_origin,
-        )
+        return replace(self, deform="none", schedule=(0,), schedule_label="")
 
     def formula(self) -> str:
         m1 = self.monomial1.render("A")

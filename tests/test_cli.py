@@ -275,6 +275,36 @@ class TestPeriod:
         assert repr(cycles) in capsys.readouterr().err
 
 
+class TestMalformedQuiver:
+    @pytest.fixture
+    def growing_path(self, tmp_path):
+        path = tmp_path / "growing.json"
+        path.write_text('{"b": [[0, 2], [-2, 0]]}')
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["seq", "decompose"])
+    def test_weights_without_period_is_domain_error(self, growing_path, command, capsys):
+        status, output = run_cli([command, "--quiver", growing_path, "--weights=1,1"])
+        assert (status, output) == (1, "")
+        err = capsys.readouterr().err
+        assert err == "error: NoWeightPeriodError: weights did not return within 64 cycles\n"
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"b": [[0]], "note": "\xe9"}')
+        status, _ = run_cli(["weight", "--quiver", str(path)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: QuiverSeqError: cannot read ") and str(path) in err
+
+    def test_row_that_is_not_a_list(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text('{"b": [1, 2]}')
+        status, _ = run_cli(["mutate", "--quiver", str(path), "--at", "1"])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("error: QuiverFormatError: row 1 = 1 ")
+
+
 class TestCatalog:
     def test_lists_families(self):
         status, output = run_cli(["catalog"])

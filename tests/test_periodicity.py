@@ -5,6 +5,7 @@ import pytest
 from quiverseq.periodicity import (
     BadStrideError,
     CorrectionTouchesVertexOne,
+    NoWeightPeriodError,
     NotPeriodOneError,
     combine,
     primitive,
@@ -163,6 +164,14 @@ class TestWeightPeriod:
         assert weight_trace(WeightedQuiver(primitive(3, 1), (1, 1, 1))) == (
             1, 1, 1, -1, -1, -1,
         )
+
+    def test_weight_trace_without_period(self):
+        growing = WeightedQuiver(Quiver.from_rows([[0, 2], [-2, 0]]), (1, 1))
+        with pytest.raises(NoWeightPeriodError, match="within 16 cycles") as err:
+            weight_trace(growing, max_cycles=16)
+        assert isinstance(err.value, ValueError)
+        with pytest.raises(NotPeriodOneError):
+            weight_trace(WeightedQuiver(Quiver.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), (1, 1, 1)))
 
 
 def _random_period_one_quivers(count, rng):

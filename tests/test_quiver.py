@@ -196,6 +196,12 @@ class TestJson:
         with pytest.raises(QuiverFormatError):
             load_quiver("{not json")
 
+    def test_row_that_is_not_a_list_names_the_row(self):
+        with pytest.raises(QuiverFormatError, match="row 1 = 1 "):
+            load_quiver('{"b": [1, 2]}')
+        with pytest.raises(QuiverFormatError, match="row 2 = None "):
+            Quiver.from_dict({"b": [[0], None]})
+
     def test_extra_keys_ignored(self):
         q = neg_p31()
         data = q.to_dict()

@@ -179,6 +179,17 @@ class TestAffineStructure:
         assert delta == linear
 
 
+class TestDeformSwap:
+    def test_with_deform_default_label(self):
+        spec = builtin("somos4").with_deform("m1", [1, -1])
+        assert (spec.deform, spec.schedule, spec.schedule_label) == ("m1", (1, -1), "w cycles 1,-1")
+        assert spec.with_deform("m2", (2,), "custom").schedule_label == "custom"
+
+    def test_without_deform_restores_the_plain_family(self):
+        plain = builtin("somos4")
+        assert plain.with_deform("m2", (1,)).without_deform() == plain
+
+
 class TestQuiverToSpec:
     def test_somos4_quiver(self):
         q = somos4_quiver_a()
