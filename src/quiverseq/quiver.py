@@ -228,7 +228,7 @@ class WeightedQuiver:
 def _parse_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise QuiverFormatError(f"invalid JSON: {exc}") from exc
 
 

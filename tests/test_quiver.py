@@ -196,6 +196,10 @@ class TestJson:
         with pytest.raises(QuiverFormatError):
             load_quiver("{not json")
 
+    def test_json_nested_too_deep(self):
+        with pytest.raises(QuiverFormatError, match="invalid JSON"):
+            load_quiver("[" * 100_000)
+
     def test_row_that_is_not_a_list_names_the_row(self):
         with pytest.raises(QuiverFormatError, match="row 1 = 1 "):
             load_quiver('{"b": [1, 2]}')
