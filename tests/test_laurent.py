@@ -1,10 +1,15 @@
+import hashlib
+import io
+import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverseq import laurent
+from quiverseq.cli import main
 from quiverseq.dualnum import DualScalar
 from quiverseq.laurent import (
     BudgetExceededError,
@@ -24,11 +29,13 @@ from quiverseq.laurent import (
 from quiverseq.periodicity import primitive, solve_weight
 from quiverseq.poly import Poly
 from quiverseq.quiver import Quiver, WeightedQuiver
-from quiverseq.seqgen import builtin, run
+from quiverseq.seqgen import builtin, quiver_to_spec, run
 
 from golden import neg_p31, somos4_quiver_a
 
 ONES = [DualScalar(1, 0)] * 4
+SOMOS4_ROWS = [[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]]
+P31_ROWS = [[0, -1, -1], [1, 0, -1], [1, 1, 0]]
 
 
 def _dual_expr(body: Poly, slope: Poly, den: Poly) -> RationalDualExpr:
@@ -273,3 +280,55 @@ class TestEvaluate:
         ]
         assert evaluate(u * v, point) == evaluate(u, point) * evaluate(v, point)
         assert evaluate(u + v, point) == evaluate(u, point) + evaluate(v, point)
+
+
+@cache
+def _six_step_run(name: str) -> tuple[WeightedQuiver, list]:
+    if name == "somos4":
+        wq = WeightedQuiver(Quiver.from_rows(SOMOS4_ROWS), (1, 0, 0, -1))
+    else:
+        wq = neg_p31_weighted()
+    return wq, verify_laurent_run(wq, 6)
+
+
+class TestRandomPoints:
+    """Symbolic results against numeric runs at random dual points.
+
+    All-ones points cannot tell one slope part from another; random
+    bodies and slopes can.
+    """
+
+    @pytest.mark.parametrize("name", ["somos4", "neg_p31"])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_evaluation_matches_numeric_run(self, name, data):
+        wq, reports = _six_step_run(name)
+        n = wq.n
+        body = st.integers(min_value=-5, max_value=5).filter(bool)
+        slope = st.integers(min_value=-5, max_value=5)
+        a = data.draw(st.tuples(*[body] * n))
+        b = data.draw(st.tuples(*[slope] * n))
+        point = [DualScalar(Fraction(x), Fraction(y)) for x, y in zip(a, b)]
+        numeric = run(quiver_to_spec(wq), init_a=a, init_b=b, count=n + 6)
+        for k, term in enumerate(numeric.terms[n:], start=1):
+            assert evaluate(reports[k - 1].variable, point) == term
+
+
+class TestSexprPins:
+    """SHA-256 prefixes of ``laurent --emit sexpr`` output."""
+
+    @pytest.mark.parametrize(
+        "rows, flags, fmt, digest",
+        [
+            (SOMOS4_ROWS, ["--weights", "1,0,0,-1"], "json", "782156873e9d1172"),
+            (P31_ROWS, ["--hold-weights", "--weights", "1,0,-1"], "json", "1f390745ed7b0ac1"),
+            (P31_ROWS, ["--hold-weights", "--weights", "1,0,-1"], "text", "0f6ba36cf7e0a330"),
+        ],
+    )
+    def test_output_digest(self, tmp_path, rows, flags, fmt, digest):
+        path = tmp_path / "quiver.json"
+        path.write_text(json.dumps({"b": rows}))
+        out = io.StringIO()
+        argv = ["laurent", "--quiver", str(path), *flags, "--steps", "6", "--emit", "sexpr"]
+        assert main([*argv, "--format", fmt], out) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == digest
