@@ -205,7 +205,7 @@ def _cmd_laurent(args, out) -> int:
                 "slope_terms": rep.slope_terms,
             }
             if args.emit == "sexpr":
-                row["sexpr"] = _report_sexpr(rep, names)
+                row["sexpr"] = rep.variable.sexpr()
             print(_jline(row), file=out)
         else:
             status = "laurent" if rep.is_laurent else "NOT laurent"
@@ -215,20 +215,10 @@ def _cmd_laurent(args, out) -> int:
                 file=out,
             )
             if args.emit == "sexpr":
-                print(_report_sexpr(rep, names), file=out)
+                print(rep.variable.sexpr(), file=out)
     if args.check and not all(rep.is_laurent for rep in reports):
         return 1
     return 0
-
-
-def _report_sexpr(rep: laurent_mod.StepReport, names) -> str:
-    v = rep.variable
-    if isinstance(v, laurent_mod.DualLaurent):
-        return v.sexpr()
-    return (
-        f"(fraction (body-num {v.num_body.sexpr(names)}) "
-        f"(slope-num {v.num_slope.sexpr(names)}) (den {v.den.sexpr(names)}))"
-    )
 
 
 def _family_spec(args) -> seqgen.RecurrenceSpec:
@@ -284,16 +274,27 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _cmd_scan(args, out) -> int:
-    grid = {}
-    for key in ("N", "r", "s", "p", "q"):
-        values = getattr(args, key, None)
-        if values is not None:
-            grid[key] = values
+    grid = {key: getattr(args, key) for key in ("N", "r", "s", "p", "q") if getattr(args, key) is not None}
     if not grid:
         raise QuiverSeqError("scan needs at least one parameter range (e.g. --q 0..5)")
     deform = _parse_deform(args.deform) if args.deform else None
     cells = seqgen.integrality_scan(args.family, grid, args.horizon, deform)
-    for index, cell in enumerate(cells):
+    columns = (
+        "clean", "degenerate", "first_fraction_index", "first_fraction_paper_index", "first_fraction_value"
+    )
+    if args.format == "csv" and cells:
+        print(",".join(("params",) + columns), file=out)
+    for cell in cells:
+        params = (";" if args.format == "csv" else " ").join(f"{k}={v}" for k, v in cell.params.items())
+        if cell.invalid is not None:
+            if args.format == "json":
+                line = _jline({"params": cell.params, "invalid": cell.invalid})
+            elif args.format == "csv":
+                line = f"{params},invalid,,,,"
+            else:
+                line = f"{params}: invalid: {cell.invalid}"
+            print(line, file=out)
+            continue
         ff = cell.run.first_fraction
         row = {
             "params": cell.params,
@@ -304,24 +305,14 @@ def _cmd_scan(args, out) -> int:
             "first_fraction_value": None if ff is None else format_scalar(ff[1]),
         }
         if args.format == "text":
-            params = " ".join(f"{k}={v}" for k, v in row["params"].items())
             if ff is None:
                 status = "degenerate" if row["degenerate"] else f"integral to horizon {args.horizon}"
             else:
                 status = f"first fraction {row['first_fraction_value']} at n={row['first_fraction_paper_index']}"
             print(f"{params}: {status}", file=out)
         elif args.format == "csv":
-            if index == 0:
-                print("params,clean,degenerate,first_fraction_index,first_fraction_paper_index,first_fraction_value", file=out)
-            params = ";".join(f"{k}={v}" for k, v in row["params"].items())
-            blank_if_none = lambda v: "" if v is None else v
-            print(
-                f"{params},{str(row['clean']).lower()},{str(row['degenerate']).lower()},"
-                f"{blank_if_none(row['first_fraction_index'])},"
-                f"{blank_if_none(row['first_fraction_paper_index'])},"
-                f"{blank_if_none(row['first_fraction_value'])}",
-                file=out,
-            )
+            fields = ("" if row[c] is None else str(row[c]).lower() for c in columns)  # true/false
+            print(",".join((params, *fields)), file=out)
         else:
             print(_jline(row), file=out)
     return 0

@@ -1,11 +1,15 @@
 """Symbolic dual Laurent values and the exchange-relation engine.
 
-A symbolic vertex variable is a dual value  body + slope·ε  over 2n
-commuting indeterminates: bodies are integer Laurent polynomials in
-x_1..x_n, slopes are Laurent in the x's and *linear* in companion
-variables y_1..y_n.  Because ε² = 0, slopes only ever multiply bodies,
-so linearity in y is preserved by all ring operations; the constructors
-assert it anyway.
+A symbolic vertex variable is a dual value  body + slope·ε  in the seed
+variables X_i = x_i + y_i·ε.  Because ε² = 0, slopes only ever multiply
+bodies, so every slope is linear in the y's:
+
+    slope = s_0(x) + y_1·s_1(x) + … + y_n·s_n(x).
+
+A slope is therefore stored as the tuple (s_0, s_1, …, s_n) of integer
+Laurent polynomials in x_1..x_n, and bodies and denominators are
+polynomials in the x's alone.  Only printing joins the parts back into
+one polynomial over x_1..x_n, y_1..y_n.
 
 An exchange step at vertex k computes
 
@@ -22,7 +26,8 @@ All cancellation goes through one reducer, ``_reduce``: fold the
 monomial part of the denominator, try one trial division, take the GCD
 with the numerators, fold again and make the leading coefficient
 positive.  ``RationalDualExpr.reduced`` runs it once on the body and
-slope numerators together; ``normalize`` runs it on each part alone.
+all slope parts together; ``normalize`` runs it on the body alone and
+then on the slope parts.
 """
 
 from __future__ import annotations
@@ -59,79 +64,53 @@ class NotLaurentError(QuiverSeqError, ValueError):
 
 
 def var_names(n: int) -> list[str]:
+    """Printed names: x1..xn for the x's, then y1..yn for the seed slopes."""
     return [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
 
 
-def _check_y_shape(p: Poly, n: int, max_degree: int) -> None:
-    for exps in p.terms:
-        ydeg = 0
-        for e in exps[n:]:
-            if e < 0:
-                raise ValueError("negative exponent on a y-variable")
-            ydeg += e
-        if ydeg > max_degree:
-            raise ValueError(f"y-degree {ydeg} exceeds {max_degree}")
+def _sexpr(p: Poly) -> str:
+    return p.sexpr(var_names(p.nvars))
+
+
+def _slope_sexpr(slope: tuple[Poly, ...]) -> str:
+    """Print s_0 + Σ y_i·s_i as one polynomial over x_1..x_n, y_1..y_n."""
+    n = len(slope) - 1
+    units = [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    joined = {exps + y: c for part, y in zip(slope, units) for exps, c in part.terms.items()}
+    return Poly(2 * n, joined).sexpr(var_names(n))
 
 
 @dataclass(frozen=True, eq=True)
 class DualLaurent:
-    """A normalized dual Laurent value: body + slope·ε."""
+    """A normalized dual Laurent value  body + slope·ε.
+
+    ``body`` is a Laurent polynomial in x_1..x_n, and ``slope`` is the
+    tuple (s_0, s_1, …, s_n) of Laurent polynomials in the same x's that
+    stands for s_0 + Σ y_i·s_i.
+    """
 
     body: Poly
-    slope: Poly
-
-    def __post_init__(self) -> None:
-        if self.body.nvars != self.slope.nvars or self.body.nvars % 2:
-            raise ValueError("body and slope must share an even variable count")
-        n = self.body.nvars // 2
-        _check_y_shape(self.body, n, 0)
-        _check_y_shape(self.slope, n, 1)
+    slope: tuple[Poly, ...]
 
     @property
     def n(self) -> int:
-        return self.body.nvars // 2
-
-    def __add__(self, other: "DualLaurent") -> "DualLaurent":
-        return DualLaurent(self.body + other.body, self.slope + other.slope)
-
-    def __mul__(self, other: "DualLaurent") -> "DualLaurent":
-        return DualLaurent(
-            self.body * other.body,
-            self.body * other.slope + self.slope * other.body,
-        )
-
-    def deform(self, w: int) -> "DualLaurent":
-        """Multiply by (1 + w·ε)."""
-        return DualLaurent(self.body, self.slope + w * self.body)
+        return self.body.nvars
 
     def denominator_monomial(self) -> tuple[int, ...]:
         """x-exponents of the common monomial denominator (all ≥ 0)."""
-        n = self.n
-        mins = tuple(
-            min(b, s) for b, s in zip(self.body.min_exponents(), self.slope.min_exponents())
-        )
-        return tuple(max(0, -m) for m in mins[:n])
-
-    @property
-    def term_count(self) -> int:
-        return self.body.term_count + self.slope.term_count
-
-    def format(self) -> str:
-        names = var_names(self.n)
-        return f"({self.body.format(names)}) + ({self.slope.format(names)})*eps"
+        mins = self.body.min_exponents()
+        for part in self.slope:
+            mins = tuple(map(min, mins, part.min_exponents()))
+        return tuple(max(0, -m) for m in mins)
 
     def sexpr(self) -> str:
-        names = var_names(self.n)
-        return f"(dual (body {self.body.sexpr(names)}) (slope {self.slope.sexpr(names)}))"
+        return f"(dual (body {_sexpr(self.body)}) (slope {_slope_sexpr(self.slope)}))"
 
 
 def initial_variables(n: int) -> list[DualLaurent]:
     """The seed variables X_i = x_i + y_i·ε for an n-vertex quiver."""
     return [
-        DualLaurent(
-            Poly.variable(2 * n, i),
-            Poly.variable(2 * n, n + i),
-        )
+        DualLaurent(Poly.variable(n, i), tuple(Poly.const(n, int(j == i + 1)) for j in range(n + 1)))
         for i in range(n)
     ]
 
@@ -146,34 +125,38 @@ class NotLaurent:
 
 @dataclass(frozen=True)
 class RationalDualExpr:
-    """(num_body + num_slope·ε) / den with a shared x-only denominator."""
+    """(num_body + num_slope·ε) / den over x_1..x_n.
+
+    ``num_slope`` is split into parts (s_0, s_1, …, s_n) as in
+    ``DualLaurent``; every operation works part by part, and the
+    denominator is shared by the body and all slope parts.
+    """
 
     num_body: Poly
-    num_slope: Poly
+    num_slope: tuple[Poly, ...]
     den: Poly
 
     def __post_init__(self) -> None:
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        n = self.num_body.nvars // 2
-        _check_y_shape(self.den, n, 0)
 
     @classmethod
     def from_dual(cls, v: DualLaurent) -> "RationalDualExpr":
-        return cls(v.body, v.slope, Poly.one(v.body.nvars))
+        return cls(v.body, v.slope, Poly.one(v.n))
 
     @classmethod
-    def one(cls, nvars: int) -> "RationalDualExpr":
-        return cls(Poly.one(nvars), Poly.zero(nvars), Poly.one(nvars))
+    def one(cls, n: int) -> "RationalDualExpr":
+        return cls(Poly.one(n), (Poly.zero(n),) * (n + 1), Poly.one(n))
 
     @property
     def term_count(self) -> int:
-        return self.num_body.term_count + self.num_slope.term_count
+        return self.num_body.term_count + sum(part.term_count for part in self.num_slope)
 
     def mul(self, other: "RationalDualExpr") -> "RationalDualExpr":
+        b, ob = self.num_body, other.num_body
         return RationalDualExpr(
-            self.num_body * other.num_body,
-            self.num_body * other.num_slope + self.num_slope * other.num_body,
+            b * ob,
+            tuple(b * t + s * ob for s, t in zip(self.num_slope, other.num_slope)),
             self.den * other.den,
         )
 
@@ -186,60 +169,43 @@ class RationalDualExpr:
         return result
 
     def add(self, other: "RationalDualExpr") -> "RationalDualExpr":
+        d, od = self.den, other.den
         return RationalDualExpr(
-            self.num_body * other.den + other.num_body * self.den,
-            self.num_slope * other.den + other.num_slope * self.den,
-            self.den * other.den,
+            self.num_body * od + other.num_body * d,
+            tuple(s * od + t * d for s, t in zip(self.num_slope, other.num_slope)),
+            d * od,
         )
 
     def deform(self, w: int) -> "RationalDualExpr":
-        return RationalDualExpr(self.num_body, self.num_slope + w * self.num_body, self.den)
+        """Multiply by (1 + w·ε), which adds w·body to the y-free part s_0."""
+        s0, *rest = self.num_slope
+        return RationalDualExpr(self.num_body, (s0 + w * self.num_body, *rest), self.den)
 
     def div(self, other: "RationalDualExpr") -> "RationalDualExpr":
         """Dual division: 1/(P + Q·ε) = (P − Q·ε)/P², so denominators stay x-only."""
-        if other.num_body.is_zero():
+        b, ob = self.num_body, other.num_body
+        if ob.is_zero():
             raise ZeroBodyDivisionError("division by a value with zero body")
         scale = other.den
         return RationalDualExpr(
-            self.num_body * other.num_body * scale,
-            (self.num_slope * other.num_body - self.num_body * other.num_slope) * scale,
-            self.den * other.num_body * other.num_body,
+            b * ob * scale,
+            tuple((s * ob - b * t) * scale for s, t in zip(self.num_slope, other.num_slope)),
+            self.den * ob * ob,
         )
 
     def reduced(self) -> "RationalDualExpr":
-        """Cancel the denominator as far as possible, jointly for both parts.
+        """Cancel the denominator as far as possible, jointly for all parts.
 
-        One pass of ``_reduce`` over the body and slope numerators.
+        One pass of ``_reduce`` over the body and every slope part.
         """
-        (nb, ns), den = _reduce((self.num_body, self.num_slope), self.den)
-        return RationalDualExpr(nb, ns, den)
+        (nb, *ns), den = _reduce((self.num_body, *self.num_slope), self.den)
+        return RationalDualExpr(nb, tuple(ns), den)
 
-
-def _y_coefficients(p: Poly) -> list[Poly]:
-    """Coefficients of p grouped by y-monomial, each an x-only polynomial.
-
-    Denominators are x-only, so a common factor with p must divide every
-    one of these groups; working group-by-group keeps every GCD call in
-    the x-variables alone.
-    """
-    n = p.nvars // 2
-    groups: dict[tuple[int, ...], dict] = {}
-    for exps, c in p.terms.items():
-        ypart = exps[n:]
-        base = exps[:n] + (0,) * n
-        groups.setdefault(ypart, {})[base] = c
-    return [Poly(p.nvars, g) for g in groups.values()]
-
-
-def _common_with_xonly(den: Poly, numerators) -> Poly:
-    """GCD of an x-only denominator with the given numerator polynomials."""
-    g = den
-    for num in numerators:
-        for part in _y_coefficients(num):
-            g = poly_gcd(g, part)
-            if g.is_one():
-                return g
-    return g
+    def sexpr(self) -> str:
+        return (
+            f"(fraction (body-num {_sexpr(self.num_body)}) "
+            f"(slope-num {_slope_sexpr(self.num_slope)}) (den {_sexpr(self.den)}))"
+        )
 
 
 def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
@@ -252,7 +218,7 @@ def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
 
 
 def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
-    """Cancel a shared x-only denominator against every numerator.
+    """Cancel a shared denominator against every numerator; zeros are skipped.
 
     The monomial part of den folds into (possibly negative) numerator
     exponents.  What is left is cancelled by one trial division of every
@@ -271,7 +237,10 @@ def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
         quotients.append(q)
     else:
         return quotients, Poly.one(den.nvars)
-    g = _common_with_xonly(den, nums)
+    g = den
+    for num in nums:
+        if not (num.is_zero() or g.is_one()):
+            g = poly_gcd(g, num)
     if not g.is_one():
         nums, den = _fold_monomial([num.exact_div(g) for num in nums], den.exact_div(g))
     if den.lex_lead()[1] < 0:
@@ -282,29 +251,30 @@ def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
 def normalize(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
     """Reduce the body and then the slope fraction, each on its own.
 
-    Each part is one pass of ``_reduce`` over that numerator alone.  The
-    value is Laurent when both reduced denominators are the unit
+    Each is one pass of ``_reduce``: over the body numerator alone, then
+    over all slope parts together.  The value is Laurent when both
+    reduced denominators are the unit
     monomial: monomial factors have already been folded into negative
     exponents, so anything left over (a non-monomial polynomial, or an
     integer > 1 that does not divide the numerator content) makes it
     non-Laurent, and the first offending denominator is reported.
     """
     parts = []
-    for part, num in (("body", expr.num_body), ("slope", expr.num_slope)):
-        (num,), den = _reduce((num,), expr.den)
+    for part, nums in (("body", (expr.num_body,)), ("slope", expr.num_slope)):
+        nums, den = _reduce(nums, expr.den)
         if not den.is_one():
             return NotLaurent(part, den)
-        parts.append(num)
-    return DualLaurent(*parts)
+        parts.append(nums)
+    (body,), slope = parts
+    return DualLaurent(body, tuple(slope))
 
 
 def _exchange_fraction(
     wq: WeightedQuiver, state: Sequence[RationalDualExpr], k: int
 ) -> RationalDualExpr:
     row = wq.quiver.b[k - 1]
-    nvars = state[0].num_body.nvars
-    out = RationalDualExpr.one(nvars)
-    into = RationalDualExpr.one(nvars)
+    out = RationalDualExpr.one(wq.n)
+    into = RationalDualExpr.one(wq.n)
     for j, c in enumerate(row):
         if c > 0:
             out = out.mul(state[j].pow(c))
@@ -372,16 +342,23 @@ def verify_laurent_run(
             raise BudgetExceededError(
                 f"step {step}: {frac.term_count} terms exceed budget {budget}"
             )
-        result = normalize(frac)
-        if isinstance(result, NotLaurent):
-            denominator, variable = result.denominator, frac
+        laurent = frac.den.is_one()
+        if laurent:
+            variable = DualLaurent(frac.num_body, frac.num_slope)
+            denominator = Poly.monomial(n, variable.denominator_monomial())
         else:
-            denominator = Poly.monomial(2 * n, result.denominator_monomial() + (0,) * n)
-            variable = result
-        counts = frac.num_body.term_count, frac.num_slope.term_count
-        reports.append(StepReport(step, variable is result, *counts, denominator, variable))
-        # A Laurent result holds the numerators of frac, whose jointly
-        # reduced denominator is already 1, so frac carries on either way.
+            # frac is jointly reduced, so den shares no factor with the
+            # body and all slope parts at once.  If den divides the body,
+            # it is therefore prime to the slope parts, and the slope's
+            # own reduction (the offender normalize would name) is den.
+            variable = frac
+            _, denominator = _reduce((frac.num_body,), frac.den)
+            if denominator.is_one():
+                denominator = frac.den
+        slope_terms = frac.term_count - frac.num_body.term_count
+        reports.append(
+            StepReport(step, laurent, frac.num_body.term_count, slope_terms, denominator, variable)
+        )
         state = state[1:] + [frac]
         if evolve_weights:
             current = current.mutate(1).rotate()
@@ -406,13 +383,16 @@ def symbolic_sequence(
 def evaluate(v: DualLaurent, assignment: Sequence[DualScalar]) -> DualScalar:
     """Substitute x_i ← body, y_i ← slope of each assigned dual scalar.
 
-    Exact rational evaluation; ε² = 0 is what keeps slopes linear in the
+    Exact rational evaluation: the body is body(x), the slope is
+    s_0(x) + Σ y_i·s_i(x).  ε² = 0 is what keeps slopes linear in the
     y's, so this is the full dual value of the symbolic expression.
     """
     if len(assignment) != v.n:
         raise ValueError(f"expected {v.n} assignments, got {len(assignment)}")
-    values = [s.body for s in assignment] + [s.slope for s in assignment]
+    x = [s.body for s in assignment]
     try:
-        return DualScalar(v.body.evaluate(values), v.slope.evaluate(values))
+        s0, *parts = (part.evaluate(x) for part in v.slope)
+        slope = s0 + sum(s.slope * p for s, p in zip(assignment, parts))
+        return DualScalar(v.body.evaluate(x), slope)
     except ZeroDivisionError as exc:
         raise ZeroAtPoleError("zero assigned where a negative exponent occurs") from exc

@@ -319,14 +319,19 @@ def quiver_to_spec(wq: WeightedQuiver, max_cycles: int = 64) -> RecurrenceSpec:
 
 @dataclass(frozen=True)
 class ScanCell:
-    """One grid cell of an integrality scan."""
+    """One grid cell of an integrality scan.
+
+    A cell whose parameters the family rejects has no run; ``invalid``
+    then holds the rejection message.
+    """
 
     params: dict
-    run: SequenceRun
+    run: SequenceRun | None
+    invalid: str | None = None
 
     @property
     def clean(self) -> bool:
-        return self.run.first_fraction is None and not self.run.degenerate_steps
+        return self.run is not None and self.run.first_fraction is None and not self.run.degenerate_steps
 
 
 def integrality_scan(
@@ -341,16 +346,24 @@ def integrality_scan(
     keys, so output order is deterministic.  Each cell reports the first
     non-integral term (index and exact value) or that it stayed clean to
     the horizon; degenerate cells are reported as such, never raised.
+    A BadParamsError marks its cell invalid and the scan goes on; only
+    when every cell is invalid is the first error raised.
     """
     keys = list(grid.keys())
-    cells = []
+    cells, errors = [], []
     for combo in itertools.product(*(list(grid[k]) for k in keys)):
         params = dict(zip(keys, combo))
-        spec = builtin(family, **params)
-        if deform is not None:
-            placement, schedule = deform
-            spec = spec.with_deform(placement, tuple(schedule))
-        cells.append(ScanCell(params, run(spec, count=horizon)))
+        try:
+            spec = builtin(family, **params)
+            if deform is not None:
+                placement, schedule = deform
+                spec = spec.with_deform(placement, tuple(schedule))
+            cells.append(ScanCell(params, run(spec, count=horizon)))
+        except BadParamsError as exc:
+            errors.append(exc)
+            cells.append(ScanCell(params, None, str(exc)))
+    if errors and len(errors) == len(cells):
+        raise errors[0]
     return cells
 
 

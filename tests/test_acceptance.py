@@ -190,11 +190,8 @@ def test_criterion_09_laurent_phenomenon_desk_scale():
     numeric = run(builtin("somos4").with_deform("m2", (1,)), count=10)
     for k, rep in enumerate(reports, start=1):
         v = rep.variable
-        n = v.n
-        for exps in v.body.terms:
-            assert all(e == 0 for e in exps[n:])
-        for exps in v.slope.terms:
-            assert sum(exps[n:]) <= 1 and all(e >= 0 for e in exps[n:])
+        assert v.body.nvars == 4 and len(v.slope) == 5
+        assert all(part.nvars == 4 for part in v.slope)
         assert evaluate(v, ONES4) == numeric.terms[3 + k]
     w41 = WeightedQuiver(neg_p31(), (1, 0, -1))
     reports41 = verify_laurent_run(w41, 6)

@@ -188,6 +188,60 @@ class TestScan:
             "p=1;q=3,false,false,8,8,6539/2",
         ]
 
+    GR_GRID = ["scan", "--family", "gale-robinson", "--N", "6", "--r", "1..3", "--s", "2..3"]
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            (
+                "text",
+                [
+                    "N=6 r=1 s=2: integral to horizon 10",
+                    "N=6 r=1 s=3: integral to horizon 10",
+                    "N=6 r=2 s=2: invalid: need 1 <= r < s <= N/2, got N=6 r=2 s=2",
+                    "N=6 r=2 s=3: integral to horizon 10",
+                    "N=6 r=3 s=2: invalid: need 1 <= r < s <= N/2, got N=6 r=3 s=2",
+                    "N=6 r=3 s=3: invalid: need 1 <= r < s <= N/2, got N=6 r=3 s=3",
+                ],
+            ),
+            (
+                "csv",
+                [
+                    "params,clean,degenerate,first_fraction_index,first_fraction_paper_index,first_fraction_value",
+                    "N=6;r=1;s=2,true,false,,,",
+                    "N=6;r=1;s=3,true,false,,,",
+                    "N=6;r=2;s=2,invalid,,,,",
+                    "N=6;r=2;s=3,true,false,,,",
+                    "N=6;r=3;s=2,invalid,,,,",
+                    "N=6;r=3;s=3,invalid,,,,",
+                ],
+            ),
+        ],
+    )
+    def test_invalid_cells_are_reported_and_the_scan_goes_on(self, fmt, expected):
+        status, output = run_cli(self.GR_GRID + ["--horizon", "10", "--format", fmt])
+        assert status == 0
+        assert output.splitlines() == expected
+
+    def test_invalid_cell_json_row(self):
+        status, output = run_cli(self.GR_GRID + ["--horizon", "10"])
+        assert status == 0
+        rows = [json.loads(line) for line in output.splitlines()]
+        assert [r.get("invalid") is None for r in rows] == [True, True, False, True, False, False]
+        assert rows[2] == {
+            "params": {"N": 6, "r": 2, "s": 2},
+            "invalid": "need 1 <= r < s <= N/2, got N=6 r=2 s=2",
+        }
+        assert rows[3]["clean"] is True
+
+    def test_all_cells_invalid_is_domain_error(self, capsys):
+        status, output = run_cli(["scan", "--family", "somos4", "--p", "1"])
+        assert (status, output) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: BadParamsError: bad parameters for somos4: "
+            "_somos4() got an unexpected keyword argument 'p'\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, bad",
         [

@@ -368,6 +368,15 @@ class TestScan:
             {"N": 7, "r": 1, "s": 3},
         ]
 
+    def test_invalid_cell_does_not_stop_the_scan(self):
+        cells = integrality_scan("gale_robinson", {"N": [6], "r": [1, 2], "s": [2]}, 8)
+        assert [c.invalid for c in cells] == [None, "need 1 <= r < s <= N/2, got N=6 r=2 s=2"]
+        assert cells[0].clean and cells[1].run is None and not cells[1].clean
+
+    def test_all_cells_invalid_raises_the_first_error(self):
+        with pytest.raises(BadParamsError, match="N=6 r=2 s=2"):
+            integrality_scan("gale_robinson", {"N": [6], "r": [2, 3], "s": [2]}, 8)
+
     def test_fraction_does_not_poison_rest_of_run(self):
         cells = integrality_scan(
             "fordy_marsh_s4", {"p": [1], "q": [0]}, 14, deform=("m1", (1,))
