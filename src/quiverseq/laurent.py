@@ -218,12 +218,12 @@ def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
 
 
 def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
-    """Cancel a shared denominator against every numerator; zeros are skipped.
+    """Cancel a shared denominator against every numerator.
 
     The monomial part of den folds into (possibly negative) numerator
     exponents.  What is left is cancelled by one trial division of every
-    numerator, and failing that by the GCD of den with all of them, whose
-    quotient is folded again.  The reduced denominator comes back with a
+    numerator, and failing that by the GCD of den with all nonzero ones,
+    whose quotient is folded again.  The reduced denominator comes back with a
     positive lex-leading coefficient.
     """
     nums, den = _fold_monomial(nums, den)
