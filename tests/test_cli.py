@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -378,3 +379,74 @@ class TestDeterminism:
     def test_seq_deterministic(self):
         args = ["seq", "--family", "somos5", "--terms", "12"]
         assert run_cli(args) == run_cli(args)
+
+
+_PINNED = [
+    (
+        ["seq", "--family", "somos4", "--deform", "m2:1", "--init-b=1,-2,3,0", "--terms", "30"],
+        ("2dbdf81d2e7edb6a", "bd37411b86e4292c", "10e5c657957c01e8"),
+    ),
+    (
+        ["seq", "--family", "fordy-marsh-s4", "--p", "2", "--q", "3", "--deform", "m1:1", "--terms", "14"],
+        ("583c0c7d710db099", "356fa268474c5c51", "340bb90b5831337d"),
+    ),
+    (
+        ["seq", "--family", "cassini-minus", "--init-a=1,3", "--init-b=2,5", "--terms", "25"],
+        ("c8dc6568ce49be32", "38c360aba0035387", "d59ae7dcae68e931"),
+    ),
+    (
+        ["seq", "--family", "limping-fibonacci", "--terms", "30"],
+        ("db42579450261257", "9f84778d6677337e", "f3cef401936ec9aa"),
+    ),
+    (
+        ["seq", "--family", "order3-alt", "--terms", "30"],
+        ("90b62b137e4c50dd", "78e650fb45471e57", "e0eb42883a879eda"),
+    ),
+    (
+        ["decompose", "--family", "somos4", "--terms", "30"],
+        ("c4b5af2fbfaa0637", "612db4dd0217f2fc", "1a2e9654a76b9b48"),
+    ),
+    (
+        ["decompose", "--family", "somos5", "--terms", "30"],
+        ("4aaff9c08e51808d", "381abc2db45fae3a", "e76ab48045ea5ef4"),
+    ),
+    (
+        ["decompose", "--family", "gale-robinson", "--N", "6", "--r", "1", "--s", "2", "--terms", "30"],
+        ("200c38b686722bea", "6f4edfc8d027b227", "1961a2ca41258bd3"),
+    ),
+    (
+        ["decompose", "--family", "fordy-marsh-s4", "--p", "2", "--q", "3", "--terms", "14"],
+        ("61675b07ba3ed9c0", "c5d7f781da7ac92c", "71a04a080893e823"),
+    ),
+    (
+        ["decompose", "--family", "cassini-minus", "--terms", "20"],
+        ("8c29d0ce8bf2b2bf", "a64c6f26effc80d7", "b4a01385ffd5c0da"),
+    ),
+    (
+        ["scan", "--family", "fordy-marsh-s4", "--p", "1..2", "--q", "0..3", "--deform", "m1:1", "--horizon", "16"],
+        ("10574e7dff0b8922", "aea7d9c701624c94", "1e67e74b197e2d10"),
+    ),
+]
+
+
+class TestNumericPins:
+    """SHA-256 prefixes of ``seq``, ``decompose`` and ``scan`` output.
+
+    The cases cover deformed runs with non-zero initial slopes, runs and
+    basis rows that go fractional (``fordy-marsh-s4`` with ``m1:1``, and
+    ``cassini-minus``, whose bodies start at 1, 3), ``m1`` schedules, and
+    a deformed scan grid.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, fmt, digest",
+        [
+            (argv, fmt, digest)
+            for argv, digests in _PINNED
+            for fmt, digest in zip(("json", "csv", "text"), digests)
+        ],
+    )
+    def test_output_digest(self, argv, fmt, digest):
+        status, output = run_cli([*argv, "--format", fmt])
+        assert status == 0
+        assert hashlib.sha256(output.encode()).hexdigest()[:16] == digest
