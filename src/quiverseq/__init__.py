@@ -6,12 +6,12 @@ The package has five layers:
 * ``quiver``      skew-symmetric exchange matrices, mutation, weights, rotation
 * ``periodicity`` primitive quivers, period-1 tests, weight-function solving
 * ``laurent``     sparse dual Laurent polynomials and symbolic exchange runs
-* ``seqgen``      dual recurrence runs, linearization, and integrality scans
+* ``seqgen``      dual recurrence runs, basis decomposition, integrality scans
 
 plus a ``quiverseq`` CLI binding them together.
 """
 
-from .dualnum import DualScalar, NotDivisible, ZeroBodyError, exact_div, format_scalar, parse_scalar
+from .dualnum import DualScalar, ZeroBodyError, format_scalar, parse_scalar
 from .errors import QuiverSeqError
 from .laurent import (
     DualLaurent,
@@ -43,7 +43,6 @@ from .seqgen import (
     integrality_scan,
     quiver_to_spec,
     run,
-    run_linearized,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +51,6 @@ __all__ = [
     "DualLaurent",
     "DualScalar",
     "Monomial",
-    "NotDivisible",
     "NotLaurent",
     "Poly",
     "Quiver",
@@ -68,7 +66,6 @@ __all__ = [
     "combine",
     "decompose_basis",
     "evaluate",
-    "exact_div",
     "format_scalar",
     "initial_variables",
     "integrality_scan",
@@ -79,7 +76,6 @@ __all__ = [
     "primitive",
     "quiver_to_spec",
     "run",
-    "run_linearized",
     "solve_weight",
     "sym_exchange",
     "symbolic_sequence",

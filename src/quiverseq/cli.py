@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import laurent as laurent_mod
 from . import periodicity, seqgen
@@ -254,8 +253,7 @@ def _cmd_seq(args, out) -> int:
 
 def _cmd_decompose(args, out) -> int:
     spec = _family_spec(args)
-    base = seqgen.run(spec, count=args.terms)
-    rows = seqgen.decompose_basis(spec, base)
+    rows = seqgen.decompose_basis(spec, args.terms)
     if args.format == "csv":
         print("basis,index,paper_index,value", file=out)
         for i, row in enumerate(rows, start=1):

@@ -2,9 +2,10 @@
 
 Two scalar kinds are supported and tracked: integer (Python ``int``) and
 rational (``fractions.Fraction``).  Mixed operands promote to rational.
-The sequence engines run entirely in rationals and observe integrality
-per term (``is_integral`` / ``exact_div``), so a fractional term is a
-reportable value, never a runtime fault.
+Division of integer-kind operands is integer-exact: it stays integer kind
+when the quotient is integral and only otherwise gives the exact rational
+quotient, so a fractional term is a reportable value, never a runtime
+fault.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class DualScalar:
             return True
         return self.body.denominator == 1 and self.slope.denominator == 1
 
-    def to_integer(self) -> "DualScalar":
-        """Demote to integer kind; raises ValueError if not integral."""
-        if not self.is_integral:
-            raise ValueError(f"{self} is not integral")
-        return DualScalar(int(self.body), int(self.slope))
-
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "DualScalar") -> "DualScalar":
@@ -101,10 +96,22 @@ class DualScalar:
         return DualScalar(1 / a, -Fraction(self.slope) / (a * a))
 
     def __truediv__(self, other: "DualScalar") -> "DualScalar":
+        """(a + bε)/(c + dε) = a/c + ((b − (a/c)·d)/c)·ε.
+
+        Integer-kind operands give an integer-kind quotient when c divides
+        both a and b − (a/c)·d; otherwise the quotient is the exact
+        rational one.
+        """
         if not isinstance(other, DualScalar):
             return NotImplemented
         if other.body == 0:
             raise ZeroBodyError("division by dual scalar with zero body")
+        if self.kind == other.kind == "integer":
+            q, r = divmod(self.body, other.body)
+            if not r:
+                s, r = divmod(self.slope - q * other.slope, other.body)
+                if not r:
+                    return DualScalar(q, s)
         c = Fraction(other.body)
         return DualScalar(
             Fraction(self.body) / c,
@@ -114,29 +121,6 @@ class DualScalar:
     def __str__(self) -> str:
         sign = "-" if self.slope < 0 else "+"
         return f"{self.body} {sign} {abs(self.slope)}ε"
-
-
-@dataclass(frozen=True)
-class NotDivisible:
-    """Failed exact division; carries the exact rational quotient."""
-
-    quotient: DualScalar
-
-
-def exact_div(num: DualScalar, den: DualScalar) -> DualScalar | NotDivisible:
-    """Integer-exact dual division.
-
-    Returns the integer-kind quotient q with q·den = num when it exists,
-    i.e. when den.body divides both num.body and the adjusted slope
-    num.slope − (num.body/den.body)·den.slope.  Otherwise returns
-    ``NotDivisible`` carrying the exact rational quotient.
-    """
-    if den.body == 0:
-        raise ZeroBodyError("exact_div by dual scalar with zero body")
-    q = num / den
-    if q.is_integral:
-        return q.to_integer()
-    return NotDivisible(q)
 
 
 def format_scalar(value: Scalar) -> str:

@@ -7,15 +7,14 @@ A recurrence of order N computes
 where M1, M2 are monomials in A_{n+1} .. A_{n+N-1} with integer
 coefficients, one of which may carry the deformation factor (1 + w·ε)
 with w drawn cycle-by-cycle from a repeating integer schedule.  Runs are
-carried out in exact rational dual scalars; integrality is observed per
-term, so a fractional term is recorded and the run keeps going (only an
-exact zero divisor body truncates it).
+carried out in exact dual scalars, integer kind up to the first
+non-integral term and rational from it on; a fractional term is recorded
+and the run keeps going (only an exact zero divisor body truncates it).
 
-The module also linearizes a recurrence (solving for the slope sequence
-given the bodies), decomposes the slope space into unit-initial basis
-rows, compiles a recurrence out of a period-1 weighted quiver, scans
-parameter grids for the first non-integral term, and ships a catalog of
-built-in families.
+The module also decomposes the slope space into unit-initial basis rows
+(one run per row), compiles a recurrence out of a period-1 weighted
+quiver, scans parameter grids for the first non-integral term, and ships
+a catalog of built-in families.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dualnum import DualScalar
+from .dualnum import DualScalar, Scalar
 from .errors import QuiverSeqError
 from .periodicity import NotPeriodOneError, weight_trace
 from .quiver import WeightedQuiver, neg_part, pos_part
@@ -142,7 +141,7 @@ class SequenceRun:
     spec: RecurrenceSpec
     terms: list[DualScalar]
     integral: list[bool] = field(default_factory=list)
-    first_fraction: tuple[int, Fraction] | None = None
+    first_fraction: tuple[int, Scalar] | None = None
     degenerate_steps: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -157,15 +156,15 @@ class SequenceRun:
         """Index in the family's own numbering (origin 0 or 1)."""
         return self.spec.index_origin + i
 
-    def bodies(self) -> list[Fraction]:
+    def bodies(self) -> list[Scalar]:
         return [t.body for t in self.terms]
 
-    def slopes(self) -> list[Fraction]:
+    def slopes(self) -> list[Scalar]:
         return [t.slope for t in self.terms]
 
 
 def _monomial_value(m: Monomial, window: Sequence[DualScalar]) -> DualScalar:
-    value = DualScalar(Fraction(m.coeff), Fraction(0))
+    value = DualScalar(m.coeff, 0)
     for e, term in zip(m.exponents, window):
         if e:
             value = value * term**e
@@ -180,7 +179,8 @@ def run(
 ) -> SequenceRun:
     """Run the recurrence to ``count`` total terms (initial block included).
 
-    Each new term is RHS / A_n computed in exact rational dual arithmetic.
+    Each new term is RHS / A_n computed in exact dual arithmetic on plain
+    ints; from the first non-integral term on, every term is rational.
     A divisor with zero body is recorded in ``degenerate_steps`` and
     truncates the run; fractional terms are recorded but do not stop it.
     """
@@ -191,7 +191,7 @@ def run(
     b = tuple(init_b) if init_b is not None else (0,) * N
     if len(a) != N or len(b) != N:
         raise BadParamsError("initial vectors must have length = order")
-    terms = [DualScalar(Fraction(x), Fraction(y)) for x, y in zip(a, b)]
+    terms = [DualScalar(x, y) for x, y in zip(a, b)]
     degenerate: list[int] = []
     for step in range(count - N):
         divisor = terms[step]
@@ -203,88 +203,30 @@ def run(
         m2 = _monomial_value(spec.monomial2, window)
         w = spec.weight_at(step)
         if spec.deform == "m1":
-            m1 = m1 * DualScalar(Fraction(1), Fraction(w))
+            m1 = m1 * DualScalar(1, w)
         elif spec.deform == "m2":
-            m2 = m2 * DualScalar(Fraction(1), Fraction(w))
-        terms.append((m1 + m2) / divisor)
+            m2 = m2 * DualScalar(1, w)
+        term = (m1 + m2) / divisor
+        if term.kind == "integer" and terms[-1].kind == "rational":
+            # stay rational from the first fraction on, even where the window skips it
+            term = DualScalar(Fraction(term.body), term.slope)
+        terms.append(term)
     return SequenceRun(spec, terms, degenerate_steps=degenerate)
 
 
-def _linearized_monomial(
-    m: Monomial, bodies: Sequence[Fraction], slopes: Sequence[Fraction]
-) -> Fraction:
-    """Slope of coeff·∏ A^e given bodies and slopes of the window (product rule)."""
-    total = Fraction(0)
-    for i, e in enumerate(m.exponents):
-        if e == 0:
-            continue
-        term = e * slopes[i] * bodies[i] ** (e - 1)
-        for j, ej in enumerate(m.exponents):
-            if j != i and ej:
-                term *= bodies[j] ** ej
-        total += term
-    return m.coeff * total
-
-
-def _monomial_body(m: Monomial, bodies: Sequence[Fraction]) -> Fraction:
-    value = Fraction(m.coeff)
-    for e, a in zip(m.exponents, bodies):
-        if e:
-            value *= a**e
-    return value
-
-
-def run_linearized(
-    spec: RecurrenceSpec, base_run: SequenceRun, init_b: Sequence[int]
-) -> list[Fraction]:
-    """Solve the linearized recurrence for the slopes, given the bodies.
-
-    This is an independent route to the slope sequence: differentiate the
-    defining relation in ε and solve for b_{n+N}.  For a deformed spec
-    the schedule contributes the affine term w·(deformed monomial body).
-    Agrees exactly with the slopes of ``run`` on identical inputs.
-    """
-    N = spec.order
-    bodies = base_run.bodies()
-    if len(init_b) != N:
-        raise BadParamsError("initial slopes must have length = order")
-    slopes: list[Fraction] = [Fraction(x) for x in init_b]
-    for step in range(len(bodies) - N):
-        a_n = bodies[step]
-        if a_n == 0:
-            break
-        awin = bodies[step + 1 : step + N]
-        bwin = slopes[step + 1 : step + N]
-        total = _linearized_monomial(spec.monomial1, awin, bwin)
-        total += _linearized_monomial(spec.monomial2, awin, bwin)
-        w = spec.weight_at(step)
-        if spec.deform == "m1":
-            total += w * _monomial_body(spec.monomial1, awin)
-        elif spec.deform == "m2":
-            total += w * _monomial_body(spec.monomial2, awin)
-        slopes.append((total - slopes[step] * bodies[step + N]) / a_n)
-    return slopes
-
-
-def decompose_basis(
-    spec: RecurrenceSpec, base_run: SequenceRun, count: int | None = None
-) -> list[list[Fraction]]:
+def decompose_basis(spec: RecurrenceSpec, count: int = 20) -> list[list[Scalar]]:
     """Slope basis rows from unit initial vectors (undeformed specs only).
 
-    The slope solution space of an undeformed recurrence is linear, so
-    every slope sequence is the unique combination of these N rows; the
+    Row i is the slope sequence of ``run`` with initial slopes e_i.  The
+    slope solution space of an undeformed recurrence is linear, so every
+    slope sequence is the unique combination of these N rows; the
     all-ones combination reproduces the bodies themselves.
     """
     if spec.deform != "none":
         raise BadParamsError("basis decomposition applies to undeformed recurrences")
     N = spec.order
-    rows = []
-    for i in range(N):
-        unit = [0] * N
-        unit[i] = 1
-        row = run_linearized(spec, base_run, unit)
-        rows.append(row if count is None else row[:count])
-    return rows
+    units = [[int(i == j) for j in range(N)] for i in range(N)]
+    return [run(spec, init_b=unit, count=count).slopes() for unit in units]
 
 
 def quiver_to_spec(wq: WeightedQuiver, max_cycles: int = 64) -> RecurrenceSpec:

@@ -2,16 +2,19 @@
 
 The oracles here are deliberately written as straight-line computations
 that do not touch the library's engines: direct rational recursions for
-the bilinear families, an iterative Fibonacci/Lucas generator, a dense
-Gaussian solver over Fractions for the weight-function linear system, and
-a naive re-statement of the weight mutation rule.
+the bilinear families, a linearized slope solver, an iterative
+Fibonacci/Lucas generator, a dense Gaussian solver over Fractions for the
+weight-function linear system, and a naive re-statement of the weight
+mutation rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from quiverseq.quiver import Quiver
+from quiverseq.seqgen import BadParamsError, Monomial, RecurrenceSpec, SequenceRun
 
 # -- frozen sequence tables ---------------------------------------------------
 
@@ -130,6 +133,62 @@ def bilinear_oracle(N, term1, term2, count, init=None):
         window = a[n + 1 : n + N]
         a.append((term1(window) + term2(window)) / a[n])
     return a
+
+
+def _linearized_monomial(
+    m: Monomial, bodies: Sequence[Fraction], slopes: Sequence[Fraction]
+) -> Fraction:
+    """Slope of coeff·∏ A^e given bodies and slopes of the window (product rule)."""
+    total = Fraction(0)
+    for i, e in enumerate(m.exponents):
+        if e == 0:
+            continue
+        term = e * slopes[i] * bodies[i] ** (e - 1)
+        for j, ej in enumerate(m.exponents):
+            if j != i and ej:
+                term *= bodies[j] ** ej
+        total += term
+    return m.coeff * total
+
+
+def _monomial_body(m: Monomial, bodies: Sequence[Fraction]) -> Fraction:
+    value = Fraction(m.coeff)
+    for e, a in zip(m.exponents, bodies):
+        if e:
+            value *= a**e
+    return value
+
+
+def run_linearized(
+    spec: RecurrenceSpec, base_run: SequenceRun, init_b: Sequence[int]
+) -> list[Fraction]:
+    """Solve the linearized recurrence for the slopes, given the bodies.
+
+    This is an independent route to the slope sequence: differentiate the
+    defining relation in ε and solve for b_{n+N}.  For a deformed spec
+    the schedule contributes the affine term w·(deformed monomial body).
+    Agrees exactly with the slopes of ``run`` on identical inputs.
+    """
+    N = spec.order
+    bodies = base_run.bodies()
+    if len(init_b) != N:
+        raise BadParamsError("initial slopes must have length = order")
+    slopes: list[Fraction] = [Fraction(x) for x in init_b]
+    for step in range(len(bodies) - N):
+        a_n = bodies[step]
+        if a_n == 0:
+            break
+        awin = bodies[step + 1 : step + N]
+        bwin = slopes[step + 1 : step + N]
+        total = _linearized_monomial(spec.monomial1, awin, bwin)
+        total += _linearized_monomial(spec.monomial2, awin, bwin)
+        w = spec.weight_at(step)
+        if spec.deform == "m1":
+            total += w * _monomial_body(spec.monomial1, awin)
+        elif spec.deform == "m2":
+            total += w * _monomial_body(spec.monomial2, awin)
+        slopes.append((total - slopes[step] * bodies[step + N]) / a_n)
+    return slopes
 
 
 def somos5_oracle(count: int) -> list[Fraction]:

