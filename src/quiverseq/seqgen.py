@@ -214,7 +214,7 @@ def run(
     return SequenceRun(spec, terms, degenerate_steps=degenerate)
 
 
-def decompose_basis(spec: RecurrenceSpec, count: int = 20) -> list[list[Scalar]]:
+def decompose_basis(spec: RecurrenceSpec, count: int) -> list[list[Scalar]]:
     """Slope basis rows from unit initial vectors (undeformed specs only).
 
     Row i is the slope sequence of ``run`` with initial slopes e_i.  The
