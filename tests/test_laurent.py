@@ -360,3 +360,16 @@ class TestSexprPins:
         argv = ["laurent", "--quiver", str(path), *flags, "--steps", "6", "--emit", "sexpr"]
         assert main([*argv, "--format", fmt], out) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "emit, digest",
+        [([], "fb00b4a5817afd0c"), (["--emit", "sexpr"], "163b62c0409890bc")],
+    )
+    def test_somos4_ten_steps(self, tmp_path, emit, digest):
+        """Ten steps reach exponent spans that six steps do not."""
+        path = tmp_path / "quiver.json"
+        path.write_text(json.dumps({"b": SOMOS4_ROWS}))
+        out = io.StringIO()
+        argv = ["laurent", "--quiver", str(path), "--weights", "1,0,0,-1", "--steps", "10"]
+        assert main([*argv, *emit, "--format", "json"], out) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == digest
