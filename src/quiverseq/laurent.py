@@ -22,6 +22,12 @@ exponents.  ``verify_laurent_run`` iterates the cycle "mutate at vertex
 1, shift labels" and reports Laurent-or-not per step, continuing with
 reduced fractions either way.
 
+Along a genuine run X'_k is Laurent, so the division by X_k = P + Q·ε
+is exact.  ``RationalDualExpr.div`` therefore first divides by P alone
+when X_k has denominator 1, which it has whenever the previous steps
+were Laurent; only when that fails does it multiply through by
+(P − Q·ε)/P² and leave the cancellation to the reducer.
+
 All cancellation goes through one reducer, ``_reduce``: fold the
 monomial part of the denominator, try one trial division, take the GCD
 with the numerators, fold again and make the leading coefficient
@@ -161,12 +167,20 @@ class RationalDualExpr:
         )
 
     def pow(self, e: int) -> "RationalDualExpr":
+        """self**e by repeated squaring, starting from self."""
         if e < 0:
             raise ValueError("negative power in exchange products")
-        result = RationalDualExpr.one(self.num_body.nvars)
-        for _ in range(e):
-            result = result.mul(self)
-        return result
+        if e == 0:
+            return RationalDualExpr.one(self.num_body.nvars)
+        result = None
+        base = self
+        while True:
+            if e & 1:
+                result = base if result is None else result.mul(base)
+            e >>= 1
+            if not e:
+                return result
+            base = base.mul(base)
 
     def add(self, other: "RationalDualExpr") -> "RationalDualExpr":
         d, od = self.den, other.den
@@ -182,11 +196,30 @@ class RationalDualExpr:
         return RationalDualExpr(self.num_body, (s0 + w * self.num_body, *rest), self.den)
 
     def div(self, other: "RationalDualExpr") -> "RationalDualExpr":
-        """Dual division: 1/(P + Q·ε) = (P − Q·ε)/P², so denominators stay x-only."""
+        """Dual division by P + Q·ε, keeping denominators x-only.
+
+        When other has denominator 1, the direct route divides by P alone:
+        body = N_b / P and slope part s_i = (N_s_i − body·Q_i) / P, each an
+        exact division, and the denominator stays self.den.  This is the
+        route every exchange of a genuine mutation run takes, since there
+        X'_k is Laurent.  If other has a denominator, or any of these
+        divisions is not exact, 1/(P + Q·ε) = (P − Q·ε)/P² is used instead.
+        """
         b, ob = self.num_body, other.num_body
         if ob.is_zero():
             raise ZeroBodyDivisionError("division by a value with zero body")
         scale = other.den
+        if scale.is_one():
+            body = b.exact_div(ob)
+            if body is not None:
+                slope = []
+                for s, t in zip(self.num_slope, other.num_slope):
+                    part = (s - body * t).exact_div(ob)
+                    if part is None:
+                        break
+                    slope.append(part)
+                else:
+                    return RationalDualExpr(body, tuple(slope), self.den)
         return RationalDualExpr(
             b * ob * scale,
             tuple((s * ob - b * t) * scale for s, t in zip(self.num_slope, other.num_slope)),

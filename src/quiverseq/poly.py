@@ -16,13 +16,31 @@ every evaluation point fails, and the reference the tests compare against.
 
 Monomial order is lexicographic on the exponent tuple; for division by a
 single divisor that is all we need (leading monomials multiply).
+
+Products and exact quotients run on packed exponents (Monagan & Pearce,
+"Sparse polynomial multiplication and division in Maple 14", 2010, and
+"Sparse polynomial division using a heap", JSC 2011).  An exponent
+vector e whose entries lie in lo_i..hi_i is read as the mixed-radix
+number with digits e_i - lo_i and radices hi_i - lo_i + 1, the first
+variable most significant.  Subtracting lo makes negative (Laurent)
+exponents fit, and the digits never reach their radix, so comparing the
+ints compares the tuples lexicographically and adding the ints adds the
+vectors.  The inner loops of ``__mul__`` add ints; each result key is
+unpacked once.  ``exact_div`` packs in the radix of the shifted numerator
+and takes remainder leads from a heap.  An exact quotient q of num by den
+has deg_i(q) = deg_i(num) - deg_i(den) in every variable, since degrees
+add in Z[x]; so a quotient term outside 0..deg_i(num) - deg_i(den) proves
+the division inexact, and while every quotient term stays inside, every
+remainder key stays inside the numerator's radix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from math import isqrt
+from operator import add, mul
 
 
 class Poly:
@@ -37,6 +55,14 @@ class Poly:
                     self.terms[tuple(exps)] = coeff
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap a dict of exponent tuples to nonzero coefficients, uncopied."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -122,16 +148,25 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly(self.nvars)
+        lo, hi = _bounds(a)
+        blo, bhi = _bounds(b)
+        lo = [x + y for x, y in zip(lo, blo)]
+        hi = [x + y for x, y in zip(hi, bhi)]
+        weights = _radix(lo, hi)
+        pa = [(sum(map(mul, e, weights)), c) for e, c in a.items()]
+        pb = [(sum(map(mul, e, weights)), c) for e, c in b.items()]
+        if len(pa) < len(pb):
+            pa, pb = pb, pa
+        out: dict[int, int] = {}
+        get = out.get
+        for kb, cb in pb:
+            for ka, ca in pa:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return _unpack(self.nvars, out, lo, weights)
 
     __rmul__ = __mul__
 
@@ -153,19 +188,13 @@ class Poly:
         """Componentwise minimum exponent (zeros for the zero polynomial)."""
         if not self.terms:
             return (0,) * self.nvars
-        mins = None
-        for exps in self.terms:
-            mins = exps if mins is None else tuple(map(min, mins, exps))
-        return mins
+        return tuple(min(c) for c in zip(*self.terms))
 
     def shift(self, delta: tuple[int, ...]) -> "Poly":
         """Multiply by the (unit) monomial with exponent vector delta."""
         if all(d == 0 for d in delta):
             return self
-        return Poly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()},
-        )
+        return Poly._raw(self.nvars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()})
 
     def content(self) -> int:
         g = 0
@@ -207,38 +236,59 @@ class Poly:
         Both operands are first shifted so all exponents are nonnegative
         (monomials are units), then ordinary single-divisor division runs
         under lex order with an integer-divisibility check per step; any
-        failure means the division is not exact.
+        failure means the division is not exact.  Keys are packed in the
+        radix of the shifted numerator, remainder leads come off a heap,
+        and only quotient terms are unpacked; a quotient exponent outside
+        0..deg_i(num) - deg_i(den) proves the division inexact.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return Poly.zero(self.nvars)
-        smin = self.min_exponents()
-        dmin = divisor.min_exponents()
-        num = self.shift(tuple(-m for m in smin)).terms
-        den = divisor.shift(tuple(-m for m in dmin)).terms
-        lead = max(den)
-        lc = den[lead]
-        rem = dict(num)
+        num, den = self.terms, divisor.terms
+        if not num:
+            return Poly(self.nvars)
+        nlo, nhi = _bounds(num)
+        dlo, dhi = _bounds(den)
+        bound = [nh - nl - dh + dl for nl, nh, dl, dh in zip(nlo, nhi, dlo, dhi)]
+        if any(b < 0 for b in bound):
+            return None
+        weights = _radix(nlo, nhi)
+        noff = sum(map(mul, nlo, weights))
+        doff = sum(map(mul, dlo, weights))
+        rem = {sum(map(mul, e, weights)) - noff: c for e, c in num.items()}
+        dterms = {sum(map(mul, e, weights)) - doff: c for e, c in den.items()}
+        lead = max(dterms)
+        lc = dterms.pop(lead)
+        ldigits = [e - m for e, m in zip(max(den), dlo)]
+        back = [s - d for s, d in zip(nlo, dlo)]
+        heap = [-k for k in rem]
+        heapify(heap)
         quot: dict[tuple[int, ...], int] = {}
-        while rem:
-            re = max(rem)
-            qe = tuple(a - b for a, b in zip(re, lead))
-            if any(e < 0 for e in qe):
-                return None
-            qc, r = divmod(rem[re], lc)
+        while heap:
+            re = -heappop(heap)
+            c = rem.pop(re)
+            if not c:
+                continue
+            qc, r = divmod(c, lc)
             if r:
                 return None
-            quot[qe] = qc
-            for de, dc in den.items():
-                ke = tuple(a + b for a, b in zip(qe, de))
-                s = rem.get(ke, 0) - qc * dc
-                if s:
-                    rem[ke] = s
+            qe = []
+            k = re
+            for w, ld, b, s in zip(weights, ldigits, bound, back):
+                d, k = divmod(k, w)
+                d -= ld
+                if not 0 <= d <= b:
+                    return None
+                qe.append(d + s)
+            quot[tuple(qe)] = qc
+            qk = re - lead
+            for dk, dc in dterms.items():
+                k = qk + dk
+                if k in rem:
+                    rem[k] -= qc * dc
                 else:
-                    rem.pop(ke, None)
-        back = tuple(a - b for a, b in zip(smin, dmin))
-        return Poly(self.nvars, quot).shift(back)
+                    rem[k] = -qc * dc
+                    heappush(heap, -k)
+        return Poly._raw(self.nvars, quot)
 
     # -- evaluation and printing -------------------------------------------
 
@@ -302,6 +352,41 @@ class Poly:
         if len(parts) == 1:
             return parts[0]
         return "(+ " + " ".join(parts) + ")"
+
+
+# -- packed exponents ----------------------------------------------------------
+
+
+def _bounds(terms) -> tuple[list[int], list[int]]:
+    """Per-variable minimum and maximum exponents of a nonempty term dict."""
+    cols = list(zip(*terms))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _radix(lo, hi) -> list[int]:
+    """Place values of the mixed radix for exponents in lo..hi, first variable most significant."""
+    weights = []
+    w = 1
+    for low, high in zip(reversed(lo), reversed(hi)):
+        weights.append(w)
+        w *= high - low + 1
+    weights.reverse()
+    return weights
+
+
+def _unpack(nvars: int, packed: dict[int, int], lo, weights) -> Poly:
+    """The Poly whose terms are packed as e·weights, zero coefficients dropped."""
+    off = sum(map(mul, lo, weights))
+    terms = {}
+    for k, c in packed.items():
+        if c:
+            k -= off
+            e = []
+            for w, low in zip(weights, lo):
+                d, k = divmod(k, w)
+                e.append(d + low)
+            terms[tuple(e)] = c
+    return Poly._raw(nvars, terms)
 
 
 # -- multivariate gcd fallback and reference (primitive PRS) ---------------

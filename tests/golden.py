@@ -5,7 +5,9 @@ that do not touch the library's engines: direct rational recursions for
 the bilinear families, a linearized slope solver, an iterative
 Fibonacci/Lucas generator, a dense Gaussian solver over Fractions for the
 weight-function linear system, and a naive re-statement of the weight
-mutation rule.
+mutation rule.  The polynomial product and exact division keyed by
+exponent tuples, and dual division through P², are the library's former
+kernels, kept as oracles for the packed kernels and the direct route.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from quiverseq.laurent import RationalDualExpr, ZeroBodyDivisionError
+from quiverseq.poly import Poly
 from quiverseq.quiver import Quiver
 from quiverseq.seqgen import BadParamsError, Monomial, RecurrenceSpec, SequenceRun
 
@@ -291,3 +295,71 @@ def weight_mutation_oracle(b_rows, weights, k):
             if arrows_k_to_i > 0:
                 out[i] = weights[i] + arrows_k_to_i * weights[k - 1]
     return tuple(out)
+
+
+def tuple_mul(self: Poly, other: Poly) -> Poly:
+    """Sparse product with one exponent tuple built per pair of terms."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in self.terms.items():
+        for e2, c2 in other.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Poly(self.nvars, out)
+
+
+def tuple_exact_div(self: Poly, divisor: Poly) -> Poly | None:
+    """Exact quotient self/divisor in the Laurent ring, or None.
+
+    Both operands are first shifted so all exponents are nonnegative
+    (monomials are units), then ordinary single-divisor division runs
+    under lex order with an integer-divisibility check per step; any
+    failure means the division is not exact.  Each step rescans the
+    remainder for its lex-largest tuple.
+    """
+    if divisor.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if self.is_zero():
+        return Poly.zero(self.nvars)
+    smin = self.min_exponents()
+    dmin = divisor.min_exponents()
+    num = self.shift(tuple(-m for m in smin)).terms
+    den = divisor.shift(tuple(-m for m in dmin)).terms
+    lead = max(den)
+    lc = den[lead]
+    rem = dict(num)
+    quot: dict[tuple[int, ...], int] = {}
+    while rem:
+        re = max(rem)
+        qe = tuple(a - b for a, b in zip(re, lead))
+        if any(e < 0 for e in qe):
+            return None
+        qc, r = divmod(rem[re], lc)
+        if r:
+            return None
+        quot[qe] = qc
+        for de, dc in den.items():
+            ke = tuple(a + b for a, b in zip(qe, de))
+            s = rem.get(ke, 0) - qc * dc
+            if s:
+                rem[ke] = s
+            else:
+                rem.pop(ke, None)
+    back = tuple(a - b for a, b in zip(smin, dmin))
+    return Poly(self.nvars, quot).shift(back)
+
+
+def dual_div_squared(self: RationalDualExpr, other: RationalDualExpr) -> RationalDualExpr:
+    """Dual division by 1/(P + Q·ε) = (P − Q·ε)/P², whatever the operands."""
+    b, ob = self.num_body, other.num_body
+    if ob.is_zero():
+        raise ZeroBodyDivisionError("division by a value with zero body")
+    scale = other.den
+    return RationalDualExpr(
+        b * ob * scale,
+        tuple((s * ob - b * t) * scale for s, t in zip(self.num_slope, other.num_slope)),
+        self.den * ob * ob,
+    )

@@ -4,10 +4,12 @@
 renamed one as missing, which turns its metrics into nulls; this test
 makes such a rename fail the suite instead.  A call rerouted around a
 wrapped name would instead read 0, so the numeric commands' division
-and run counts are checked too.
+and run counts, and the symbolic command's product, division and gcd
+counts, are checked too.
 """
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,28 @@ def test_numeric_commands_reach_traced_division(monkeypatch, argv):
     metrics = tracer.metrics()
     assert metrics["dualnum.div.calls"] > 0
     assert metrics["seqgen.run.calls"] > 0
+
+
+@pytest.mark.parametrize(
+    "rows, flags",
+    [
+        ([[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]], ["--weights", "1,0,0,-1"]),
+        ([[0, -1, -1], [1, 0, -1], [1, 1, 0]], ["--weights", "1,0,-1", "--hold-weights"]),
+    ],
+    ids=["somos4", "p31-held"],
+)
+def test_laurent_reaches_traced_poly_kernels(monkeypatch, tmp_path, rows, flags):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({"b": rows}))
+    tracer = tracing.Tracer()
+    with tracer.installed(_Sink):
+        argv = ["laurent", "--quiver", str(path), *flags, "--steps", "4"]
+        assert cli.main(argv, out=io.StringIO()) == 0
+    metrics = tracer.metrics()
+    assert metrics["poly.mul.calls"] > 0
+    assert metrics["poly.exact_div.calls"] > 0
+    if "--hold-weights" in flags:
+        assert metrics["poly.gcd.calls"] > 0

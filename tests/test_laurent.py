@@ -31,7 +31,7 @@ from quiverseq.poly import Poly
 from quiverseq.quiver import Quiver, WeightedQuiver
 from quiverseq.seqgen import builtin, quiver_to_spec, run
 
-from golden import neg_p31, somos4_quiver_a
+from golden import dual_div_squared, neg_p31, somos4_quiver_a
 
 ONES = [DualScalar(1, 0)] * 4
 SOMOS4_ROWS = [[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]]
@@ -222,6 +222,59 @@ class TestReduced:
         result = normalize(expr)
         assert isinstance(result, NotLaurent)
         assert result.denominator == _x(x2 + 2)
+
+
+@st.composite
+def division_pairs(draw):
+    """(a, b, kind): b has a nonzero body P, and its denominator is 1 or not.
+
+    For kind "divisible" a is built as P·B + (B·Q + P·S)·ε over a.den, so
+    every division of the direct route is exact; "slope-inexact" adds a
+    term to one slope part, and "random" draws a freely.
+    """
+    n = draw(st.integers(min_value=1, max_value=2))
+    exps = st.tuples(*[st.integers(min_value=-1, max_value=2)] * n)
+    coeffs = st.integers(min_value=-3, max_value=3)
+
+    def poly(nonzero=False):
+        p = Poly(n, draw(st.dictionaries(exps, coeffs, max_size=3)))
+        return Poly.one(n) if nonzero and p.is_zero() else p
+
+    def den():
+        return Poly.one(n) if draw(st.booleans()) else poly(nonzero=True)
+
+    body, slope = poly(nonzero=True), tuple(poly() for _ in range(n + 1))
+    b = RationalDualExpr(body, slope, den())
+    kind = draw(st.sampled_from(["divisible", "slope-inexact", "random"]))
+    if kind == "random":
+        return RationalDualExpr(poly(), tuple(poly() for _ in range(n + 1)), den()), b, kind
+    B = poly()
+    parts = [B * t + body * poly() for t in slope]
+    if kind == "slope-inexact":
+        i = draw(st.integers(min_value=0, max_value=n))
+        parts[i] = parts[i] + poly(nonzero=True)
+    return RationalDualExpr(body * B, tuple(parts), den()), b, kind
+
+
+class TestDiv:
+    """Dual division against the P² route it takes when the direct one fails."""
+
+    @given(division_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_reduced_quotient_matches_p_squared_route(self, pair):
+        a, b, kind = pair
+        q = a.div(b)
+        assert q.reduced() == dual_div_squared(a, b).reduced()
+        if kind == "divisible" and b.den.is_one():
+            assert q.den == a.den
+
+    def test_direct_route_keeps_the_denominator(self):
+        # ((x1² − 1) + 2·x1·ε) / x2  divided by  (x1 + 1) + ε
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        one, zero = Poly.one(2), Poly.zero(2)
+        a = RationalDualExpr(x1 * x1 - 1, (2 * x1, zero, zero), x2)
+        b = RationalDualExpr(x1 + 1, (one, zero, zero), one)
+        assert a.div(b) == RationalDualExpr(x1 - 1, (one, zero, zero), x2)
 
 
 class TestVerifyRun:

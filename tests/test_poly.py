@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import quiverseq.poly as poly_module
 from quiverseq.poly import Poly, _gcd_nonneg, poly_gcd
 
+from golden import tuple_exact_div, tuple_mul
+
 
 def P(nvars=2, **terms):
     """Shorthand: P(x=..., terms_by_exponent_tuple)."""
@@ -51,6 +53,27 @@ def gcd_triples(draw):
         return Poly(nvars, terms)
 
     return poly(0), poly(0), poly(1)
+
+
+@st.composite
+def packed_pairs(draw):
+    """Three polynomials in 1 to 8 variables, exponents from one window that
+    may lie below zero and spans up to 40 wide; any may be zero.  Few
+    variables, narrow windows and small coefficients make unit leads and
+    cancelling products common."""
+    nvars = draw(st.one_of(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=8)))
+    low = draw(st.integers(min_value=-20, max_value=5))
+    span = draw(st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=40)))
+    exps = st.tuples(*[st.integers(min_value=low, max_value=low + span)] * nvars)
+    coeffs = st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=-(10**6), max_value=10**6),
+    )
+
+    def poly():
+        return Poly(nvars, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+    return poly(), poly(), poly()
 
 
 def unit_free(p):
@@ -117,6 +140,49 @@ class TestExactDiv:
         if b.is_zero():
             return
         assert (a * b).exact_div(b) == a
+
+
+class TestPackedKernels:
+    """The packed-exponent product and division against the tuple-keyed oracles."""
+
+    @given(packed_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_oracle(self, polys):
+        a, b, _ = polys
+        assert a * b == tuple_mul(a, b)
+
+    @given(packed_pairs(), st.sampled_from(["exact", "perturbed", "leftover", "unrelated"]))
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_matches_oracle(self, polys, mode):
+        q, d, r = polys
+        if d.is_zero():
+            return
+        num = q * d
+        if mode == "perturbed":
+            num = num + r
+        elif mode == "leftover" and num.term_count > 1:
+            # Division runs to the last term and leaves a remainder of 1 there.
+            num = num + Poly.monomial(num.nvars, min(num.terms))
+        elif mode == "unrelated":
+            num = r
+        expected = tuple_exact_div(num, d)
+        assert num.exact_div(d) == expected
+        if mode == "exact":
+            assert expected == q
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (x + y * y, x + y),  # a remainder term below the divisor's lead: negative exponent
+            (x * y * y + 1, x + y),  # quotient y^2 exceeds deg_y(num) - deg_y(den) = 1
+            (2 * x + 1, Poly.const(2, 2)),  # coefficient 1 not divisible by 2
+            (x * x + 1, x - 1),  # quotient x + 1 leaves the remainder 2
+            (x, x * x + 1),  # deg_x(num) < deg_x(den) up front
+        ],
+    )
+    def test_inexact_cases_match_oracle(self, num, den):
+        assert tuple_exact_div(num, den) is None
+        assert num.exact_div(den) is None
 
 
 class TestGcd:
