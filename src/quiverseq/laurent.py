@@ -170,17 +170,11 @@ class RationalDualExpr:
         """self**e by repeated squaring, starting from self."""
         if e < 0:
             raise ValueError("negative power in exchange products")
-        if e == 0:
-            return RationalDualExpr.one(self.num_body.nvars)
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result.mul(base)
-            e >>= 1
-            if not e:
-                return result
-            base = base.mul(base)
+        if e <= 1:
+            return self if e else RationalDualExpr.one(self.num_body.nvars)
+        half = self.pow(e // 2)
+        square = half.mul(half)
+        return square.mul(self) if e & 1 else square
 
     def add(self, other: "RationalDualExpr") -> "RationalDualExpr":
         d, od = self.den, other.den

@@ -57,14 +57,6 @@ class Poly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "Poly":
-        """Wrap a dict of exponent tuples to nonzero coefficients, uncopied."""
-        p = cls.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
-
-    @classmethod
     def zero(cls, nvars: int) -> "Poly":
         return cls(nvars)
 
@@ -194,7 +186,7 @@ class Poly:
         """Multiply by the (unit) monomial with exponent vector delta."""
         if all(d == 0 for d in delta):
             return self
-        return Poly._raw(self.nvars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()})
+        return Poly(self.nvars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()})
 
     def content(self) -> int:
         g = 0
@@ -249,8 +241,6 @@ class Poly:
         nlo, nhi = _bounds(num)
         dlo, dhi = _bounds(den)
         bound = [nh - nl - dh + dl for nl, nh, dl, dh in zip(nlo, nhi, dlo, dhi)]
-        if any(b < 0 for b in bound):
-            return None
         weights = _radix(nlo, nhi)
         noff = sum(map(mul, nlo, weights))
         doff = sum(map(mul, dlo, weights))
@@ -288,7 +278,7 @@ class Poly:
                 else:
                     rem[k] = -qc * dc
                     heappush(heap, -k)
-        return Poly._raw(self.nvars, quot)
+        return Poly(self.nvars, quot)
 
     # -- evaluation and printing -------------------------------------------
 
@@ -386,7 +376,7 @@ def _unpack(nvars: int, packed: dict[int, int], lo, weights) -> Poly:
                 d, k = divmod(k, w)
                 e.append(d + low)
             terms[tuple(e)] = c
-    return Poly._raw(nvars, terms)
+    return Poly(nvars, terms)
 
 
 # -- multivariate gcd fallback and reference (primitive PRS) ---------------
