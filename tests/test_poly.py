@@ -177,7 +177,7 @@ class TestPackedKernels:
             (x * y * y + 1, x + y),  # quotient y^2 exceeds deg_y(num) - deg_y(den) = 1
             (2 * x + 1, Poly.const(2, 2)),  # coefficient 1 not divisible by 2
             (x * x + 1, x - 1),  # quotient x + 1 leaves the remainder 2
-            (x, x * x + 1),  # deg_x(num) < deg_x(den) up front
+            (x, x * x + 1),  # deg_x(num) < deg_x(den): no quotient exponent fits
         ],
     )
     def test_inexact_cases_match_oracle(self, num, den):
