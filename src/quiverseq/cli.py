@@ -12,6 +12,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -99,35 +100,23 @@ def _jline(obj) -> str:
 
 
 def _emit_run(run: seqgen.SequenceRun, fmt: str, out) -> None:
-    rows = [
-        {
-            "index": i,
-            "paper_index": run.paper_index(i),
-            "body": format_scalar(t.body),
-            "slope": format_scalar(t.slope),
-            "integral": run.integral[i],
-        }
-        for i, t in enumerate(run.terms)
-    ]
-    if fmt == "json":
-        for row in rows:
-            print(_jline(row), file=out)
-    elif fmt == "csv":
+    # Rows are formatted and printed one at a time, so the decimal strings
+    # of a long run are never all held at once.
+    if fmt == "csv":
         print("index,paper_index,body,slope,integral", file=out)
-        for r in rows:
-            print(
-                f"{r['index']},{r['paper_index']},{r['body']},{r['slope']},{str(r['integral']).lower()}",
-                file=out,
-            )
-    else:
-        for r in rows:
-            mark = "" if r["integral"] else "   <- not integral"
-            print(
-                f"n={r['index']} (paper {r['paper_index']}): body={r['body']} slope={r['slope']}{mark}",
-                file=out,
-            )
-        if run.degenerate_steps:
-            print(f"degenerate at steps: {run.degenerate_steps}", file=out)
+    for i, (t, integral) in enumerate(zip(run.terms, run.integral)):
+        paper, body, slope = run.paper_index(i), format_scalar(t.body), format_scalar(t.slope)
+        if fmt == "json":
+            row = {"index": i, "paper_index": paper, "body": body, "slope": slope, "integral": integral}
+            line = _jline(row)
+        elif fmt == "csv":
+            line = f"{i},{paper},{body},{slope},{str(integral).lower()}"
+        else:
+            mark = "" if integral else "   <- not integral"
+            line = f"n={i} (paper {paper}): body={body} slope={slope}{mark}"
+        print(line, file=out)
+    if fmt == "text" and run.degenerate_steps:
+        print(f"degenerate at steps: {run.degenerate_steps}", file=out)
 
 
 def _cmd_mutate(args, out) -> int:
@@ -426,8 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import; parse_args leaves it unchanged, so
+    # one parser serves every later call in the process.
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     out = out or sys.stdout
     try:

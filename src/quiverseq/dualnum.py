@@ -6,6 +6,11 @@ Division of integer-kind operands is integer-exact: it stays integer kind
 when the quotient is integral and only otherwise gives the exact rational
 quotient, so a fractional term is a reportable value, never a runtime
 fault.
+
+``DualScalar`` is a slotted, frozen value type.  Its constructor skips
+the promotion check when both parts are exactly ``int``, the common case
+of an integer run; any other pair goes through the promotion rule, which
+is unchanged: both parts become ``Fraction`` when either one is.
 """
 
 from __future__ import annotations
@@ -32,17 +37,21 @@ def _promote(body: Scalar, slope: Scalar) -> tuple[Scalar, Scalar]:
     return body, slope
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DualScalar:
     """An exact dual number ``body + slope·ε``."""
 
     body: Scalar
     slope: Scalar = 0
 
-    def __post_init__(self) -> None:
-        body, slope = _promote(self.body, self.slope)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "slope", slope)
+    def __init__(self, body: Scalar, slope: Scalar = 0) -> None:
+        if type(body) is not int or type(slope) is not int:
+            body, slope = _promote(body, slope)
+        _setattr(self, "body", body)
+        _setattr(self, "slope", slope)
 
     @property
     def kind(self) -> str:

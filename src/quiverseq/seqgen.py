@@ -33,6 +33,10 @@ from .quiver import WeightedQuiver, neg_part, pos_part
 class UnknownFamilyError(QuiverSeqError, KeyError):
     """No built-in recurrence family with that name."""
 
+    def __str__(self) -> str:
+        # KeyError's own __str__ quotes its message like a dict key
+        return str(self.args[0])
+
 
 class BadParamsError(QuiverSeqError, ValueError):
     """Family parameters outside their documented range."""
@@ -164,11 +168,14 @@ class SequenceRun:
 
 
 def _monomial_value(m: Monomial, window: Sequence[DualScalar]) -> DualScalar:
-    value = DualScalar(m.coeff, 0)
+    value = None
     for e, term in zip(m.exponents, window):
         if e:
-            value = value * term**e
-    return value
+            factor = term if e == 1 else term**e
+            value = factor if value is None else value * factor
+    if value is None:
+        return DualScalar(m.coeff, 0)
+    return value if m.coeff == 1 else value * DualScalar(m.coeff, 0)
 
 
 def run(

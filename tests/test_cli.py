@@ -1,9 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quiverseq
+from quiverseq import cli
 from quiverseq.cli import main
 from quiverseq.periodicity import solve_weight
 from quiverseq.quiver import Quiver, WeightedQuiver
@@ -121,6 +127,17 @@ class TestSeq:
         assert lines[0] == "index,paper_index,body,slope,integral"
         assert lines[6] == "5,6,3,0,true"
 
+    def test_rows_are_printed_as_they_are_formatted(self, monkeypatch):
+        out, lines_before = io.StringIO(), []
+
+        def format_scalar(value):
+            lines_before.append(out.getvalue().count("\n"))
+            return str(value)
+
+        monkeypatch.setattr(cli, "format_scalar", format_scalar)
+        assert main(["seq", "--family", "somos4", "--terms", "6"], out=out) == 0
+        assert lines_before == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
     def test_fraction_marked_non_integral(self):
         status, output = run_cli(
             [
@@ -145,6 +162,15 @@ class TestSeq:
     def test_bad_family_params_are_domain_errors(self):
         status, _ = run_cli(["seq", "--family", "gale_robinson", "--N", "6", "--r", "2", "--s", "2"])
         assert status == 1
+
+    def test_unknown_family_message_is_not_quoted(self, capsys):
+        status, output = run_cli(["seq", "--family", "nope"])
+        assert (status, output) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: UnknownFamilyError: unknown family 'nope'; known: cassini_minus, "
+            "cassini_plus, fordy_marsh_s4, gale_robinson, limping_fibonacci, order3, "
+            "order3_alt, somos4, somos5\n"
+        )
 
 
 class TestDecompose:
@@ -379,6 +405,57 @@ class TestDeterminism:
     def test_seq_deterministic(self):
         args = ["seq", "--family", "somos5", "--terms", "12"]
         assert run_cli(args) == run_cli(args)
+
+
+def _in_process(argv, capsys):
+    """(status, stdout, stderr) of one ``main`` call in this process."""
+    out = io.StringIO()
+    try:
+        status = main(argv, out=out)
+    except SystemExit as exc:
+        status = exc.code
+    return status, out.getvalue(), capsys.readouterr().err
+
+
+def _alone(argv):
+    """(status, stdout, stderr) of ``argv`` run in a fresh interpreter."""
+    src = str(Path(quiverseq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    env.pop("QUIVERSEQ_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverseq.cli", *argv],
+        capture_output=True, env=env, timeout=120, check=False,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; no call may see an earlier one's flags."""
+
+    def test_calls_in_sequence_match_lone_runs(self, somos4a_weighted_path, monkeypatch, capsys):
+        laurent = ["laurent", "--quiver", somos4a_weighted_path, "--steps", "3", "--format", "json"]
+        sequence = [
+            [*laurent, "--emit", "sexpr"],
+            laurent,
+            ["seq", "--family", "somos4", "--terms", "12", "--init-b=1,-2,0,3"],
+            ["seq", "--family", "somos4", "--terms", "12"],
+            ["seq", "--family"],
+            ["seq", "--family", "somos5", "--terms", "12"],
+        ]
+        alone = [_alone(argv) for argv in sequence]
+        build_parser, builds = cli.build_parser, []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        in_sequence = [_in_process(argv, capsys) for argv in sequence]
+        assert in_sequence == alone
+        assert [status for status, _, _ in alone] == [0, 0, 0, 0, 2, 0]
+        assert "sexpr" in alone[0][1] and "sexpr" not in alone[1][1]
+        assert alone[2][1] != alone[3][1]
+        assert len(builds) <= 1
 
 
 _PINNED = [

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,38 @@ class TestBasics:
         assert q == DualScalar(Fraction(2), Fraction(-7))
         with pytest.raises(ZeroBodyError):
             DualScalar(1, 0) / DualScalar(0, 2)
+
+
+class TestValueType:
+    """``DualScalar`` is an immutable, hashable value without an instance dict."""
+
+    def test_immutable(self):
+        x = DualScalar(1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.body = 3
+        assert x == DualScalar(1, 2)
+
+    def test_slotted(self):
+        assert not hasattr(DualScalar(1, 2), "__dict__")
+
+    def test_repr(self):
+        assert repr(DualScalar(1, 2)) == "DualScalar(body=1, slope=2)"
+        assert repr(DualScalar(1)) == "DualScalar(body=1, slope=0)"
+
+    @given(ints, ints)
+    def test_equal_values_hash_equal(self, a, b):
+        x, y = DualScalar(a, b), DualScalar(Fraction(a), Fraction(b))
+        assert x == y and hash(x) == hash(y)
+        assert {x: 1}[DualScalar(a, b)] == 1
+
+    @given(st.one_of(ints, rationals), st.one_of(ints, rationals))
+    def test_kind_is_rational_exactly_when_a_part_is_a_fraction(self, body, slope):
+        x = DualScalar(body, slope)
+        rational = isinstance(body, Fraction) or isinstance(slope, Fraction)
+        assert x.kind == ("rational" if rational else "integer")
+        part_type = Fraction if rational else int
+        assert (type(x.body), type(x.slope)) == (part_type, part_type)
+        assert (x.body, x.slope) == (body, slope)
 
 
 class TestExactDiv:
