@@ -55,7 +55,7 @@ class DualScalar:
 
     @property
     def kind(self) -> str:
-        return "rational" if isinstance(self.body, Fraction) else "integer"
+        return "rational" if type(self.body) is Fraction else "integer"
 
     @property
     def is_integral(self) -> bool:

@@ -32,13 +32,17 @@ All cancellation goes through one reducer, ``_reduce``: fold the
 monomial part of the denominator, try one trial division, take the GCD
 with the numerators, fold again and make the leading coefficient
 positive.  ``RationalDualExpr.reduced`` runs it once on the body and
-all slope parts together; ``normalize`` runs it on the body alone and
-then on the slope parts.
+all slope parts together.  One classifier, ``_classify``, then names the
+outcome of a jointly reduced fraction: Laurent when its denominator is
+1, otherwise the part that fails and its denominator.  ``normalize``,
+``sym_exchange``, ``verify_laurent_run`` and ``symbolic_sequence`` all
+go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .dualnum import DualScalar
@@ -62,7 +66,7 @@ class BudgetExceededError(QuiverSeqError, RuntimeError):
 
 
 class NotLaurentError(QuiverSeqError, ValueError):
-    """Raised by sym_exchange when the result fails to normalize."""
+    """Raised by sym_exchange and symbolic_sequence on a non-Laurent result."""
 
     def __init__(self, failure: "NotLaurent"):
         super().__init__(f"non-Laurent {failure.part}: denominator {failure.denominator!r}")
@@ -275,40 +279,43 @@ def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
     return nums, den
 
 
-def normalize(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
-    """Reduce the body and then the slope fraction, each on its own.
+def _classify(frac: RationalDualExpr) -> DualLaurent | NotLaurent:
+    """Laurent, or which part fails, for a jointly reduced fraction.
 
-    Each is one pass of ``_reduce``: over the body numerator alone, then
-    over all slope parts together.  The value is Laurent when both
-    reduced denominators are the unit
-    monomial: monomial factors have already been folded into negative
-    exponents, so anything left over (a non-monomial polynomial, or an
-    integer > 1 that does not divide the numerator content) makes it
-    non-Laurent, and the first offending denominator is reported.
+    Monomial factors are already folded into negative exponents, so the
+    value is Laurent exactly when the denominator is 1; anything left (a
+    non-monomial polynomial, or an integer > 1 that does not divide the
+    numerator content) is not.  Then the body alone is reduced, and a
+    denominator left there names the body.  If the body is Laurent, the
+    joint denominator divides it, so it is prime to the slope parts and
+    is the slope's own reduced denominator.
     """
-    parts = []
-    for part, nums in (("body", (expr.num_body,)), ("slope", expr.num_slope)):
-        nums, den = _reduce(nums, expr.den)
-        if not den.is_one():
-            return NotLaurent(part, den)
-        parts.append(nums)
-    (body,), slope = parts
-    return DualLaurent(body, tuple(slope))
+    if frac.den.is_one():
+        return DualLaurent(frac.num_body, frac.num_slope)
+    _, den = _reduce((frac.num_body,), frac.den)
+    if den.is_one():
+        return NotLaurent("slope", frac.den)
+    return NotLaurent("body", den)
+
+
+def normalize(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
+    """Reduce expr jointly, then name it Laurent or its offending part."""
+    return _classify(expr.reduced())
 
 
 def _exchange_fraction(
     wq: WeightedQuiver, state: Sequence[RationalDualExpr], k: int
 ) -> RationalDualExpr:
     row = wq.quiver.b[k - 1]
-    out = RationalDualExpr.one(wq.n)
-    into = RationalDualExpr.one(wq.n)
-    for j, c in enumerate(row):
-        if c > 0:
-            out = out.mul(state[j].pow(c))
-        elif c < 0:
-            into = into.mul(state[j].pow(-c))
+    out = _product([state[j].pow(c) for j, c in enumerate(row) if c > 0], wq.n)
+    into = _product([state[j].pow(-c) for j, c in enumerate(row) if c < 0], wq.n)
     numerator = out.add(into.deform(wq.weights[k - 1]))
     return numerator.div(state[k - 1])
+
+
+def _product(factors: list[RationalDualExpr], n: int) -> RationalDualExpr:
+    """The product of factors, starting from the first; one(n) when empty."""
+    return reduce(RationalDualExpr.mul, factors) if factors else RationalDualExpr.one(n)
 
 
 def sym_exchange(wq: WeightedQuiver, vars: Sequence[DualLaurent], k: int) -> DualLaurent:
@@ -322,7 +329,7 @@ def sym_exchange(wq: WeightedQuiver, vars: Sequence[DualLaurent], k: int) -> Dua
     if len(vars) != wq.n:
         raise ValueError(f"expected {wq.n} variables, got {len(vars)}")
     state = [RationalDualExpr.from_dual(v) for v in vars]
-    result = normalize(_exchange_fraction(wq, state, k).reduced())
+    result = normalize(_exchange_fraction(wq, state, k))
     if isinstance(result, NotLaurent):
         raise NotLaurentError(result)
     return result
@@ -349,9 +356,10 @@ def verify_laurent_run(
     """Iterate the cycle (mutate at vertex 1, shift labels) symbolically.
 
     Each cycle produces the next sequence variable; the report records
-    whether it normalized to a Laurent value, the term counts of its
-    jointly reduced fraction, and the reduced denominator.  The run continues through non-Laurent steps
-    with reduced fractions.  Exceeding the term budget aborts with
+    whether it is Laurent, the term counts of its jointly reduced
+    fraction, and its denominator: the monomial one when Laurent, the
+    offending part's otherwise.  The run continues through non-Laurent
+    steps with reduced fractions.  Exceeding the term budget aborts with
     BudgetExceededError.
 
     With ``evolve_weights=False`` the given weight vector is forced
@@ -369,19 +377,12 @@ def verify_laurent_run(
             raise BudgetExceededError(
                 f"step {step}: {frac.term_count} terms exceed budget {budget}"
             )
-        laurent = frac.den.is_one()
+        result = _classify(frac)
+        laurent = isinstance(result, DualLaurent)
         if laurent:
-            variable = DualLaurent(frac.num_body, frac.num_slope)
-            denominator = Poly.monomial(n, variable.denominator_monomial())
+            variable, denominator = result, Poly.monomial(n, result.denominator_monomial())
         else:
-            # frac is jointly reduced, so den shares no factor with the
-            # body and all slope parts at once.  If den divides the body,
-            # it is therefore prime to the slope parts, and the slope's
-            # own reduction (the offender normalize would name) is den.
-            variable = frac
-            _, denominator = _reduce((frac.num_body,), frac.den)
-            if denominator.is_one():
-                denominator = frac.den
+            variable, denominator = frac, result.denominator
         slope_terms = frac.term_count - frac.num_body.term_count
         reports.append(
             StepReport(step, laurent, frac.num_body.term_count, slope_terms, denominator, variable)
@@ -399,12 +400,10 @@ def symbolic_sequence(
 ) -> list[DualLaurent]:
     """The new variables X_{n+1} .. X_{n+steps}; raises if any is non-Laurent."""
     reports = verify_laurent_run(wq, steps, budget)
-    out = []
     for rep in reports:
         if not rep.is_laurent:
-            raise NotLaurentError(NotLaurent("body", rep.denominator))
-        out.append(rep.variable)
-    return out
+            raise NotLaurentError(_classify(rep.variable))
+    return [rep.variable for rep in reports]
 
 
 def evaluate(v: DualLaurent, assignment: Sequence[DualScalar]) -> DualScalar:

@@ -69,9 +69,9 @@ class Poly:
         return cls.const(nvars, 1)
 
     @classmethod
-    def variable(cls, nvars: int, slot: int, power: int = 1) -> "Poly":
+    def variable(cls, nvars: int, slot: int) -> "Poly":
         exps = [0] * nvars
-        exps[slot] = power
+        exps[slot] = 1
         return cls(nvars, {tuple(exps): 1})
 
     @classmethod

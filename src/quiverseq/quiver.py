@@ -73,10 +73,6 @@ class Quiver:
     def from_rows(cls, rows) -> "Quiver":
         return cls(rows)
 
-    @classmethod
-    def empty(cls, n: int) -> "Quiver":
-        return cls(tuple((0,) * n for _ in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.b)
@@ -226,9 +222,11 @@ class WeightedQuiver:
 
 
 def _parse_json(text: str):
+    # JSONDecodeError is a ValueError, as is an integer longer than the
+    # int-digit limit; RecursionError means nesting too deep.
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise QuiverFormatError(f"invalid JSON: {exc}") from exc
 
 

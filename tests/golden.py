@@ -6,8 +6,9 @@ the bilinear families, a linearized slope solver, an iterative
 Fibonacci/Lucas generator, a dense Gaussian solver over Fractions for the
 weight-function linear system, and a naive re-statement of the weight
 mutation rule.  The polynomial product and exact division keyed by
-exponent tuples, and dual division through P², are the library's former
-kernels, kept as oracles for the packed kernels and the direct route.
+exponent tuples, dual division through P², and normalization by one
+reduction per part are the library's former kernels, kept as oracles for
+the packed kernels, the direct route and the single classifier.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from quiverseq.laurent import RationalDualExpr, ZeroBodyDivisionError
+from quiverseq.laurent import (
+    DualLaurent,
+    NotLaurent,
+    RationalDualExpr,
+    ZeroBodyDivisionError,
+    _reduce,
+)
 from quiverseq.poly import Poly
 from quiverseq.quiver import Quiver
 from quiverseq.seqgen import BadParamsError, Monomial, RecurrenceSpec, SequenceRun
@@ -363,3 +370,24 @@ def dual_div_squared(self: RationalDualExpr, other: RationalDualExpr) -> Rationa
         tuple((s * ob - b * t) * scale for s, t in zip(self.num_slope, other.num_slope)),
         self.den * ob * ob,
     )
+
+
+def normalize_per_part(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
+    """Reduce the body and then the slope fraction, each on its own.
+
+    Each is one pass of ``_reduce``: over the body numerator alone, then
+    over all slope parts together.  The value is Laurent when both
+    reduced denominators are the unit
+    monomial: monomial factors have already been folded into negative
+    exponents, so anything left over (a non-monomial polynomial, or an
+    integer > 1 that does not divide the numerator content) makes it
+    non-Laurent, and the first offending denominator is reported.
+    """
+    parts = []
+    for part, nums in (("body", (expr.num_body,)), ("slope", expr.num_slope)):
+        nums, den = _reduce(nums, expr.den)
+        if not den.is_one():
+            return NotLaurent(part, den)
+        parts.append(nums)
+    (body,), slope = parts
+    return DualLaurent(body, tuple(slope))

@@ -385,6 +385,22 @@ class TestMalformedQuiver:
         assert status == 1
         assert capsys.readouterr().err.startswith("error: QuiverFormatError: row 1 = 1 ")
 
+    @pytest.mark.parametrize("command", ["mutate", "weight", "period"])
+    @pytest.mark.parametrize(
+        "template",
+        ['{"b": [[0, %s], [-%s, 0]]}', '{"b": [[0, 1], [-1, 0]], "w": [%s, 0]}'],
+        ids=["b", "w"],
+    )
+    def test_integer_past_the_digit_limit(self, tmp_path, command, template, capsys):
+        # json.loads raises a bare ValueError for an int longer than 4300 digits
+        big = "9" * 4301
+        path = tmp_path / "huge.json"
+        path.write_text(template.replace("%s", big))
+        extra = ["--at", "1"] if command == "mutate" else []
+        status, output = run_cli([command, "--quiver", str(path), *extra])
+        assert (status, output) == (1, "")
+        assert capsys.readouterr().err.startswith("error: QuiverFormatError: invalid JSON: ")
+
 
 class TestCatalog:
     def test_lists_families(self):

@@ -15,6 +15,7 @@ from quiverseq.laurent import (
     BudgetExceededError,
     DualLaurent,
     NotLaurent,
+    NotLaurentError,
     RationalDualExpr,
     ZeroAtPoleError,
     ZeroBodyDivisionError,
@@ -31,7 +32,7 @@ from quiverseq.poly import Poly
 from quiverseq.quiver import Quiver, WeightedQuiver
 from quiverseq.seqgen import builtin, quiver_to_spec, run
 
-from golden import dual_div_squared, neg_p31, somos4_quiver_a
+from golden import dual_div_squared, neg_p31, normalize_per_part, somos4_quiver_a
 
 ONES = [DualScalar(1, 0)] * 4
 SOMOS4_ROWS = [[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]]
@@ -139,6 +140,46 @@ class TestSymExchange:
         with pytest.raises(ZeroBodyDivisionError):
             sym_exchange(wq, [zero_body, X[1], X[2]], 1)
 
+    def test_non_monomial_divisor_is_a_body_offender(self):
+        wq = neg_p31_weighted()
+        X = initial_variables(3)
+        x1, x2 = Poly.variable(3, 0), Poly.variable(3, 1)
+        with pytest.raises(NotLaurentError) as err:
+            sym_exchange(wq, [DualLaurent(x1 + x2, X[0].slope), X[1], X[2]], 1)
+        assert err.value.failure.part == "body"
+        assert err.value.failure.denominator == x1 + x2
+
+
+def _poly_drawer(draw, n: int):
+    """A function drawing small Laurent polynomials in n variables."""
+    exps = st.tuples(*[st.integers(min_value=-1, max_value=2)] * n)
+    coeffs = st.integers(min_value=-3, max_value=3)
+
+    def poly(nonzero=False):
+        p = Poly(n, draw(st.dictionaries(exps, coeffs, max_size=3)))
+        return Poly.one(n) if nonzero and p.is_zero() else p
+
+    return poly
+
+
+@st.composite
+def classified_exprs(draw):
+    """(expr, kind) with kind "laurent", "slope" or "body".
+
+    For "laurent" every numerator is a multiple of the denominator, for
+    "slope" only the body is, and for "body" none is built to be; the
+    denominator may be an integer, so integer content is exercised too.
+    """
+    n = draw(st.integers(min_value=1, max_value=2))
+    poly = _poly_drawer(draw, n)
+    den, body, slope = poly(nonzero=True), poly(), tuple(poly() for _ in range(n + 1))
+    kind = draw(st.sampled_from(["laurent", "slope", "body"]))
+    if kind != "body":
+        body = body * den
+    if kind == "laurent":
+        slope = tuple(part * den for part in slope)
+    return RationalDualExpr(body, slope, den), kind
+
 
 class TestNormalize:
     def test_polynomial_cancellation(self):
@@ -182,6 +223,18 @@ class TestNormalize:
         assert isinstance(result, NotLaurent)
         assert result.part == "slope"
         assert result.denominator == _x(x1 + 1)
+
+    @given(classified_exprs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_part_oracle(self, case):
+        expr, kind = case
+        result = normalize(expr)
+        # dataclass equality: same type, and same part and denominator or parts
+        assert result == normalize_per_part(expr)
+        if kind == "laurent":
+            assert isinstance(result, DualLaurent)
+        if kind == "slope":
+            assert isinstance(result, DualLaurent) or result.part == "slope"
 
 
 class TestReduced:
@@ -233,12 +286,7 @@ def division_pairs(draw):
     term to one slope part, and "random" draws a freely.
     """
     n = draw(st.integers(min_value=1, max_value=2))
-    exps = st.tuples(*[st.integers(min_value=-1, max_value=2)] * n)
-    coeffs = st.integers(min_value=-3, max_value=3)
-
-    def poly(nonzero=False):
-        p = Poly(n, draw(st.dictionaries(exps, coeffs, max_size=3)))
-        return Poly.one(n) if nonzero and p.is_zero() else p
+    poly = _poly_drawer(draw, n)
 
     def den():
         return Poly.one(n) if draw(st.booleans()) else poly(nonzero=True)
@@ -300,6 +348,27 @@ class TestVerifyRun:
         assert first_bad.step == 4
         names = var_names(3)
         assert first_bad.denominator.format(names) == "x2*x3 + 1"
+
+    def test_held_offenders_are_slopes(self):
+        # The bodies are ordinary cluster variables and stay Laurent.
+        wq = WeightedQuiver(primitive(3, 1), (1, 0, -1))
+        bad = [r for r in verify_laurent_run(wq, 6, evolve_weights=False) if not r.is_laurent]
+        assert [r.step for r in bad] == [4, 5, 6]
+        for r in bad:
+            assert normalize(r.variable) == NotLaurent("slope", r.denominator)
+
+    def test_symbolic_sequence_names_the_offending_part(self, monkeypatch):
+        held = verify_laurent_run
+        monkeypatch.setattr(
+            laurent,
+            "verify_laurent_run",
+            lambda wq, steps, budget: held(wq, steps, budget, evolve_weights=False),
+        )
+        wq = WeightedQuiver(primitive(3, 1), (1, 0, -1))
+        with pytest.raises(NotLaurentError) as err:
+            symbolic_sequence(wq, 6)
+        assert err.value.failure.part == "slope"
+        assert err.value.failure.denominator.format(var_names(3)) == "x2*x3 + 1"
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
