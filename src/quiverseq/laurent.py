@@ -22,32 +22,45 @@ exponents.  ``verify_laurent_run`` iterates the cycle "mutate at vertex
 1, shift labels" and reports Laurent-or-not per step, continuing with
 reduced fractions either way.
 
-Along a genuine run X'_k is Laurent, so the division by X_k = P + Q·ε
-is exact.  ``RationalDualExpr.div`` therefore first divides by P alone
-when X_k has denominator 1, which it has whenever the previous steps
-were Laurent; only when that fails does it multiply through by
-(P − Q·ε)/P² and leave the cancellation to the reducer.
+Along a genuine run X'_k is Laurent, so the division by X_k is exact.
+``RationalDualExpr.div`` divides by the divisor's body β: the quotient's
+body q = N_b/β is one exact division, and when X_k has denominator 1
+(whenever the previous steps were Laurent) the slope parts are divided
+by β as well, so a Laurent result leaves nothing to reduce.  When they
+do not divide, the numerators already computed stay over the
+denominator times β; only when β or q is not exact does the division
+multiply through by (P − Q·ε)/P².
 
 All cancellation goes through one reducer, ``_reduce``: fold the
-monomial part of the denominator, try one trial division, take the GCD
-with the numerators, fold again and make the leading coefficient
-positive.  ``RationalDualExpr.reduced`` runs it once on the body and
-all slope parts together.  One classifier, ``_classify``, then names the
-outcome of a jointly reduced fraction: Laurent when its denominator is
-1, otherwise the part that fails and its denominator.  ``normalize``,
-``sym_exchange``, ``verify_laurent_run`` and ``symbolic_sequence`` all
-go through it.
+monomial part of the denominator, try one trial division, then split
+the denominator over a factor base and cancel it factor by factor, and
+only when that fails take the GCD of the expanded denominator with the
+numerators.  ``verify_laurent_run`` keeps the factor base: the body
+numerators of the run's variables.  In every run tried with the weights
+held off their mutation rule, each denominator is a product of such
+numerators, which are cluster variables and so irreducible (Geiss,
+Leclerc & Schröer, "Factorial cluster algebras", Doc. Math. 18, 2013),
+times a monomial and a constant.  Exactness does not rest on that: a
+factor that stops dividing some numerator is kept only with the
+certificate gcd(factor, numerator) = 1, computed on the small factor.
+``RationalDualExpr.reduced`` runs the reducer once on the body and all
+slope parts together and records its path.  One classifier,
+``_classify``, then names the outcome of a jointly reduced fraction:
+Laurent when its denominator is 1, otherwise the part that fails and
+its denominator.  ``normalize``, ``sym_exchange``, ``verify_laurent_run``
+and ``symbolic_sequence`` all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from math import gcd as int_gcd
 from typing import Sequence
 
 from .dualnum import DualScalar
 from .errors import QuiverSeqError
-from .poly import Poly, poly_gcd
+from .poly import Poly, _strip, poly_gcd
 from .quiver import VertexIndexError, WeightedQuiver
 
 DEFAULT_TERM_BUDGET = 10**6
@@ -139,12 +152,15 @@ class RationalDualExpr:
 
     ``num_slope`` is split into parts (s_0, s_1, …, s_n) as in
     ``DualLaurent``; every operation works part by part, and the
-    denominator is shared by the body and all slope parts.
+    denominator is shared by the body and all slope parts.  A fraction
+    made by ``reduced`` names the reducer's path in ``reduction``, which
+    takes no part in equality.
     """
 
     num_body: Poly
     num_slope: tuple[Poly, ...]
     den: Poly
+    reduction: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.den.is_zero():
@@ -194,43 +210,45 @@ class RationalDualExpr:
         return RationalDualExpr(self.num_body, (s0 + w * self.num_body, *rest), self.den)
 
     def div(self, other: "RationalDualExpr") -> "RationalDualExpr":
-        """Dual division by P + Q·ε, keeping denominators x-only.
+        """Dual division by (P + Q·ε)/D, keeping denominators x-only.
 
-        When other has denominator 1, the direct route divides by P alone:
-        body = N_b / P and slope part s_i = (N_s_i − body·Q_i) / P, each an
-        exact division, and the denominator stays self.den.  This is the
-        route every exchange of a genuine mutation run takes, since there
-        X'_k is Laurent.  If other has a denominator, or any of these
-        divisions is not exact, 1/(P + Q·ε) = (P − Q·ε)/P² is used instead.
+        With β = P/D the divisor's body and q = N_b/β the quotient's body,
+        self/other has body numerator N_b·D, slope numerators
+        N_s_i·D − q·Q_i and denominator self.den·D·β.  When D is 1 the
+        slope numerators are first divided by β; if every division is
+        exact the denominator stays self.den.  Every exchange of a genuine
+        mutation run ends there, since X'_k is Laurent.  Only when β or q
+        is not exact is 1/(P + Q·ε) = (P − Q·ε)/P² used instead, and the
+        extra factor it brings is left to the reducer.
         """
-        b, ob = self.num_body, other.num_body
+        b, ob, od = self.num_body, other.num_body, other.den
         if ob.is_zero():
             raise ZeroBodyDivisionError("division by a value with zero body")
-        scale = other.den
-        if scale.is_one():
-            body = b.exact_div(ob)
-            if body is not None:
-                slope = []
-                for s, t in zip(self.num_slope, other.num_slope):
-                    part = (s - body * t).exact_div(ob)
-                    if part is None:
-                        break
-                    slope.append(part)
-                else:
-                    return RationalDualExpr(body, tuple(slope), self.den)
-        return RationalDualExpr(
-            b * ob * scale,
-            tuple((s * ob - b * t) * scale for s, t in zip(self.num_slope, other.num_slope)),
-            self.den * ob * ob,
-        )
+        unit = od.is_one()
+        beta = ob if unit else ob.exact_div(od)
+        q = None if beta is None else b.exact_div(beta)
+        if q is None:
+            return RationalDualExpr(
+                b * ob * od,
+                tuple((s * ob - b * t) * od for s, t in zip(self.num_slope, other.num_slope)),
+                self.den * ob * ob,
+            )
+        parts = [(s if unit else s * od) - q * t for s, t in zip(self.num_slope, other.num_slope)]
+        if unit:
+            slope, stuck = _divide_all(parts, beta)
+            if stuck is None:
+                return RationalDualExpr(q, tuple(slope), self.den)
+        return RationalDualExpr(b * od, tuple(parts), self.den * od * beta)
 
-    def reduced(self) -> "RationalDualExpr":
+    def reduced(self, base: "_FactorBase | None" = None) -> "RationalDualExpr":
         """Cancel the denominator as far as possible, jointly for all parts.
 
-        One pass of ``_reduce`` over the body and every slope part.
+        One pass of ``_reduce`` over the body and every slope part, with
+        the factor base of a run when one is given; the result records
+        the path the reducer took in ``reduction``.
         """
-        (nb, *ns), den = _reduce((self.num_body, *self.num_slope), self.den)
-        return RationalDualExpr(nb, tuple(ns), den)
+        (nb, *ns), den, path = _reduce((self.num_body, *self.num_slope), self.den, base)
+        return RationalDualExpr(nb, tuple(ns), den, path)
 
     def sexpr(self) -> str:
         return (
@@ -248,26 +266,40 @@ def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
     return [num.shift(back) for num in nums], den.shift(back)
 
 
-def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
+def _divide_all(nums, divisor: Poly) -> tuple[list[Poly], Poly | None]:
+    """Quotients of the numerators by divisor, up to the first it does not
+    divide; that numerator comes second, or None when all divide."""
+    quotients = []
+    for num in nums:
+        q = num.exact_div(divisor)
+        if q is None:
+            return quotients, num
+        quotients.append(q)
+    return quotients, None
+
+
+def _reduce(nums, den: Poly, base: "_FactorBase | None" = None) -> tuple[list[Poly], Poly, str]:
     """Cancel a shared denominator against every numerator.
 
     The monomial part of den folds into (possibly negative) numerator
-    exponents.  What is left is cancelled by one trial division of every
-    numerator, and failing that by the GCD of den with all nonzero ones,
-    whose quotient is folded again.  The reduced denominator comes back with a
-    positive lex-leading coefficient.
+    exponents; if nothing else is left the path is "monomial".  Otherwise
+    one trial division of every numerator by den is tried ("trial").
+    Failing that, den is split over the run's factor base when one is
+    given ("factor", see ``_reduce_over``), and as a last resort it is
+    cancelled by its GCD with all nonzero numerators ("gcd").  The
+    reduced denominator comes back expanded, free of monomial factors and
+    with a positive lex-leading coefficient, together with the path.
     """
     nums, den = _fold_monomial(nums, den)
     if den.is_one():
-        return nums, den
-    quotients = []
-    for num in nums:
-        q = num.exact_div(den)
-        if q is None:
-            break
-        quotients.append(q)
-    else:
-        return quotients, Poly.one(den.nvars)
+        return nums, den, "monomial"
+    quotients, stuck = _divide_all(nums, den)
+    if stuck is None:
+        return quotients, Poly.one(den.nvars), "trial"
+    if base is not None:
+        reduced = _reduce_over(base.factors(), nums, den)
+        if reduced is not None:
+            return (*reduced, "factor")
     g = den
     for num in nums:
         if not (num.is_zero() or g.is_one()):
@@ -276,7 +308,88 @@ def _reduce(nums, den: Poly) -> tuple[list[Poly], Poly]:
         nums, den = _fold_monomial([num.exact_div(g) for num in nums], den.exact_div(g))
     if den.lex_lead()[1] < 0:
         nums, den = [-num for num in nums], -den
-    return nums, den
+    return nums, den, "gcd"
+
+
+def _reduce_over(factors: list[Poly], nums: list[Poly], den: Poly) -> tuple[list[Poly], Poly] | None:
+    """Reduce nums/den through den = c·∏ B^e over the given factors, or None.
+
+    den must be free of monomial factors and the factors primitive, free
+    of monomial factors and with positive leads.  Each B is cancelled from
+    every numerator as often as it divides them all.  Where it stops at a
+    numerator N, gcd(B, N) = 1 certifies that no factor of B is left in
+    common, and then neither is any factor of the B^k that stays in the
+    denominator, since later quotients divide N.  With every remaining B
+    so certified and the integer c made prime to the numerators'
+    contents, the joint gcd is 1; no factor needs to be irreducible.
+    None when den does not split into the factors or a certificate finds
+    a proper common factor; the caller then takes the GCD route.
+    """
+    rest, split = den, []
+    for b in factors:
+        e = 0
+        while not rest.is_constant():
+            q = rest.exact_div(b)
+            if q is None:
+                break
+            rest, e = q, e + 1
+        if e:
+            split.append((b, e))
+    if not rest.is_constant():
+        return None
+    (c,) = rest.terms.values()
+    left = Poly.const(den.nvars, 1)
+    for b, e in split:
+        while e:
+            quotients, stuck = _divide_all(nums, b)
+            if stuck is not None:
+                break
+            nums, e = quotients, e - 1
+        if e:
+            if not poly_gcd(b, stuck).is_one():
+                return None
+            left = left * b**e
+    if c < 0:
+        nums, c = [-num for num in nums], -c
+    g = c
+    for num in nums:
+        if g == 1:
+            break
+        g = int_gcd(g, num.content())
+    if g > 1:
+        divisor = Poly.const(den.nvars, g)
+        nums, c = [num.exact_div(divisor) for num in nums], c // g
+    return nums, left if c == 1 else left * c
+
+
+class _FactorBase:
+    """Denominator factors of a run: the body numerators of its variables.
+
+    Each factor is primitive, free of monomial factors, non-constant and
+    has a positive lex-leading coefficient.  Fractions are only recorded
+    by ``add``; their bodies are divided out and normalized the first
+    time ``factors`` is asked for, so a run whose denominators all cancel
+    by trial division never pays for the base.
+    """
+
+    def __init__(self) -> None:
+        self._pending: list[RationalDualExpr] = []
+        self._factors: list[Poly] = []
+
+    def add(self, frac: RationalDualExpr) -> None:
+        self._pending.append(frac)
+
+    def factors(self) -> list[Poly]:
+        for frac in self._pending:
+            body = frac.num_body if frac.den.is_one() else frac.num_body.exact_div(frac.den)
+            if body is None or body.is_zero():
+                continue
+            content = body.content() if body.lex_lead()[1] > 0 else -body.content()
+            b = _strip(body, body.min_exponents(), content)
+            if not b.is_constant() and b not in self._factors:
+                self._factors.append(b)
+        self._pending.clear()
+        return self._factors
 
 
 def _classify(frac: RationalDualExpr) -> DualLaurent | NotLaurent:
@@ -292,7 +405,7 @@ def _classify(frac: RationalDualExpr) -> DualLaurent | NotLaurent:
     """
     if frac.den.is_one():
         return DualLaurent(frac.num_body, frac.num_slope)
-    _, den = _reduce((frac.num_body,), frac.den)
+    _, den, _ = _reduce((frac.num_body,), frac.den)
     if den.is_one():
         return NotLaurent("slope", frac.den)
     return NotLaurent("body", den)
@@ -345,6 +458,14 @@ class StepReport:
     slope_terms: int
     denominator: Poly  # monomial denominator when Laurent, offender otherwise
     variable: DualLaurent | RationalDualExpr
+    reduction: str  # the path of _reduce: "monomial", "trial", "factor" or "gcd"
+
+
+def _check_budget(frac: RationalDualExpr, budget: int, step: int, stage: str) -> None:
+    if frac.term_count > budget:
+        raise BudgetExceededError(
+            f"step {step}: {frac.term_count} terms of the {stage} fraction exceed budget {budget}"
+        )
 
 
 def verify_laurent_run(
@@ -357,10 +478,13 @@ def verify_laurent_run(
 
     Each cycle produces the next sequence variable; the report records
     whether it is Laurent, the term counts of its jointly reduced
-    fraction, and its denominator: the monomial one when Laurent, the
-    offending part's otherwise.  The run continues through non-Laurent
-    steps with reduced fractions.  Exceeding the term budget aborts with
-    BudgetExceededError.
+    fraction, its denominator (the monomial one when Laurent, the
+    offending part's otherwise) and the reducer's path.  The run
+    continues through non-Laurent steps with reduced fractions, and
+    reduces over a factor base made of the bodies of its variables.  The
+    term budget is checked on the exchange fraction before it is reduced
+    and again after ("exchange" and "reduced" in the message of
+    BudgetExceededError), so reduction never starts on a fraction over it.
 
     With ``evolve_weights=False`` the given weight vector is forced
     unchanged on every cycle instead of following the weight mutation
@@ -370,13 +494,13 @@ def verify_laurent_run(
     n = wq.n
     state = [RationalDualExpr.from_dual(v) for v in initial_variables(n)]
     current = wq
+    base = _FactorBase()
     reports: list[StepReport] = []
     for step in range(1, steps + 1):
-        frac = _exchange_fraction(current, state, 1).reduced()
-        if frac.term_count > budget:
-            raise BudgetExceededError(
-                f"step {step}: {frac.term_count} terms exceed budget {budget}"
-            )
+        frac = _exchange_fraction(current, state, 1)
+        _check_budget(frac, budget, step, "exchange")
+        frac = frac.reduced(base)
+        _check_budget(frac, budget, step, "reduced")
         result = _classify(frac)
         laurent = isinstance(result, DualLaurent)
         if laurent:
@@ -385,8 +509,17 @@ def verify_laurent_run(
             variable, denominator = frac, result.denominator
         slope_terms = frac.term_count - frac.num_body.term_count
         reports.append(
-            StepReport(step, laurent, frac.num_body.term_count, slope_terms, denominator, variable)
+            StepReport(
+                step,
+                laurent,
+                frac.num_body.term_count,
+                slope_terms,
+                denominator,
+                variable,
+                frac.reduction,
+            )
         )
+        base.add(frac)
         state = state[1:] + [frac]
         if evolve_weights:
             current = current.mutate(1).rotate()

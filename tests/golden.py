@@ -8,7 +8,10 @@ weight-function linear system, and a naive re-statement of the weight
 mutation rule.  The polynomial product and exact division keyed by
 exponent tuples, dual division through P², and normalization by one
 reduction per part are the library's former kernels, kept as oracles for
-the packed kernels, the direct route and the single classifier.
+the packed kernels, the direct route and the single classifier.  The
+reducer that cancels the expanded denominator by its GCD with the
+numerators, and a held run built from it and the P² division, are the
+oracles of the factor-base reducer and the one division route.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from quiverseq.laurent import (
     NotLaurent,
     RationalDualExpr,
     ZeroBodyDivisionError,
-    _reduce,
+    initial_variables,
 )
-from quiverseq.poly import Poly
-from quiverseq.quiver import Quiver
+from quiverseq.poly import Poly, poly_gcd
+from quiverseq.quiver import Quiver, WeightedQuiver
 from quiverseq.seqgen import BadParamsError, Monomial, RecurrenceSpec, SequenceRun
 
 # -- frozen sequence tables ---------------------------------------------------
@@ -375,7 +378,7 @@ def dual_div_squared(self: RationalDualExpr, other: RationalDualExpr) -> Rationa
 def normalize_per_part(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
     """Reduce the body and then the slope fraction, each on its own.
 
-    Each is one pass of ``_reduce``: over the body numerator alone, then
+    Each is one pass of ``reduce_by_gcd``: over the body numerator alone, then
     over all slope parts together.  The value is Laurent when both
     reduced denominators are the unit
     monomial: monomial factors have already been folded into negative
@@ -385,9 +388,85 @@ def normalize_per_part(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
     """
     parts = []
     for part, nums in (("body", (expr.num_body,)), ("slope", expr.num_slope)):
-        nums, den = _reduce(nums, expr.den)
+        nums, den = reduce_by_gcd(nums, expr.den)
         if not den.is_one():
             return NotLaurent(part, den)
         parts.append(nums)
     (body,), slope = parts
     return DualLaurent(body, tuple(slope))
+
+
+def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
+    """Divide den and the numerators by den's monomial factor, a unit."""
+    mins = den.min_exponents()
+    if not any(mins):
+        return list(nums), den
+    back = tuple(-m for m in mins)
+    return [num.shift(back) for num in nums], den.shift(back)
+
+
+def reduce_by_gcd(nums, den: Poly) -> tuple[list[Poly], Poly]:
+    """Cancel a shared denominator against every numerator.
+
+    The monomial part of den folds into (possibly negative) numerator
+    exponents.  What is left is cancelled by one trial division of every
+    numerator, and failing that by the GCD of the expanded den with all
+    nonzero ones, whose quotient is folded again.  The reduced denominator
+    comes back with a positive lex-leading coefficient.
+    """
+    nums, den = _fold_monomial(nums, den)
+    if den.is_one():
+        return nums, den
+    quotients = []
+    for num in nums:
+        q = num.exact_div(den)
+        if q is None:
+            break
+        quotients.append(q)
+    else:
+        return quotients, Poly.one(den.nvars)
+    g = den
+    for num in nums:
+        if not (num.is_zero() or g.is_one()):
+            g = poly_gcd(g, num)
+    if not g.is_one():
+        nums, den = _fold_monomial([num.exact_div(g) for num in nums], den.exact_div(g))
+    if den.lex_lead()[1] < 0:
+        nums, den = [-num for num in nums], -den
+    return nums, den
+
+
+def held_run_oracle(wq: WeightedQuiver, steps: int) -> list[tuple]:
+    """Rows (step, laurent, denominator, body terms, slope terms, variable)
+    of the cycle "mutate at vertex 1, shift labels" with the weights held.
+
+    Every exchange divides through P² (``dual_div_squared``) and reduces
+    with ``reduce_by_gcd``; products are taken one factor at a time, and
+    each value is classified by ``normalize_per_part``.
+    """
+    n = wq.n
+    state = [RationalDualExpr.from_dual(v) for v in initial_variables(n)]
+    quiver = wq.quiver
+    rows = []
+    for step in range(1, steps + 1):
+        out, into = RationalDualExpr.one(n), RationalDualExpr.one(n)
+        for j, c in enumerate(quiver.b[0]):
+            for _ in range(abs(c)):
+                if c > 0:
+                    out = out.mul(state[j])
+                else:
+                    into = into.mul(state[j])
+        exchange = dual_div_squared(out.add(into.deform(wq.weights[0])), state[0])
+        (nb, *ns), den = reduce_by_gcd((exchange.num_body, *exchange.num_slope), exchange.den)
+        frac = RationalDualExpr(nb, tuple(ns), den)
+        result = normalize_per_part(frac)
+        laurent = isinstance(result, DualLaurent)
+        if laurent:
+            variable, denominator = result, Poly.monomial(n, result.denominator_monomial())
+        else:
+            variable, denominator = frac, result.denominator
+        slope_terms = frac.term_count - nb.term_count
+        rows.append((step, laurent, denominator, nb.term_count, slope_terms, variable))
+        state = state[1:] + [frac]
+        quiver = quiver.mutate(1).rotate()
+    return rows

@@ -19,6 +19,8 @@ from quiverseq.laurent import (
     RationalDualExpr,
     ZeroAtPoleError,
     ZeroBodyDivisionError,
+    _FactorBase,
+    _reduce,
     evaluate,
     initial_variables,
     normalize,
@@ -32,7 +34,14 @@ from quiverseq.poly import Poly
 from quiverseq.quiver import Quiver, WeightedQuiver
 from quiverseq.seqgen import builtin, quiver_to_spec, run
 
-from golden import dual_div_squared, neg_p31, normalize_per_part, somos4_quiver_a
+from golden import (
+    dual_div_squared,
+    held_run_oracle,
+    neg_p31,
+    normalize_per_part,
+    reduce_by_gcd,
+    somos4_quiver_a,
+)
 
 ONES = [DualScalar(1, 0)] * 4
 SOMOS4_ROWS = [[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]]
@@ -324,6 +333,26 @@ class TestDiv:
         b = RationalDualExpr(x1 + 1, (one, zero, zero), one)
         assert a.div(b) == RationalDualExpr(x1 - 1, (one, zero, zero), x2)
 
+    def test_failed_slope_division_keeps_its_numerators(self):
+        # ((x1² − 1) + x2·ε) divided by (x1 + 1) + ε: the body divides, the
+        # slope x2 − (x1 − 1) does not, and both numerators are kept over
+        # the denominator x1 + 1 instead of being recomputed through P².
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        one, zero = Poly.one(2), Poly.zero(2)
+        a = RationalDualExpr(x1 * x1 - 1, (x2, zero, zero), one)
+        b = RationalDualExpr(x1 + 1, (one, zero, zero), one)
+        assert a.div(b) == RationalDualExpr(x1 * x1 - 1, (x2 - x1 + 1, zero, zero), x1 + 1)
+
+    def test_divisor_with_a_denominator_divides_by_its_body(self):
+        # The divisor ((x1 + 1)·(x2 + 1) + ε)/(x2 + 1) has body β = x1 + 1.
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        one, zero = Poly.one(2), Poly.zero(2)
+        od = x2 + 1
+        a = RationalDualExpr(x1 * x1 - 1, (x2, zero, zero), one)
+        b = RationalDualExpr((x1 + 1) * od, (one, zero, zero), od)
+        slope = x2 * od - (x1 - 1)
+        assert a.div(b) == RationalDualExpr((x1 * x1 - 1) * od, (slope, zero, zero), od * (x1 + 1))
+
 
 class TestVerifyRun:
     def test_somos4_six_steps_all_laurent(self):
@@ -374,12 +403,147 @@ class TestVerifyRun:
         with pytest.raises(BudgetExceededError):
             verify_laurent_run(somos4_weighted(), 8, budget=50)
 
+    def test_budget_stops_the_exchange_fraction_before_reduction(self, monkeypatch):
+        # Held P(3,1) step 6: 310 terms before reduction, 265 after.
+        wq = WeightedQuiver(primitive(3, 1), (1, 0, -1))
+        assert len(verify_laurent_run(wq, 6, budget=310, evolve_weights=False)) == 6
+        sizes = []
+
+        def recording(nums, *rest):
+            sizes.append(sum(num.term_count for num in nums))
+            return _reduce(nums, *rest)
+
+        monkeypatch.setattr(laurent, "_reduce", recording)
+        with pytest.raises(BudgetExceededError, match=r"^step 6: 310 terms of the exchange fraction"):
+            verify_laurent_run(wq, 6, budget=300, evolve_weights=False)
+        assert sizes and max(sizes) < 300
+
+    def test_budget_checks_the_reduced_fraction(self, monkeypatch):
+        # A reducer that pads numerators and denominator by the same
+        # 50-term factor keeps the value but not the size.
+        pad = Poly(4, {(i, 0, 0, 0): 1 for i in range(50)})
+
+        def padded(nums, den, base=None):
+            nums, den, path = _reduce(nums, den, base)
+            return [num * pad for num in nums], den * pad, path
+
+        monkeypatch.setattr(laurent, "_reduce", padded)
+        with pytest.raises(BudgetExceededError, match=r"^step 1: \d+ terms of the reduced fraction"):
+            verify_laurent_run(somos4_weighted(), 1, budget=20)
+
     def test_matches_numeric_run(self):
         spec = builtin("somos4").with_deform("m2", (1,))
         numeric = run(spec, count=10)
         symbolic = symbolic_sequence(somos4_weighted(), 6)
         for k, v in enumerate(symbolic, start=1):
             assert evaluate(v, ONES) == numeric.terms[3 + k]
+
+
+def _body_numerator(rep) -> Poly:
+    """The numerator of a step's body: primitive, free of monomial factors
+    and with a positive lex-leading coefficient."""
+    v = rep.variable
+    body = v.body if rep.is_laurent else v.num_body.exact_div(v.den)
+    body = body.shift(tuple(-m for m in body.min_exponents()))
+    content = body.content() if body.lex_lead()[1] > 0 else -body.content()
+    return Poly(body.nvars, {e: c // content for e, c in body.terms.items()})
+
+
+def _held(n: int, weights: tuple[int, ...], steps: int) -> list:
+    return verify_laurent_run(WeightedQuiver(primitive(n, 1), weights), steps, evolve_weights=False)
+
+
+@cache
+def _held_p31_factors() -> tuple[Poly, Poly]:
+    """B1 = x2·x3 + 1 and B2 = x1 + x2·x3² + x3, the body numerators of
+    the first two steps of held P(3,1)."""
+    b1, b2 = (_body_numerator(rep) for rep in _held(3, (1, 0, -1), 2))
+    return b1, b2
+
+
+def _factor_case(name: str):
+    """(factors put in the base, numerators, denominator, expected path)."""
+    b1, b2 = _held_p31_factors()
+    x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
+    if name == "reducible factor cancels":
+        return [b1 * b2], [b1 * b2 * x1, b1 * b2 * (x2 + 3)], (b1 * b2) ** 2, "factor"
+    if name == "reducible factor shares a part":
+        return [b1 * b2], [b1 * x1, b1 * (x2 + 3)], b1 * b2, "gcd"
+    if name == "denominator does not split":
+        return [b1, b2], [b1 * x2, b1 * x3 + 1], b1 * (x1 + 2), "gcd"
+    if name == "integer left over":
+        return [b1], [2 * b1 * x2, 4 * b1 * x3], 6 * b1, "factor"
+    if name == "negative lex lead":
+        return [b1, b2], [b1 * x1, b1 * (x2 + 1)], -x1 * b1 * b2, "factor"
+    raise ValueError(name)
+
+
+FACTOR_CASES = [
+    "reducible factor cancels",
+    "reducible factor shares a part",
+    "denominator does not split",
+    "integer left over",
+    "negative lex lead",
+]
+
+
+class TestFactorBase:
+    """The factor-base reducer and the one division route against the
+    expanded-denominator GCD route and the P² division of tests/golden.py."""
+
+    @pytest.mark.parametrize("name", FACTOR_CASES)
+    def test_matches_the_gcd_route(self, name):
+        factors, nums, den, path = _factor_case(name)
+        base = _FactorBase()
+        for f in factors:
+            base.add(RationalDualExpr(f, (Poly.zero(3),) * 4, Poly.one(3)))
+        assert base.factors() == factors
+        got_nums, got_den, got_path = _reduce(nums, den, base)
+        assert (got_nums, got_den) == reduce_by_gcd(nums, den)
+        assert got_path == path
+        assert _reduce(nums, den) == (*reduce_by_gcd(nums, den), "gcd")
+
+    @pytest.mark.parametrize(
+        "n, weights, steps",
+        [(3, (w1, 0, -1), 8) for w1 in range(-2, 3)]
+        + [(4, w, 7) for w in [(1, 0, 0, -1), (2, 0, 0, -1), (-1, 0, 0, 1)]],
+    )
+    def test_held_run_matches_the_oracle(self, n, weights, steps):
+        # Only w_1 enters the exchange at vertex 1, so a grid over w_1 covers
+        # every weight vector of held P(3,1).
+        names = var_names(n)
+        got = [
+            (r.step, r.is_laurent, r.denominator.format(names), r.body_terms, r.slope_terms,
+             r.variable.sexpr())
+            for r in _held(n, weights, steps)
+        ]
+        expected = [
+            (step, laurent_, den.format(names), body_terms, slope_terms, variable.sexpr())
+            for step, laurent_, den, body_terms, slope_terms, variable in held_run_oracle(
+                WeightedQuiver(primitive(n, 1), weights), steps
+            )
+        ]
+        assert got == expected
+
+    def test_gcd_calls_take_a_base_factor(self, monkeypatch):
+        calls = []
+        gcd = laurent.poly_gcd
+        monkeypatch.setattr(laurent, "poly_gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+        reports = _held(3, (1, 0, -1), 8)
+        factors = [_body_numerator(rep) for rep in reports]
+        assert 0 < len(calls) <= 15
+        assert all(p in factors or q in factors for p, q in calls)
+
+    def test_laurent_runs_never_build_the_base(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("factor base built")
+
+        monkeypatch.setattr(_FactorBase, "factors", refuse)
+        assert all(r.is_laurent for r in verify_laurent_run(somos4_weighted(), 8))
+
+    def test_reduction_paths(self):
+        assert {r.reduction for r in verify_laurent_run(somos4_weighted(), 8)} == {"monomial"}
+        assert [r.reduction for r in _held(3, (1, 0, -1), 8)] == ["monomial"] * 3 + ["factor"] * 5
 
 
 class TestEvaluate:
