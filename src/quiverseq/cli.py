@@ -173,9 +173,9 @@ def _cmd_laurent(args, out) -> int:
     env = os.environ.get("QUIVERSEQ_BUDGET")
     if env:
         try:
-            budget = int(env)
-        except ValueError:
-            raise _UsageError(f"QUIVERSEQ_BUDGET must be an integer, got {env!r}") from None
+            budget = _positive_int(env)
+        except argparse.ArgumentTypeError:
+            raise _UsageError(f"QUIVERSEQ_BUDGET must be a positive integer, got {env!r}") from None
     if args.budget is not None:
         budget = args.budget
     reports = laurent_mod.verify_laurent_run(
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the weight vector unchanged each cycle instead of mutating it",
     )
     p.add_argument("--emit", choices=("sexpr",), help="also dump expressions")
-    p.add_argument("--budget", type=int, help="term budget (default 10^6 or QUIVERSEQ_BUDGET)")
+    p.add_argument("--budget", type=_positive_int, help="term budget (default 10^6 or QUIVERSEQ_BUDGET)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_laurent)
 

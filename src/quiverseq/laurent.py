@@ -22,6 +22,21 @@ exponents.  ``verify_laurent_run`` iterates the cycle "mutate at vertex
 1, shift labels" and reports Laurent-or-not per step, continuing with
 reduced fractions either way.
 
+The y-parts are derivatives of the body.  A rational expression F in
+the X's evaluates to F(x) + ε·Σ y_i·∂_i F(x), since ε² = 0 (forward-mode
+differentiation by dual numbers; Griewank & Walther, "Evaluating
+Derivatives", SIAM 2008), and the weights' factors (1 + w·ε) only add
+y-free terms.  So every variable of a run has s_i = ∂_i body for
+i ≥ 1, and each operation keeps that: the seed X_j has body x_j and
+s_i = δ_ij = ∂_i x_j; ``mul``, ``add`` and ``div`` combine the parts by
+the Leibniz, sum and quotient rules; ``deform`` touches only s_0.
+``verify_laurent_run`` therefore carries each variable with the slope
+tuple (s_0,) alone, so its products and divisions see two parts instead
+of n + 2, and recovers s_1..s_n for its report with ``Poly.derivative``.
+``sym_exchange`` takes variables with arbitrary slopes and works on full
+tuples; every operation of ``RationalDualExpr`` goes part by part and
+serves both.
+
 Along a genuine run X'_k is Laurent, so the division by X_k is exact.
 ``RationalDualExpr.div`` divides by the divisor's body β: the quotient's
 body q = N_b/β is one exact division, and when X_k has denominator 1
@@ -150,11 +165,16 @@ class NotLaurent:
 class RationalDualExpr:
     """(num_body + num_slope·ε) / den over x_1..x_n.
 
-    ``num_slope`` is split into parts (s_0, s_1, …, s_n) as in
-    ``DualLaurent``; every operation works part by part, and the
-    denominator is shared by the body and all slope parts.  A fraction
-    made by ``reduced`` names the reducer's path in ``reduction``, which
-    takes no part in equality.
+    ``num_slope`` holds the slope parts over the shared denominator:
+    all of (s_0, s_1, …, s_n) as in ``DualLaurent``, or (s_0,) alone for
+    a value known to keep s_i = ∂_i body, as the variables of
+    ``verify_laurent_run`` are.  Both operands of an operation have the
+    same number of parts, and every operation works part by part:
+    ``mul`` by the Leibniz rule, ``add`` by the sum rule, ``div`` by the
+    quotient rule and ``deform`` on s_0 only, so a value built from the
+    seeds keeps s_i/den = ∂_i(num_body/den) whether its parts are
+    carried or not.  A fraction made by ``reduced`` names the reducer's
+    path in ``reduction``, which takes no part in equality.
     """
 
     num_body: Poly
@@ -171,8 +191,9 @@ class RationalDualExpr:
         return cls(v.body, v.slope, Poly.one(v.n))
 
     @classmethod
-    def one(cls, n: int) -> "RationalDualExpr":
-        return cls(Poly.one(n), (Poly.zero(n),) * (n + 1), Poly.one(n))
+    def one(cls, n: int, parts: int | None = None) -> "RationalDualExpr":
+        """The unit, with the given number of slope parts (n + 1 by default)."""
+        return cls(Poly.one(n), (Poly.zero(n),) * (n + 1 if parts is None else parts), Poly.one(n))
 
     @property
     def term_count(self) -> int:
@@ -191,7 +212,7 @@ class RationalDualExpr:
         if e < 0:
             raise ValueError("negative power in exchange products")
         if e <= 1:
-            return self if e else RationalDualExpr.one(self.num_body.nvars)
+            return self if e else RationalDualExpr.one(self.num_body.nvars, len(self.num_slope))
         half = self.pow(e // 2)
         square = half.mul(half)
         return square.mul(self) if e & 1 else square
@@ -420,15 +441,25 @@ def _exchange_fraction(
     wq: WeightedQuiver, state: Sequence[RationalDualExpr], k: int
 ) -> RationalDualExpr:
     row = wq.quiver.b[k - 1]
-    out = _product([state[j].pow(c) for j, c in enumerate(row) if c > 0], wq.n)
-    into = _product([state[j].pow(-c) for j, c in enumerate(row) if c < 0], wq.n)
+    one = RationalDualExpr.one(wq.n, len(state[k - 1].num_slope))
+    out = _product([state[j].pow(c) for j, c in enumerate(row) if c > 0], one)
+    into = _product([state[j].pow(-c) for j, c in enumerate(row) if c < 0], one)
     numerator = out.add(into.deform(wq.weights[k - 1]))
     return numerator.div(state[k - 1])
 
 
-def _product(factors: list[RationalDualExpr], n: int) -> RationalDualExpr:
-    """The product of factors, starting from the first; one(n) when empty."""
-    return reduce(RationalDualExpr.mul, factors) if factors else RationalDualExpr.one(n)
+def _product(factors: list[RationalDualExpr], one: RationalDualExpr) -> RationalDualExpr:
+    """The product of factors, starting from the first; one when empty."""
+    return reduce(RationalDualExpr.mul, factors) if factors else one
+
+
+def _check_shape(v: DualLaurent, n: int) -> None:
+    """ValueError unless v's body and slope parts are in n variables and
+    its slope has all n + 1 parts; ``zip`` would silently drop the rest."""
+    if len(v.slope) != n + 1:
+        raise ValueError(f"expected a slope of {n + 1} parts, got {len(v.slope)}")
+    if any(part.nvars != n for part in (v.body, *v.slope)):
+        raise ValueError(f"expected polynomials in {n} variables")
 
 
 def sym_exchange(wq: WeightedQuiver, vars: Sequence[DualLaurent], k: int) -> DualLaurent:
@@ -441,6 +472,8 @@ def sym_exchange(wq: WeightedQuiver, vars: Sequence[DualLaurent], k: int) -> Dua
         raise VertexIndexError(f"vertex {k} outside 1..{wq.n}")
     if len(vars) != wq.n:
         raise ValueError(f"expected {wq.n} variables, got {len(vars)}")
+    for v in vars:
+        _check_shape(v, wq.n)
     state = [RationalDualExpr.from_dual(v) for v in vars]
     result = normalize(_exchange_fraction(wq, state, k))
     if isinstance(result, NotLaurent):
@@ -468,6 +501,29 @@ def _check_budget(frac: RationalDualExpr, budget: int, step: int, stage: str) ->
         )
 
 
+def _with_y_slopes(frac: RationalDualExpr, base: _FactorBase) -> RationalDualExpr:
+    """The full fraction of a reduced (N_b, (N_0,))/D, with s_i = ∂_i body.
+
+    When the body b = N_b/D is Laurent (D is 1 or divides N_b), the parts
+    are ∂_i b·D over the same D.  They are multiples of D, so the joint
+    gcd stays 1 and nothing is reduced again.  Otherwise the quotient
+    rule puts ∂_i N_b·D − N_b·∂_i D over D², and the fraction is reduced;
+    with a skew-symmetric exchange matrix the bodies are ordinary cluster
+    variables, Laurent by the Laurent phenomenon, so that route is the
+    general one and does not run there.
+    """
+    nb, (n0,), d = frac.num_body, frac.num_slope, frac.den
+    slots = range(nb.nvars)
+    body = nb if d.is_one() else nb.exact_div(d)
+    if body is None:
+        parts = [nb.derivative(i) * d - nb * d.derivative(i) for i in slots]
+        return RationalDualExpr(nb * d, (n0 * d, *parts), d * d).reduced(base)
+    parts = [body.derivative(i) for i in slots]
+    if not d.is_one():
+        parts = [part * d for part in parts]
+    return RationalDualExpr(nb, (n0, *parts), d)
+
+
 def verify_laurent_run(
     wq: WeightedQuiver,
     steps: int,
@@ -481,10 +537,17 @@ def verify_laurent_run(
     fraction, its denominator (the monomial one when Laurent, the
     offending part's otherwise) and the reducer's path.  The run
     continues through non-Laurent steps with reduced fractions, and
-    reduces over a factor base made of the bodies of its variables.  The
-    term budget is checked on the exchange fraction before it is reduced
-    and again after ("exchange" and "reduced" in the message of
-    BudgetExceededError), so reduction never starts on a fraction over it.
+    reduces over a factor base made of the bodies of its variables.
+
+    A variable is carried as (N_b, (N_0,))/D: its slope tuple is (s_0,),
+    since s_i = ∂_i body for i ≥ 1 (see the module docstring).  The seeds
+    are (x_i, (0,))/1.  Only the report fills in s_1..s_n, through
+    ``Poly.derivative`` (``_with_y_slopes``), so each reported variable
+    is the full fraction a run over all n + 2 parts would reach.  The
+    term budget is checked on the carried exchange fraction before it is
+    reduced ("exchange" in the message of BudgetExceededError), so
+    reduction never starts on a fraction over it, and on the full
+    reported variable ("reduced").
 
     With ``evolve_weights=False`` the given weight vector is forced
     unchanged on every cycle instead of following the weight mutation
@@ -492,7 +555,8 @@ def verify_laurent_run(
     generally breaks Laurentness, which is the point of the option.
     """
     n = wq.n
-    state = [RationalDualExpr.from_dual(v) for v in initial_variables(n)]
+    zero, one = Poly.zero(n), Poly.one(n)
+    state = [RationalDualExpr(Poly.variable(n, i), (zero,), one) for i in range(n)]
     current = wq
     base = _FactorBase()
     reports: list[StepReport] = []
@@ -500,20 +564,21 @@ def verify_laurent_run(
         frac = _exchange_fraction(current, state, 1)
         _check_budget(frac, budget, step, "exchange")
         frac = frac.reduced(base)
-        _check_budget(frac, budget, step, "reduced")
-        result = _classify(frac)
+        full = _with_y_slopes(frac, base)
+        _check_budget(full, budget, step, "reduced")
+        result = _classify(full)
         laurent = isinstance(result, DualLaurent)
         if laurent:
             variable, denominator = result, Poly.monomial(n, result.denominator_monomial())
         else:
-            variable, denominator = frac, result.denominator
-        slope_terms = frac.term_count - frac.num_body.term_count
+            variable, denominator = full, result.denominator
+        body_terms = full.num_body.term_count
         reports.append(
             StepReport(
                 step,
                 laurent,
-                frac.num_body.term_count,
-                slope_terms,
+                body_terms,
+                full.term_count - body_terms,
                 denominator,
                 variable,
                 frac.reduction,
@@ -548,6 +613,7 @@ def evaluate(v: DualLaurent, assignment: Sequence[DualScalar]) -> DualScalar:
     """
     if len(assignment) != v.n:
         raise ValueError(f"expected {v.n} assignments, got {len(assignment)}")
+    _check_shape(v, v.n)
     x = [s.body for s in assignment]
     try:
         s0, *parts = (part.evaluate(x) for part in v.slope)

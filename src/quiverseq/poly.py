@@ -204,6 +204,16 @@ class Poly:
             return -1
         return max(e[slot] for e in self.terms)
 
+    def derivative(self, slot: int) -> "Poly":
+        """Partial derivative in one variable, negative exponents included:
+        c·x^e becomes e_slot·c·x^(e − unit), and terms free of it drop."""
+        out = {}
+        for e, c in self.terms.items():
+            k = e[slot]
+            if k:
+                out[e[:slot] + (k - 1,) + e[slot + 1 :]] = k * c
+        return Poly(self.nvars, out)
+
     def coeff_in(self, slot: int, power: int) -> "Poly":
         """Coefficient of variable^power, as a polynomial with that slot zeroed."""
         out = {}

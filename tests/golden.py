@@ -11,7 +11,9 @@ reduction per part are the library's former kernels, kept as oracles for
 the packed kernels, the direct route and the single classifier.  The
 reducer that cancels the expanded denominator by its GCD with the
 numerators, and a held run built from it and the P² division, are the
-oracles of the factor-base reducer and the one division route.
+oracles of the factor-base reducer and the one division route.  That
+run, with the weights held or evolved, carries every slope part, so it
+is also the oracle of runs that carry s_0 alone.
 """
 
 from __future__ import annotations
@@ -436,27 +438,29 @@ def reduce_by_gcd(nums, den: Poly) -> tuple[list[Poly], Poly]:
     return nums, den
 
 
-def held_run_oracle(wq: WeightedQuiver, steps: int) -> list[tuple]:
+def held_run_oracle(wq: WeightedQuiver, steps: int, evolve_weights: bool = False) -> list[tuple]:
     """Rows (step, laurent, denominator, body terms, slope terms, variable)
-    of the cycle "mutate at vertex 1, shift labels" with the weights held.
+    of the cycle "mutate at vertex 1, shift labels" with the weights held,
+    or mutated along by ``WeightedQuiver.mutate`` when evolve_weights.
 
-    Every exchange divides through P² (``dual_div_squared``) and reduces
-    with ``reduce_by_gcd``; products are taken one factor at a time, and
-    each value is classified by ``normalize_per_part``.
+    Every variable carries all n + 1 slope parts.  Every exchange divides
+    through P² (``dual_div_squared``) and reduces with ``reduce_by_gcd``;
+    products are taken one factor at a time, and each value is classified
+    by ``normalize_per_part``.
     """
     n = wq.n
     state = [RationalDualExpr.from_dual(v) for v in initial_variables(n)]
-    quiver = wq.quiver
+    current = wq
     rows = []
     for step in range(1, steps + 1):
         out, into = RationalDualExpr.one(n), RationalDualExpr.one(n)
-        for j, c in enumerate(quiver.b[0]):
+        for j, c in enumerate(current.quiver.b[0]):
             for _ in range(abs(c)):
                 if c > 0:
                     out = out.mul(state[j])
                 else:
                     into = into.mul(state[j])
-        exchange = dual_div_squared(out.add(into.deform(wq.weights[0])), state[0])
+        exchange = dual_div_squared(out.add(into.deform(current.weights[0])), state[0])
         (nb, *ns), den = reduce_by_gcd((exchange.num_body, *exchange.num_slope), exchange.den)
         frac = RationalDualExpr(nb, tuple(ns), den)
         result = normalize_per_part(frac)
@@ -468,5 +472,8 @@ def held_run_oracle(wq: WeightedQuiver, steps: int) -> list[tuple]:
         slope_terms = frac.term_count - nb.term_count
         rows.append((step, laurent, denominator, nb.term_count, slope_terms, variable))
         state = state[1:] + [frac]
-        quiver = quiver.mutate(1).rotate()
+        if evolve_weights:
+            current = current.mutate(1).rotate()
+        else:
+            current = WeightedQuiver(current.quiver.mutate(1).rotate(), current.weights)
     return rows

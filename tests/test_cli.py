@@ -326,6 +326,24 @@ class TestLaurent:
         assert err.value.code == 2
         assert "QUIVERSEQ_BUDGET" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env", ["0", "-1"])
+    def test_budget_env_not_positive_is_usage_error(
+        self, somos4a_weighted_path, monkeypatch, capsys, env
+    ):
+        monkeypatch.setenv("QUIVERSEQ_BUDGET", env)
+        with pytest.raises(SystemExit) as err:
+            main(["laurent", "--quiver", somos4a_weighted_path, "--steps", "1"])
+        assert err.value.code == 2
+        assert f"QUIVERSEQ_BUDGET must be a positive integer, got {env!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "many"])
+    def test_non_positive_budget_is_usage_error(self, somos4a_weighted_path, budget, capsys):
+        argv = ["laurent", "--quiver", somos4a_weighted_path, "--steps", "1", "--budget", budget]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert repr(budget) in capsys.readouterr().err
+
     @pytest.mark.parametrize("steps", ["-3", "0", "two"])
     def test_non_positive_steps_is_usage_error(self, somos4a_weighted_path, steps, capsys):
         with pytest.raises(SystemExit) as err:

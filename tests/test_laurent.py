@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quiverseq import laurent
@@ -21,6 +21,7 @@ from quiverseq.laurent import (
     ZeroBodyDivisionError,
     _FactorBase,
     _reduce,
+    _with_y_slopes,
     evaluate,
     initial_variables,
     normalize,
@@ -148,6 +149,21 @@ class TestSymExchange:
         zero_body = _dual(Poly.zero(6), Poly.variable(6, 3))
         with pytest.raises(ZeroBodyDivisionError):
             sym_exchange(wq, [zero_body, X[1], X[2]], 1)
+
+    def test_slope_of_the_wrong_length_is_refused(self):
+        # zip would truncate the exchange to the shortest slope tuple
+        wq = neg_p31_weighted()
+        X = initial_variables(3)
+        short = DualLaurent(X[0].body, X[0].slope[:2])
+        with pytest.raises(ValueError, match="slope of 4 parts, got 2"):
+            sym_exchange(wq, [short, X[1], X[2]], 1)
+
+    def test_part_in_the_wrong_number_of_variables_is_refused(self):
+        wq = neg_p31_weighted()
+        X = initial_variables(3)
+        wide = DualLaurent(X[0].body, (*X[0].slope[:3], Poly.zero(4)))
+        with pytest.raises(ValueError, match="in 3 variables"):
+            sym_exchange(wq, [wide, X[1], X[2]], 1)
 
     def test_non_monomial_divisor_is_a_body_offender(self):
         wq = neg_p31_weighted()
@@ -404,9 +420,12 @@ class TestVerifyRun:
             verify_laurent_run(somos4_weighted(), 8, budget=50)
 
     def test_budget_stops_the_exchange_fraction_before_reduction(self, monkeypatch):
-        # Held P(3,1) step 6: 310 terms before reduction, 265 after.
+        # Held P(3,1): step 6 carries 125 terms (body and s_0) before
+        # reduction, and its full reported variable has 265; step 5's has 124.
         wq = WeightedQuiver(primitive(3, 1), (1, 0, -1))
-        assert len(verify_laurent_run(wq, 6, budget=310, evolve_weights=False)) == 6
+        assert len(verify_laurent_run(wq, 6, budget=265, evolve_weights=False)) == 6
+        with pytest.raises(BudgetExceededError, match=r"^step 6: 265 terms of the reduced fraction"):
+            verify_laurent_run(wq, 6, budget=264, evolve_weights=False)
         sizes = []
 
         def recording(nums, *rest):
@@ -414,9 +433,9 @@ class TestVerifyRun:
             return _reduce(nums, *rest)
 
         monkeypatch.setattr(laurent, "_reduce", recording)
-        with pytest.raises(BudgetExceededError, match=r"^step 6: 310 terms of the exchange fraction"):
-            verify_laurent_run(wq, 6, budget=300, evolve_weights=False)
-        assert sizes and max(sizes) < 300
+        with pytest.raises(BudgetExceededError, match=r"^step 6: 125 terms of the exchange fraction"):
+            verify_laurent_run(wq, 6, budget=124, evolve_weights=False)
+        assert sizes and max(sizes) < 124
 
     def test_budget_checks_the_reduced_fraction(self, monkeypatch):
         # A reducer that pads numerators and denominator by the same
@@ -546,6 +565,59 @@ class TestFactorBase:
         assert [r.reduction for r in _held(3, (1, 0, -1), 8)] == ["monomial"] * 3 + ["factor"] * 5
 
 
+@st.composite
+def small_runs(draw):
+    """(wq, evolve): skew-symmetric B with n = 3 or 4 and entries in −2..2,
+    weights in −2..2, evolved along the run or held."""
+    n = draw(st.sampled_from([3, 4]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(min_value=-2, max_value=2))
+            rows[j][i] = -rows[i][j]
+    weights = draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * n))
+    return WeightedQuiver(Quiver.from_rows(rows), weights), draw(st.booleans())
+
+
+class TestCarriedSlopes:
+    """Runs carry (s_0,) and rebuild s_i = ∂_i body; the oracle carries all parts."""
+
+    STEPS = 4
+
+    @given(small_runs())
+    @settings(max_examples=40, deadline=None)
+    def test_run_matches_the_full_tuple_oracle(self, case):
+        wq, evolve = case
+        # An exchange of degree over 6 makes the oracle's expanded GCDs slow.
+        q = wq.quiver
+        for _ in range(self.STEPS):
+            assume(sum(map(abs, q.b[0])) <= 6)
+            q = q.mutate(1).rotate()
+        names = var_names(wq.n)
+        got = [
+            (r.step, r.is_laurent, r.denominator.format(names), r.body_terms, r.slope_terms,
+             r.variable.sexpr())
+            for r in verify_laurent_run(wq, self.STEPS, evolve_weights=evolve)
+        ]
+        expected = [
+            (step, laurent_, den.format(names), body_terms, slope_terms, variable.sexpr())
+            for step, laurent_, den, body_terms, slope_terms, variable in held_run_oracle(
+                wq, self.STEPS, evolve
+            )
+        ]
+        assert got == expected
+
+    def test_non_laurent_body_takes_the_quotient_rule(self):
+        # body x1/(x1 + x2), s_0 = x2/(x1 + x2): ∂_1 body = x2/(x1 + x2)²
+        # and ∂_2 body = −x1/(x1 + x2)².
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        d = x1 + x2
+        carried = RationalDualExpr(x1, (x2,), d)
+        full = _with_y_slopes(carried, _FactorBase())
+        assert full == RationalDualExpr(x1 * d, (x2 * d, x2, -x1), d * d)
+        assert normalize(full) == NotLaurent("body", d)
+
+
 class TestEvaluate:
     def test_identity_fraction(self):
         X = initial_variables(2)
@@ -557,6 +629,14 @@ class TestEvaluate:
         v = _dual(Poly.monomial(4, (-1, 0, 0, 0)), Poly.zero(4))
         with pytest.raises(ZeroAtPoleError):
             evaluate(v, [DualScalar(0, 1), DualScalar(1, 0)])
+
+    def test_slope_of_the_wrong_shape_is_refused(self):
+        x1 = Poly.variable(2, 0)
+        at = [DualScalar(1, 1), DualScalar(1, 1)]
+        with pytest.raises(ValueError, match="slope of 3 parts, got 2"):
+            evaluate(DualLaurent(x1, (x1, x1)), at)
+        with pytest.raises(ValueError, match="in 2 variables"):
+            evaluate(DualLaurent(x1, (x1, x1, Poly.one(3))), at)
 
     def test_somos_values(self):
         symbolic = symbolic_sequence(somos4_weighted(), 2)

@@ -274,6 +274,23 @@ class TestGcd:
         assert points[0] > first
 
 
+class TestDerivative:
+    def test_negative_exponents(self):
+        # 3·x^-2·y + 5·y + x^3
+        p = make(2, [((-2, 1), 3), ((0, 1), 5), ((3, 0), 1)])
+        assert p.derivative(0) == make(2, [((-3, 1), -6), ((2, 0), 3)])
+        assert p.derivative(1) == make(2, [((-2, 0), 3), ((0, 0), 5)])
+
+    def test_constant_and_zero(self):
+        assert Poly.const(2, 7).derivative(0) == Poly.zero(2)
+        assert Poly.zero(2).derivative(1) == Poly.zero(2)
+
+    @given(small_polys(), small_polys(), st.sampled_from([0, 1]))
+    @settings(max_examples=50, deadline=None)
+    def test_leibniz_rule(self, p, q, slot):
+        assert (p * q).derivative(slot) == p.derivative(slot) * q + p * q.derivative(slot)
+
+
 class TestEvaluate:
     def test_point(self):
         p = 3 * x * x * y - 2
