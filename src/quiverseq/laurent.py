@@ -555,6 +555,8 @@ def verify_laurent_run(
     generally breaks Laurentness, which is the point of the option.
     """
     n = wq.n
+    if n < 1:
+        raise VertexIndexError(f"vertex 1 outside 1..{n}")
     zero, one = Poly.zero(n), Poly.one(n)
     state = [RationalDualExpr(Poly.variable(n, i), (zero,), one) for i in range(n)]
     current = wq

@@ -10,9 +10,10 @@ division first and only falls back to the full GCD.
 The GCD is the heuristic GCDHEU of Char, Geddes & Gonnet (JSC 1989):
 evaluate one variable at a large integer, recurse down to integer gcds,
 rebuild the gcd or a cofactor from symmetric base-xi digits and accept
-the result only if it divides both inputs exactly.  Primitive PRS
-(pseudo-remainder sequences) remains the fallback for inputs on which
-every evaluation point fails, and the reference the tests compare against.
+the result only if it divides both inputs exactly.  The evaluation point
+grows until that happens, which it always does, so GCDHEU is the only
+GCD algorithm; primitive PRS (pseudo-remainder sequences) lives in the
+tests as their reference.
 
 Monomial order is lexicographic on the exponent tuple; for division by a
 single divisor that is all we need (leading monomials multiply).
@@ -214,22 +215,6 @@ class Poly:
                 out[e[:slot] + (k - 1,) + e[slot + 1 :]] = k * c
         return Poly(self.nvars, out)
 
-    def coeff_in(self, slot: int, power: int) -> "Poly":
-        """Coefficient of variable^power, as a polynomial with that slot zeroed."""
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[slot] == power:
-                out[exps[:slot] + (0,) + exps[slot + 1 :]] = c
-        return Poly(self.nvars, out)
-
-    def shift_var(self, slot: int, k: int) -> "Poly":
-        if k == 0:
-            return self
-        return Poly(
-            self.nvars,
-            {e[:slot] + (e[slot] + k,) + e[slot + 1 :]: c for e, c in self.terms.items()},
-        )
-
     # -- division and gcd --------------------------------------------------
 
     def exact_div(self, divisor: "Poly") -> "Poly | None":
@@ -389,75 +374,7 @@ def _unpack(nvars: int, packed: dict[int, int], lo, weights) -> Poly:
     return Poly(nvars, terms)
 
 
-# -- multivariate gcd fallback and reference (primitive PRS) ---------------
-
-
-def _positive_lead(p: Poly) -> Poly:
-    if p.is_zero():
-        return p
-    _, c = p.lex_lead()
-    return -p if c < 0 else p
-
-
-def _content_wrt(p: Poly, slot: int) -> Poly:
-    """GCD of the coefficients of p viewed as a polynomial in one variable."""
-    groups: dict[int, Poly] = {}
-    for exps, c in p.terms.items():
-        k = exps[slot]
-        base = exps[:slot] + (0,) + exps[slot + 1 :]
-        g = groups.setdefault(k, Poly(p.nvars))
-        g.terms[base] = g.terms.get(base, 0) + c
-    result = Poly.zero(p.nvars)
-    for g in groups.values():
-        result = _gcd_nonneg(result, g)
-    return result
-
-
-def _prem(a: Poly, b: Poly, slot: int) -> Poly:
-    """Pseudo-remainder of a by b in the given variable (up to lc powers)."""
-    db = b.degree(slot)
-    lcb = b.coeff_in(slot, db)
-    r = a
-    while not r.is_zero() and r.degree(slot) >= db:
-        dr = r.degree(slot)
-        lr = r.coeff_in(slot, dr)
-        r = lcb * r - (lr * b).shift_var(slot, dr - db)
-    return r
-
-
-def _gcd_nonneg(a: Poly, b: Poly) -> Poly:
-    if a.is_zero():
-        return _positive_lead(b)
-    if b.is_zero():
-        return _positive_lead(a)
-    if a.is_constant() or b.is_constant():
-        return Poly.const(a.nvars, int_gcd(a.content(), b.content()))
-    slot = next(
-        i for i in range(a.nvars) if a.degree(i) > 0 or b.degree(i) > 0
-    )
-    ca = _content_wrt(a, slot)
-    cb = _content_wrt(b, slot)
-    d = _gcd_nonneg(ca, cb)
-    pa = a.exact_div(ca)
-    pb = b.exact_div(cb)
-    if pa.degree(slot) < pb.degree(slot):
-        pa, pb = pb, pa
-    while True:
-        r = _prem(pa, pb, slot)
-        if r.is_zero():
-            g = pb
-            break
-        if r.degree(slot) == 0:
-            g = Poly.one(a.nvars)
-            break
-        pa, pb = pb, r.exact_div(_content_wrt(r, slot))
-    return _positive_lead(d * g)
-
-
 # -- multivariate gcd (heuristic, GCDHEU) ------------------------------------
-
-# Evaluation points tried before giving up; each is larger than the last.
-_HEU_POINTS = 6
 
 
 def _strip(p: Poly, mins: tuple[int, ...], content: int) -> Poly:
@@ -534,14 +451,25 @@ def _heu_candidate(
     return None
 
 
-def _heu_gcd(f: Poly, g: Poly) -> Poly | None:
-    """GCD of two nonzero polynomials with nonnegative exponents, or None.
+def _heu_gcd(f: Poly, g: Poly) -> Poly:
+    """GCD of two nonzero polynomials with nonnegative exponents.
 
     The gcd of the monomial factors and of the integer contents is split
     off first.  For the rest, the first variable present (the most
     significant one in lex order) is evaluated at xi, the gcd of the
-    images is found recursively and _heu_candidate lifts it back.  Up to
-    _HEU_POINTS growing values of xi are tried; None means all failed.
+    images is found recursively and _heu_candidate lifts it back; xi
+    grows until a candidate divides both inputs.
+
+    The loop ends.  Let G = gcd(f, g) with cofactors F' and G'.  They are
+    coprime, so A·F' + B·G' = R for some polynomials A, B and a fixed
+    nonzero R free of the evaluated variable.  Hence for all but finitely
+    many xi (the roots of F' or G' modulo an irreducible factor of R, and
+    the roots that make an image zero) the gcd of the images is G(xi)
+    times an integer c dividing the content of R.  Each step multiplies
+    xi by at least 2.7, from at least 31, so xi soon also divides no
+    coefficient and exceeds 2·|c|·‖G‖∞; then gamma's digits are c·G, whose
+    primitive part G divides both inputs.  The recursion answers too, by
+    induction on the number of variables.
     """
     nvars = f.nvars
     fmin, gmin = f.min_exponents(), g.min_exponents()
@@ -559,23 +487,17 @@ def _heu_gcd(f: Poly, g: Poly) -> Poly | None:
         min(bound, 99 * isqrt(bound)),
         2 * min(fnorm // abs(f.lex_lead()[1]), gnorm // abs(g.lex_lead()[1])) + 4,
     )
-    for attempt in range(_HEU_POINTS):
-        if attempt:
-            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-        if any(c % xi == 0 for c in f.terms.values()) and any(
-            c % xi == 0 for c in g.terms.values()
+    while True:
+        if not (
+            any(c % xi == 0 for c in f.terms.values())
+            and any(c % xi == 0 for c in g.terms.values())
         ):
-            continue
-        ff, gg = _evaluate_at(f, slot, xi), _evaluate_at(g, slot, xi)
-        if ff.is_zero() or gg.is_zero():
-            continue
-        gamma = _heu_gcd(ff, gg)
-        if gamma is None:
-            return None
-        h = _heu_candidate(f, g, ff, gg, gamma, slot, xi)
-        if h is not None:
-            return Poly(nvars, {e: c * content for e, c in h.terms.items()}).shift(mono)
-    return None
+            ff, gg = _evaluate_at(f, slot, xi), _evaluate_at(g, slot, xi)
+            if not (ff.is_zero() or gg.is_zero()):
+                h = _heu_candidate(f, g, ff, gg, _heu_gcd(ff, gg), slot, xi)
+                if h is not None:
+                    return Poly(nvars, {e: c * content for e, c in h.terms.items()}).shift(mono)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -583,13 +505,13 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
     Monomial factors are units, so they are stripped from the inputs and
     never appear in the result; the result has a positive lex-leading
-    coefficient and carries the gcd of the integer contents.  The
-    heuristic GCDHEU runs first; primitive PRS runs only when it gives
-    up, and both return the same polynomial.
+    coefficient and carries the gcd of the integer contents.  The gcd of
+    zero and q is q so normalized; otherwise GCDHEU (``_heu_gcd``), which
+    always answers, is the only algorithm.
     """
     a = p if p.is_zero() else p.shift(tuple(-m for m in p.min_exponents()))
     b = q if q.is_zero() else q.shift(tuple(-m for m in q.min_exponents()))
     if a.is_zero() or b.is_zero():
-        return _gcd_nonneg(a, b)
-    g = _heu_gcd(a, b)
-    return _gcd_nonneg(a, b) if g is None else g
+        g = b if a.is_zero() else a
+        return -g if g.terms and g.lex_lead()[1] < 0 else g
+    return _heu_gcd(a, b)

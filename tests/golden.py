@@ -6,9 +6,10 @@ the bilinear families, a linearized slope solver, an iterative
 Fibonacci/Lucas generator, a dense Gaussian solver over Fractions for the
 weight-function linear system, and a naive re-statement of the weight
 mutation rule.  The polynomial product and exact division keyed by
-exponent tuples, dual division through P², and normalization by one
-reduction per part are the library's former kernels, kept as oracles for
-the packed kernels, the direct route and the single classifier.  The
+exponent tuples, dual division through P², normalization by one
+reduction per part and the primitive PRS gcd are the library's former
+kernels, kept as oracles for the packed kernels, the direct route, the
+single classifier and GCDHEU; PRS and SymPy are the two GCD oracles.  The
 reducer that cancels the expanded denominator by its GCD with the
 numerators, and a held run built from it and the P² division, are the
 oracles of the factor-base reducer and the one division route.  That
@@ -19,6 +20,7 @@ is also the oracle of runs that carry s_0 alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as int_gcd
 from typing import Sequence
 
 from quiverseq.laurent import (
@@ -362,6 +364,94 @@ def tuple_exact_div(self: Poly, divisor: Poly) -> Poly | None:
                 rem.pop(ke, None)
     back = tuple(a - b for a, b in zip(smin, dmin))
     return Poly(self.nvars, quot).shift(back)
+
+
+def _positive_lead(p: Poly) -> Poly:
+    if p.is_zero():
+        return p
+    _, c = p.lex_lead()
+    return -p if c < 0 else p
+
+
+def _coeff_in(p: Poly, slot: int, power: int) -> Poly:
+    """Coefficient of variable^power, as a polynomial with that slot zeroed."""
+    out = {}
+    for exps, c in p.terms.items():
+        if exps[slot] == power:
+            out[exps[:slot] + (0,) + exps[slot + 1 :]] = c
+    return Poly(p.nvars, out)
+
+
+def _shift_var(p: Poly, slot: int, k: int) -> Poly:
+    if k == 0:
+        return p
+    return Poly(
+        p.nvars,
+        {e[:slot] + (e[slot] + k,) + e[slot + 1 :]: c for e, c in p.terms.items()},
+    )
+
+
+def _content_wrt(p: Poly, slot: int) -> Poly:
+    """GCD of the coefficients of p viewed as a polynomial in one variable."""
+    groups: dict[int, Poly] = {}
+    for exps, c in p.terms.items():
+        k = exps[slot]
+        base = exps[:slot] + (0,) + exps[slot + 1 :]
+        g = groups.setdefault(k, Poly(p.nvars))
+        g.terms[base] = g.terms.get(base, 0) + c
+    result = Poly.zero(p.nvars)
+    for g in groups.values():
+        result = prs_gcd(result, g)
+    return result
+
+
+def _prem(a: Poly, b: Poly, slot: int) -> Poly:
+    """Pseudo-remainder of a by b in the given variable (up to lc powers)."""
+    db = b.degree(slot)
+    lcb = _coeff_in(b, slot, db)
+    r = a
+    while not r.is_zero() and r.degree(slot) >= db:
+        dr = r.degree(slot)
+        lr = _coeff_in(r, slot, dr)
+        r = lcb * r - _shift_var(lr * b, slot, dr - db)
+    return r
+
+
+def prs_gcd(a: Poly, b: Poly) -> Poly:
+    """GCD of two polynomials with nonnegative exponents by primitive PRS.
+
+    The content in the first variable present is split off recursively,
+    then pseudo-remainders of the primitive parts are made primitive until
+    one vanishes.  The result has a positive lex-leading coefficient, as
+    ``poly_gcd``'s does.  Some small inputs in three variables take it
+    tens of seconds, so the library does not use it.
+    """
+    if a.is_zero():
+        return _positive_lead(b)
+    if b.is_zero():
+        return _positive_lead(a)
+    if a.is_constant() or b.is_constant():
+        return Poly.const(a.nvars, int_gcd(a.content(), b.content()))
+    slot = next(
+        i for i in range(a.nvars) if a.degree(i) > 0 or b.degree(i) > 0
+    )
+    ca = _content_wrt(a, slot)
+    cb = _content_wrt(b, slot)
+    d = prs_gcd(ca, cb)
+    pa = a.exact_div(ca)
+    pb = b.exact_div(cb)
+    if pa.degree(slot) < pb.degree(slot):
+        pa, pb = pb, pa
+    while True:
+        r = _prem(pa, pb, slot)
+        if r.is_zero():
+            g = pb
+            break
+        if r.degree(slot) == 0:
+            g = Poly.one(a.nvars)
+            break
+        pa, pb = pb, r.exact_div(_content_wrt(r, slot))
+    return _positive_lead(d * g)
 
 
 def dual_div_squared(self: RationalDualExpr, other: RationalDualExpr) -> RationalDualExpr:

@@ -419,6 +419,24 @@ class TestMalformedQuiver:
         assert (status, output) == (1, "")
         assert capsys.readouterr().err.startswith("error: QuiverFormatError: invalid JSON: ")
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("mutate", ["--at", "1"]),
+            ("weight", []),
+            ("period", []),
+            ("laurent", ["--steps", "2"]),
+            ("seq", []),
+            ("decompose", []),
+        ],
+    )
+    def test_quiver_without_vertices(self, tmp_path, command, extra, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"b": [], "w": []}')
+        status, output = run_cli([command, "--quiver", str(path), *extra])
+        assert (status, output) == (1, "")
+        assert capsys.readouterr().err == "error: VertexIndexError: vertex 1 outside 1..0\n"
+
 
 class TestCatalog:
     def test_lists_families(self):

@@ -32,7 +32,7 @@ from quiverseq.laurent import (
 )
 from quiverseq.periodicity import primitive, solve_weight
 from quiverseq.poly import Poly
-from quiverseq.quiver import Quiver, WeightedQuiver
+from quiverseq.quiver import Quiver, VertexIndexError, WeightedQuiver
 from quiverseq.seqgen import builtin, quiver_to_spec, run
 
 from golden import (
@@ -414,6 +414,12 @@ class TestVerifyRun:
             symbolic_sequence(wq, 6)
         assert err.value.failure.part == "slope"
         assert err.value.failure.denominator.format(var_names(3)) == "x2*x3 + 1"
+
+    @pytest.mark.parametrize("build", [verify_laurent_run, symbolic_sequence])
+    def test_quiver_without_vertices(self, build):
+        wq = WeightedQuiver(Quiver.from_rows([]), ())
+        with pytest.raises(VertexIndexError, match=r"^vertex 1 outside 1\.\.0$"):
+            build(wq, 2)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverseq.poly as poly_module
-from quiverseq.poly import Poly, _gcd_nonneg, poly_gcd
+from quiverseq.poly import Poly, poly_gcd
 
-from golden import tuple_exact_div, tuple_mul
+from golden import prs_gcd, tuple_exact_div, tuple_mul
 
 
 def P(nvars=2, **terms):
@@ -79,11 +80,6 @@ def packed_pairs(draw):
 def unit_free(p):
     """p with its monomial factor (a unit in the Laurent ring) removed."""
     return p if p.is_zero() else p.shift(tuple(-m for m in p.min_exponents()))
-
-
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
 
 
 class TestArithmetic:
@@ -218,11 +214,11 @@ class TestGcd:
     @settings(max_examples=80, deadline=None)
     def test_equals_prs_reference(self, a, b, g):
         a, b = a * g, b * g
-        assert poly_gcd(a, b) == _gcd_nonneg(unit_free(a), unit_free(b))
+        assert poly_gcd(a, b) == prs_gcd(unit_free(a), unit_free(b))
 
     @given(triple=gcd_triples())
     @settings(max_examples=80, deadline=None)
-    def test_matches_sympy(self, sympy, triple):
+    def test_matches_sympy(self, triple):
         a, b, g = triple
         a, b = unit_free(a * g), unit_free(b * g)
         gens = sympy.symbols(f"v0:{a.nvars}")
@@ -241,19 +237,55 @@ class TestGcd:
         common = 10**7 * x - y
         assert poly_gcd(common * (x + 1), common * (x + 2)) == common
 
-    def test_prs_fallback_when_heuristic_gives_up(self, monkeypatch):
-        prs_calls = []
+    @given(triple=gcd_triples(), k=st.integers(min_value=-2, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_and_unit_invariant(self, triple, k):
+        # GCDHEU tries the cofactor of the first input before the second's.
+        a, b, g = triple
+        a, b = a * g, b * g
+        unit = Poly.monomial(a.nvars, (k,) + (0,) * (a.nvars - 1), -1)
+        assert poly_gcd(a, b) == poly_gcd(b, a) == poly_gcd(unit * a, b)
 
-        def prs(a, b):
-            prs_calls.append((a, b))
-            return _gcd_nonneg(a, b)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_cofactor_candidate_must_divide_the_other_input(self, swap):
+        # At x = 35 the images are -3675·y - 1 and 2·y + 3, whose values at
+        # y = 35 share the factor 73.  The cofactor of 2·y + 3 read off
+        # gamma = 73 makes 2·y + 3 a candidate that divides one image but
+        # not the other; it must be refused and the next point tried.
+        f, g = -y * y - 3 * x * x * y**3, 2 * y * y + 3 * y
+        assert poly_gcd(*((g, f) if swap else (f, g))) == one
 
-        monkeypatch.setattr(poly_module, "_heu_gcd", lambda f, g: None)
-        monkeypatch.setattr(poly_module, "_gcd_nonneg", prs)
+    @pytest.mark.parametrize(
+        "p, q, want",
+        [
+            (Poly.zero(2), make(2, [((-1, 0), 4), ((0, 0), -2)]), 2 * x - 4),
+            (make(2, [((-1, 0), 4), ((0, 0), -2)]), Poly.zero(2), 2 * x - 4),
+            (Poly.zero(2), Poly.zero(2), Poly.zero(2)),
+            (Poly.zero(2), Poly.monomial(2, (2, -3), -5), Poly.const(2, 5)),
+        ],
+    )
+    def test_zero_input(self, p, q, want):
+        assert poly_gcd(p, q) == want
+
+    def test_answers_past_the_old_cap(self, monkeypatch):
+        # Refuse every candidate at the first six top-level points, the
+        # number tried before GCDHEU gave up; it must go on to a seventh.
+        top_points = []
+        candidate = poly_module._heu_candidate
+
+        def refuse_first_six(f, g, ff, gg, gamma, slot, xi):
+            if slot == 0:
+                top_points.append(xi)
+                if len(top_points) <= 6:
+                    return None
+            return candidate(f, g, ff, gg, gamma, slot, xi)
+
+        monkeypatch.setattr(poly_module, "_heu_candidate", refuse_first_six)
         common = x * y + 1
-        g = poly_gcd(4 * x * common * (x + y), 6 * common * (x - y + 3))
-        assert g == 2 * common
-        assert prs_calls
+        f, g = 4 * x * common * (x + y), 6 * common * (x - y + 3)
+        assert poly_gcd(f, g) == prs_gcd(unit_free(f), unit_free(g)) == 2 * common
+        assert len(top_points) == 7
+        assert top_points == sorted(set(top_points))
 
     def test_skips_a_point_that_divides_coefficients(self, monkeypatch):
         # Both norms and leading coefficients are m, so the first point is
@@ -270,7 +302,7 @@ class TestGcd:
             return evaluate(p, slot, xi)
 
         monkeypatch.setattr(poly_module, "_evaluate_at", spy)
-        assert poly_gcd(f, g) == _gcd_nonneg(f, g) == one
+        assert poly_gcd(f, g) == prs_gcd(f, g) == one
         assert points[0] > first
 
 
