@@ -2,14 +2,18 @@
 
 A symbolic vertex variable is a dual value  body + slope·ε  in the seed
 variables X_i = x_i + y_i·ε.  Because ε² = 0, slopes only ever multiply
-bodies, so every slope is linear in the y's:
-
-    slope = s_0(x) + y_1·s_1(x) + … + y_n·s_n(x).
-
-A slope is therefore stored as the tuple (s_0, s_1, …, s_n) of integer
-Laurent polynomials in x_1..x_n, and bodies and denominators are
-polynomials in the x's alone.  Only printing joins the parts back into
-one polynomial over x_1..x_n, y_1..y_n.
+bodies, so every slope is linear in the y's, s_0 + y_1·s_1 + … + y_n·s_n
+with s_i integer Laurent polynomials in x_1..x_n.  Dual numbers
+differentiate: a rational expression F in the X's evaluates to
+F(x) + ε·Σ y_i·∂_i F(x) (Griewank & Walther, "Evaluating Derivatives",
+SIAM 2008), and the weights' factors (1 + w·ε) only add y-free terms, so
+s_i = ∂_i body for i ≥ 1.  A value is therefore stored as body and s_0
+alone, over one denominator in the x's: the seed X_j is (x_j, 0);
+``mul``, ``add`` and ``div`` follow the Leibniz, sum and quotient rules,
+and ``deform`` touches only s_0.  One function, ``_full_fraction``,
+rebuilds s_1..s_n with ``Poly.derivative`` for printing, evaluation and
+the reported term counts; printing joins the parts into one polynomial
+over x_1..x_n, y_1..y_n.
 
 An exchange step at vertex k computes
 
@@ -22,48 +26,31 @@ exponents.  ``verify_laurent_run`` iterates the cycle "mutate at vertex
 1, shift labels" and reports Laurent-or-not per step, continuing with
 reduced fractions either way.
 
-The y-parts are derivatives of the body.  A rational expression F in
-the X's evaluates to F(x) + ε·Σ y_i·∂_i F(x), since ε² = 0 (forward-mode
-differentiation by dual numbers; Griewank & Walther, "Evaluating
-Derivatives", SIAM 2008), and the weights' factors (1 + w·ε) only add
-y-free terms.  So every variable of a run has s_i = ∂_i body for
-i ≥ 1, and each operation keeps that: the seed X_j has body x_j and
-s_i = δ_ij = ∂_i x_j; ``mul``, ``add`` and ``div`` combine the parts by
-the Leibniz, sum and quotient rules; ``deform`` touches only s_0.
-``verify_laurent_run`` therefore carries each variable with the slope
-tuple (s_0,) alone, so its products and divisions see two parts instead
-of n + 2, and recovers s_1..s_n for its report with ``Poly.derivative``.
-``sym_exchange`` takes variables with arbitrary slopes and works on full
-tuples; every operation of ``RationalDualExpr`` goes part by part and
-serves both.
-
 Along a genuine run X'_k is Laurent, so the division by X_k is exact.
 ``RationalDualExpr.div`` divides by the divisor's body β: the quotient's
 body q = N_b/β is one exact division, and when X_k has denominator 1
-(whenever the previous steps were Laurent) the slope parts are divided
-by β as well, so a Laurent result leaves nothing to reduce.  When they
-do not divide, the numerators already computed stay over the
-denominator times β; only when β or q is not exact does the division
-multiply through by (P − Q·ε)/P².
+(whenever the previous steps were Laurent) s_0 is divided by β as well,
+so a Laurent result leaves nothing to reduce.  When it does not divide,
+the numerators already computed stay over the denominator times β; only
+when β or q is not exact does the division multiply through by
+(P − Q·ε)/P².
 
 All cancellation goes through one reducer, ``_reduce``: fold the
 monomial part of the denominator, try one trial division, then split
 the denominator over a factor base and cancel it factor by factor, and
 only when that fails take the GCD of the expanded denominator with the
-numerators.  ``verify_laurent_run`` keeps the factor base: the body
-numerators of the run's variables.  In every run tried with the weights
-held off their mutation rule, each denominator is a product of such
+numerators.  ``verify_laurent_run`` keeps the factor base: the bodies of
+the run's variables.  In every run tried with the weights held off
+their mutation rule, each denominator is a product of such bodies'
 numerators, which are cluster variables and so irreducible (Geiss,
 Leclerc & Schröer, "Factorial cluster algebras", Doc. Math. 18, 2013),
 times a monomial and a constant.  Exactness does not rest on that: a
 factor that stops dividing some numerator is kept only with the
 certificate gcd(factor, numerator) = 1, computed on the small factor.
-``RationalDualExpr.reduced`` runs the reducer once on the body and all
-slope parts together and records its path.  One classifier,
-``_classify``, then names the outcome of a jointly reduced fraction:
-Laurent when its denominator is 1, otherwise the part that fails and
-its denominator.  ``normalize``, ``sym_exchange``, ``verify_laurent_run``
-and ``symbolic_sequence`` all go through it.
+``RationalDualExpr.reduced`` runs the reducer once on body and s_0
+together and records its path; one classifier, ``_classify``, names the
+outcome: Laurent when the reduced denominator is 1, otherwise the part
+that fails and its denominator.
 """
 
 from __future__ import annotations
@@ -122,17 +109,21 @@ def _slope_sexpr(slope: tuple[Poly, ...]) -> str:
 class DualLaurent:
     """A normalized dual Laurent value  body + slope·ε.
 
-    ``body`` is a Laurent polynomial in x_1..x_n, and ``slope`` is the
-    tuple (s_0, s_1, …, s_n) of Laurent polynomials in the same x's that
-    stands for s_0 + Σ y_i·s_i.
+    ``body`` and ``s0`` are Laurent polynomials in x_1..x_n.  The slope
+    is s_0 + Σ y_i·s_i with s_i = ∂_i body, and ``slope`` derives the
+    tuple (s_0, s_1, …, s_n).
     """
 
     body: Poly
-    slope: tuple[Poly, ...]
+    s0: Poly
 
     @property
     def n(self) -> int:
         return self.body.nvars
+
+    @property
+    def slope(self) -> tuple[Poly, ...]:
+        return _full_fraction(RationalDualExpr.from_dual(self))[1]
 
     def denominator_monomial(self) -> tuple[int, ...]:
         """x-exponents of the common monomial denominator (all ≥ 0)."""
@@ -147,10 +138,7 @@ class DualLaurent:
 
 def initial_variables(n: int) -> list[DualLaurent]:
     """The seed variables X_i = x_i + y_i·ε for an n-vertex quiver."""
-    return [
-        DualLaurent(Poly.variable(n, i), tuple(Poly.const(n, int(j == i + 1)) for j in range(n + 1)))
-        for i in range(n)
-    ]
+    return [DualLaurent(Poly.variable(n, i), Poly.zero(n)) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -163,22 +151,17 @@ class NotLaurent:
 
 @dataclass(frozen=True)
 class RationalDualExpr:
-    """(num_body + num_slope·ε) / den over x_1..x_n.
+    """(num_body + num_s0·ε) / den over x_1..x_n, with s_i = ∂_i body.
 
-    ``num_slope`` holds the slope parts over the shared denominator:
-    all of (s_0, s_1, …, s_n) as in ``DualLaurent``, or (s_0,) alone for
-    a value known to keep s_i = ∂_i body, as the variables of
-    ``verify_laurent_run`` are.  Both operands of an operation have the
-    same number of parts, and every operation works part by part:
-    ``mul`` by the Leibniz rule, ``add`` by the sum rule, ``div`` by the
-    quotient rule and ``deform`` on s_0 only, so a value built from the
-    seeds keeps s_i/den = ∂_i(num_body/den) whether its parts are
-    carried or not.  A fraction made by ``reduced`` names the reducer's
-    path in ``reduction``, which takes no part in equality.
+    ``mul``, ``add``, ``div`` and ``deform`` keep the y-parts
+    s_i/den = ∂_i(num_body/den) of a value built from the seeds without
+    carrying them; ``_full_fraction`` rebuilds them.  A fraction made by
+    ``reduced`` names the reducer's path in ``reduction``, which takes no
+    part in equality.
     """
 
     num_body: Poly
-    num_slope: tuple[Poly, ...]
+    num_s0: Poly
     den: Poly
     reduction: str | None = field(default=None, compare=False, repr=False)
 
@@ -188,94 +171,100 @@ class RationalDualExpr:
 
     @classmethod
     def from_dual(cls, v: DualLaurent) -> "RationalDualExpr":
-        return cls(v.body, v.slope, Poly.one(v.n))
+        return cls(v.body, v.s0, Poly.one(v.n))
 
     @classmethod
-    def one(cls, n: int, parts: int | None = None) -> "RationalDualExpr":
-        """The unit, with the given number of slope parts (n + 1 by default)."""
-        return cls(Poly.one(n), (Poly.zero(n),) * (n + 1 if parts is None else parts), Poly.one(n))
+    def one(cls, n: int) -> "RationalDualExpr":
+        return cls(Poly.one(n), Poly.zero(n), Poly.one(n))
 
     @property
     def term_count(self) -> int:
-        return self.num_body.term_count + sum(part.term_count for part in self.num_slope)
+        return self.num_body.term_count + self.num_s0.term_count
 
     def mul(self, other: "RationalDualExpr") -> "RationalDualExpr":
         b, ob = self.num_body, other.num_body
-        return RationalDualExpr(
-            b * ob,
-            tuple(b * t + s * ob for s, t in zip(self.num_slope, other.num_slope)),
-            self.den * other.den,
-        )
-
-    def pow(self, e: int) -> "RationalDualExpr":
-        """self**e by repeated squaring, starting from self."""
-        if e < 0:
-            raise ValueError("negative power in exchange products")
-        if e <= 1:
-            return self if e else RationalDualExpr.one(self.num_body.nvars, len(self.num_slope))
-        half = self.pow(e // 2)
-        square = half.mul(half)
-        return square.mul(self) if e & 1 else square
+        return RationalDualExpr(b * ob, b * other.num_s0 + self.num_s0 * ob, self.den * other.den)
 
     def add(self, other: "RationalDualExpr") -> "RationalDualExpr":
         d, od = self.den, other.den
         return RationalDualExpr(
-            self.num_body * od + other.num_body * d,
-            tuple(s * od + t * d for s, t in zip(self.num_slope, other.num_slope)),
-            d * od,
+            self.num_body * od + other.num_body * d, self.num_s0 * od + other.num_s0 * d, d * od
         )
 
     def deform(self, w: int) -> "RationalDualExpr":
-        """Multiply by (1 + w·ε), which adds w·body to the y-free part s_0."""
-        s0, *rest = self.num_slope
-        return RationalDualExpr(self.num_body, (s0 + w * self.num_body, *rest), self.den)
+        """Multiply by (1 + w·ε), which adds w·body to s_0."""
+        return RationalDualExpr(self.num_body, self.num_s0 + w * self.num_body, self.den)
 
     def div(self, other: "RationalDualExpr") -> "RationalDualExpr":
         """Dual division by (P + Q·ε)/D, keeping denominators x-only.
 
         With β = P/D the divisor's body and q = N_b/β the quotient's body,
-        self/other has body numerator N_b·D, slope numerators
-        N_s_i·D − q·Q_i and denominator self.den·D·β.  When D is 1 the
-        slope numerators are first divided by β; if every division is
-        exact the denominator stays self.den.  Every exchange of a genuine
-        mutation run ends there, since X'_k is Laurent.  Only when β or q
-        is not exact is 1/(P + Q·ε) = (P − Q·ε)/P² used instead, and the
-        extra factor it brings is left to the reducer.
+        self/other has body numerator N_b·D, s_0 numerator N_0·D − q·Q and
+        denominator self.den·D·β.  When D is 1 the s_0 numerator is first
+        divided by β; if that division is exact the denominator stays
+        self.den.  Every exchange of a genuine mutation run ends there,
+        since X'_k is Laurent.  Only when β or q is not exact is
+        1/(P + Q·ε) = (P − Q·ε)/P² used instead, and the extra factor it
+        brings is left to the reducer.
         """
-        b, ob, od = self.num_body, other.num_body, other.den
+        b, s, ob, t, od = self.num_body, self.num_s0, other.num_body, other.num_s0, other.den
         if ob.is_zero():
             raise ZeroBodyDivisionError("division by a value with zero body")
         unit = od.is_one()
         beta = ob if unit else ob.exact_div(od)
         q = None if beta is None else b.exact_div(beta)
         if q is None:
-            return RationalDualExpr(
-                b * ob * od,
-                tuple((s * ob - b * t) * od for s, t in zip(self.num_slope, other.num_slope)),
-                self.den * ob * ob,
-            )
-        parts = [(s if unit else s * od) - q * t for s, t in zip(self.num_slope, other.num_slope)]
+            return RationalDualExpr(b * ob * od, (s * ob - b * t) * od, self.den * ob * ob)
+        s0 = (s if unit else s * od) - q * t
         if unit:
-            slope, stuck = _divide_all(parts, beta)
-            if stuck is None:
-                return RationalDualExpr(q, tuple(slope), self.den)
-        return RationalDualExpr(b * od, tuple(parts), self.den * od * beta)
+            quotient = s0.exact_div(beta)
+            if quotient is not None:
+                return RationalDualExpr(q, quotient, self.den)
+        return RationalDualExpr(b * od, s0, self.den * od * beta)
 
     def reduced(self, base: "_FactorBase | None" = None) -> "RationalDualExpr":
-        """Cancel the denominator as far as possible, jointly for all parts.
+        """Cancel the denominator as far as possible, jointly for body and s_0.
 
-        One pass of ``_reduce`` over the body and every slope part, with
-        the factor base of a run when one is given; the result records
-        the path the reducer took in ``reduction``.
+        One pass of ``_reduce``, with the factor base of a run when one is
+        given; the result records the path the reducer took in
+        ``reduction``.
         """
-        (nb, *ns), den, path = _reduce((self.num_body, *self.num_slope), self.den, base)
-        return RationalDualExpr(nb, tuple(ns), den, path)
+        (nb, s0), den, path = _reduce((self.num_body, self.num_s0), self.den, base)
+        return RationalDualExpr(nb, s0, den, path)
 
     def sexpr(self) -> str:
+        """The fraction with its y-parts rebuilt (see ``_full_fraction``)."""
+        nb, slope, den, _ = _full_fraction(self)
         return (
-            f"(fraction (body-num {_sexpr(self.num_body)}) "
-            f"(slope-num {_slope_sexpr(self.num_slope)}) (den {_sexpr(self.den)}))"
+            f"(fraction (body-num {_sexpr(nb)}) "
+            f"(slope-num {_slope_sexpr(slope)}) (den {_sexpr(den)}))"
         )
+
+
+def _full_fraction(
+    frac: RationalDualExpr, base: "_FactorBase | None" = None
+) -> tuple[Poly, tuple[Poly, ...], Poly, Poly | None]:
+    """(N_b, (N_0, N_1, …, N_n), D', body) for (N_b + N_0·ε)/D, where
+    N_i/D' = ∂_i(N_b/D) and body = N_b/D if that division is exact.
+
+    When the body b = N_b/D is Laurent the parts are ∂_i b·D over the same
+    D; being multiples of D, they leave a reduced fraction reduced.
+    Otherwise the quotient rule puts ∂_i N_b·D − N_b·∂_i D over D², and
+    the whole is reduced (over base when given).  With a skew-symmetric
+    exchange matrix the bodies are cluster variables, Laurent by the
+    Laurent phenomenon, so that route does not run there.
+    """
+    nb, n0, d = frac.num_body, frac.num_s0, frac.den
+    slots = range(nb.nvars)
+    body = nb if d.is_one() else nb.exact_div(d)
+    if body is None:
+        parts = [nb.derivative(i) * d - nb * d.derivative(i) for i in slots]
+        (nb, *slope), den, _ = _reduce((nb * d, n0 * d, *parts), d * d, base)
+        return nb, tuple(slope), den, None
+    parts = [body.derivative(i) for i in slots]
+    if not d.is_one():
+        parts = [part * d for part in parts]
+    return nb, (n0, *parts), d, body
 
 
 def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
@@ -387,22 +376,21 @@ class _FactorBase:
     """Denominator factors of a run: the body numerators of its variables.
 
     Each factor is primitive, free of monomial factors, non-constant and
-    has a positive lex-leading coefficient.  Fractions are only recorded
-    by ``add``; their bodies are divided out and normalized the first
-    time ``factors`` is asked for, so a run whose denominators all cancel
-    by trial division never pays for the base.
+    has a positive lex-leading coefficient.  Bodies are only recorded by
+    ``add``; they are normalized the first time ``factors`` is asked for,
+    so a run whose denominators all cancel by trial division never pays
+    for the base.
     """
 
     def __init__(self) -> None:
-        self._pending: list[RationalDualExpr] = []
+        self._pending: list[Poly | None] = []
         self._factors: list[Poly] = []
 
-    def add(self, frac: RationalDualExpr) -> None:
-        self._pending.append(frac)
+    def add(self, body: Poly | None) -> None:
+        self._pending.append(body)
 
     def factors(self) -> list[Poly]:
-        for frac in self._pending:
-            body = frac.num_body if frac.den.is_one() else frac.num_body.exact_div(frac.den)
+        for body in self._pending:
             if body is None or body.is_zero():
                 continue
             content = body.content() if body.lex_lead()[1] > 0 else -body.content()
@@ -413,52 +401,64 @@ class _FactorBase:
         return self._factors
 
 
-def _classify(frac: RationalDualExpr) -> DualLaurent | NotLaurent:
-    """Laurent, or which part fails, for a jointly reduced fraction.
+def _classify(full: tuple) -> DualLaurent | NotLaurent:
+    """Laurent, or which part fails, for ``_full_fraction`` of a reduced fraction.
 
-    Monomial factors are already folded into negative exponents, so the
-    value is Laurent exactly when the denominator is 1; anything left (a
-    non-monomial polynomial, or an integer > 1 that does not divide the
-    numerator content) is not.  Then the body alone is reduced, and a
-    denominator left there names the body.  If the body is Laurent, the
-    joint denominator divides it, so it is prime to the slope parts and
-    is the slope's own reduced denominator.
+    Monomial factors are already folded, so the value is Laurent exactly
+    when the denominator is 1.  If the body divided exactly, the joint
+    denominator is prime to the slope parts and is the slope's own;
+    otherwise the body alone is reduced and its denominator named.
     """
-    if frac.den.is_one():
-        return DualLaurent(frac.num_body, frac.num_slope)
-    _, den, _ = _reduce((frac.num_body,), frac.den)
+    nb, slope, den, body = full
     if den.is_one():
-        return NotLaurent("slope", frac.den)
-    return NotLaurent("body", den)
+        return DualLaurent(nb, slope[0])
+    if body is not None:
+        return NotLaurent("slope", den)
+    return NotLaurent("body", _reduce((nb,), den)[1])
 
 
 def normalize(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
     """Reduce expr jointly, then name it Laurent or its offending part."""
-    return _classify(expr.reduced())
+    return _classify(_full_fraction(expr.reduced()))
 
 
 def _exchange_fraction(
-    wq: WeightedQuiver, state: Sequence[RationalDualExpr], k: int
+    wq: WeightedQuiver, state: Sequence[RationalDualExpr], k: int, check=lambda product: None
 ) -> RationalDualExpr:
+    """The unreduced exchange fraction at vertex k (1-indexed).
+
+    ``check`` sees every product as soon as it is built and may raise, so
+    a run can stop before it builds a larger one.  Powers are taken by
+    repeated squaring and products start from their first factor.
+    """
+
+    def mul(a: RationalDualExpr, b: RationalDualExpr) -> RationalDualExpr:
+        product = a.mul(b)
+        check(product)
+        return product
+
+    def power(x: RationalDualExpr, e: int) -> RationalDualExpr:
+        if e == 1:
+            return x
+        half = power(x, e // 2)
+        square = mul(half, half)
+        return mul(square, x) if e & 1 else square
+
+    def product(powers) -> RationalDualExpr:
+        factors = [power(state[j], e) for j, e in powers]
+        return reduce(mul, factors) if factors else RationalDualExpr.one(wq.n)
+
     row = wq.quiver.b[k - 1]
-    one = RationalDualExpr.one(wq.n, len(state[k - 1].num_slope))
-    out = _product([state[j].pow(c) for j, c in enumerate(row) if c > 0], one)
-    into = _product([state[j].pow(-c) for j, c in enumerate(row) if c < 0], one)
+    out = product((j, c) for j, c in enumerate(row) if c > 0)
+    into = product((j, -c) for j, c in enumerate(row) if c < 0)
     numerator = out.add(into.deform(wq.weights[k - 1]))
+    check(numerator)
     return numerator.div(state[k - 1])
 
 
-def _product(factors: list[RationalDualExpr], one: RationalDualExpr) -> RationalDualExpr:
-    """The product of factors, starting from the first; one when empty."""
-    return reduce(RationalDualExpr.mul, factors) if factors else one
-
-
 def _check_shape(v: DualLaurent, n: int) -> None:
-    """ValueError unless v's body and slope parts are in n variables and
-    its slope has all n + 1 parts; ``zip`` would silently drop the rest."""
-    if len(v.slope) != n + 1:
-        raise ValueError(f"expected a slope of {n + 1} parts, got {len(v.slope)}")
-    if any(part.nvars != n for part in (v.body, *v.slope)):
+    """ValueError unless v's body and s_0 are polynomials in n variables."""
+    if v.body.nvars != n or v.s0.nvars != n:
         raise ValueError(f"expected polynomials in {n} variables")
 
 
@@ -494,34 +494,9 @@ class StepReport:
     reduction: str  # the path of _reduce: "monomial", "trial", "factor" or "gcd"
 
 
-def _check_budget(frac: RationalDualExpr, budget: int, step: int, stage: str) -> None:
-    if frac.term_count > budget:
-        raise BudgetExceededError(
-            f"step {step}: {frac.term_count} terms of the {stage} fraction exceed budget {budget}"
-        )
-
-
-def _with_y_slopes(frac: RationalDualExpr, base: _FactorBase) -> RationalDualExpr:
-    """The full fraction of a reduced (N_b, (N_0,))/D, with s_i = ∂_i body.
-
-    When the body b = N_b/D is Laurent (D is 1 or divides N_b), the parts
-    are ∂_i b·D over the same D.  They are multiples of D, so the joint
-    gcd stays 1 and nothing is reduced again.  Otherwise the quotient
-    rule puts ∂_i N_b·D − N_b·∂_i D over D², and the fraction is reduced;
-    with a skew-symmetric exchange matrix the bodies are ordinary cluster
-    variables, Laurent by the Laurent phenomenon, so that route is the
-    general one and does not run there.
-    """
-    nb, (n0,), d = frac.num_body, frac.num_slope, frac.den
-    slots = range(nb.nvars)
-    body = nb if d.is_one() else nb.exact_div(d)
-    if body is None:
-        parts = [nb.derivative(i) * d - nb * d.derivative(i) for i in slots]
-        return RationalDualExpr(nb * d, (n0 * d, *parts), d * d).reduced(base)
-    parts = [body.derivative(i) for i in slots]
-    if not d.is_one():
-        parts = [part * d for part in parts]
-    return RationalDualExpr(nb, (n0, *parts), d)
+def _check_budget(terms: int, budget: int, step: int, what: str) -> None:
+    if terms > budget:
+        raise BudgetExceededError(f"step {step}: {terms} terms of the {what} exceed budget {budget}")
 
 
 def verify_laurent_run(
@@ -534,20 +509,15 @@ def verify_laurent_run(
 
     Each cycle produces the next sequence variable; the report records
     whether it is Laurent, the term counts of its jointly reduced
-    fraction, its denominator (the monomial one when Laurent, the
-    offending part's otherwise) and the reducer's path.  The run
-    continues through non-Laurent steps with reduced fractions, and
-    reduces over a factor base made of the bodies of its variables.
-
-    A variable is carried as (N_b, (N_0,))/D: its slope tuple is (s_0,),
-    since s_i = ∂_i body for i ≥ 1 (see the module docstring).  The seeds
-    are (x_i, (0,))/1.  Only the report fills in s_1..s_n, through
-    ``Poly.derivative`` (``_with_y_slopes``), so each reported variable
-    is the full fraction a run over all n + 2 parts would reach.  The
-    term budget is checked on the carried exchange fraction before it is
-    reduced ("exchange" in the message of BudgetExceededError), so
-    reduction never starts on a fraction over it, and on the full
-    reported variable ("reduced").
+    fraction with every slope part, its denominator (the monomial one
+    when Laurent, the offending part's otherwise) and the reducer's
+    path.  The run continues through non-Laurent steps with reduced
+    fractions (reported as such), and reduces over a factor base made of
+    the bodies of its variables.  The term budget is checked on every
+    product the exchange builds, so none much larger is built, on the
+    exchange fraction before it is reduced, and on the reported variable;
+    BudgetExceededError names the step and "exchange product", "exchange
+    fraction" or "reduced fraction".
 
     With ``evolve_weights=False`` the given weight vector is forced
     unchanged on every cycle instead of following the weight mutation
@@ -557,36 +527,30 @@ def verify_laurent_run(
     n = wq.n
     if n < 1:
         raise VertexIndexError(f"vertex 1 outside 1..{n}")
-    zero, one = Poly.zero(n), Poly.one(n)
-    state = [RationalDualExpr(Poly.variable(n, i), (zero,), one) for i in range(n)]
+    state = [RationalDualExpr.from_dual(v) for v in initial_variables(n)]
     current = wq
     base = _FactorBase()
     reports: list[StepReport] = []
     for step in range(1, steps + 1):
-        frac = _exchange_fraction(current, state, 1)
-        _check_budget(frac, budget, step, "exchange")
+        frac = _exchange_fraction(
+            current, state, 1, lambda p: _check_budget(p.term_count, budget, step, "exchange product")
+        )
+        _check_budget(frac.term_count, budget, step, "exchange fraction")
         frac = frac.reduced(base)
-        full = _with_y_slopes(frac, base)
-        _check_budget(full, budget, step, "reduced")
+        full = _full_fraction(frac, base)
+        nb, slope, _, body = full
+        body_terms, slope_terms = nb.term_count, sum(part.term_count for part in slope)
+        _check_budget(body_terms + slope_terms, budget, step, "reduced fraction")
         result = _classify(full)
         laurent = isinstance(result, DualLaurent)
         if laurent:
             variable, denominator = result, Poly.monomial(n, result.denominator_monomial())
         else:
-            variable, denominator = full, result.denominator
-        body_terms = full.num_body.term_count
+            variable, denominator = frac, result.denominator
         reports.append(
-            StepReport(
-                step,
-                laurent,
-                body_terms,
-                full.term_count - body_terms,
-                denominator,
-                variable,
-                frac.reduction,
-            )
+            StepReport(step, laurent, body_terms, slope_terms, denominator, variable, frac.reduction)
         )
-        base.add(frac)
+        base.add(body)
         state = state[1:] + [frac]
         if evolve_weights:
             current = current.mutate(1).rotate()
@@ -602,7 +566,7 @@ def symbolic_sequence(
     reports = verify_laurent_run(wq, steps, budget)
     for rep in reports:
         if not rep.is_laurent:
-            raise NotLaurentError(_classify(rep.variable))
+            raise NotLaurentError(_classify(_full_fraction(rep.variable)))
     return [rep.variable for rep in reports]
 
 

@@ -13,8 +13,10 @@ single classifier and GCDHEU; PRS and SymPy are the two GCD oracles.  The
 reducer that cancels the expanded denominator by its GCD with the
 numerators, and a held run built from it and the P² division, are the
 oracles of the factor-base reducer and the one division route.  That
-run, with the weights held or evolved, carries every slope part, so it
-is also the oracle of runs that carry s_0 alone.
+run, with the weights held or evolved, works on full fractions that
+carry every slope part (s_0, s_1, …, s_n) through their own product,
+sum, deformation and division, with nothing derived, so it is also the
+oracle of the library's values, which carry body and s_0 alone.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Sequence
 
-from quiverseq.laurent import (
-    DualLaurent,
-    NotLaurent,
-    RationalDualExpr,
-    ZeroBodyDivisionError,
-    initial_variables,
-)
+from quiverseq.laurent import NotLaurent, RationalDualExpr, ZeroBodyDivisionError, var_names
 from quiverseq.poly import Poly, poly_gcd
 from quiverseq.quiver import Quiver, WeightedQuiver
 from quiverseq.seqgen import BadParamsError, Monomial, RecurrenceSpec, SequenceRun
@@ -454,21 +450,66 @@ def prs_gcd(a: Poly, b: Poly) -> Poly:
     return _positive_lead(d * g)
 
 
-def dual_div_squared(self: RationalDualExpr, other: RationalDualExpr) -> RationalDualExpr:
+# -- full dual fractions ------------------------------------------------------
+# A full fraction is a plain tuple (num_body, (s_0, s_1, …, s_n), den): every
+# slope part is carried and combined by its own rule, none is derived.
+
+
+def full_seeds(n: int) -> list[tuple]:
+    """The seeds X_i = x_i + y_i·ε as full fractions."""
+    one = Poly.one(n)
+    return [
+        (Poly.variable(n, i), tuple(Poly.const(n, int(j == i + 1)) for j in range(n + 1)), one)
+        for i in range(n)
+    ]
+
+
+def full_one(n: int) -> tuple:
+    return Poly.one(n), (Poly.zero(n),) * (n + 1), Poly.one(n)
+
+
+def full_mul(a: tuple, b: tuple) -> tuple:
+    (nb, ns, d), (ob, os, od) = a, b
+    return nb * ob, tuple(nb * t + s * ob for s, t in zip(ns, os, strict=True)), d * od
+
+
+def full_add(a: tuple, b: tuple) -> tuple:
+    (nb, ns, d), (ob, os, od) = a, b
+    return nb * od + ob * d, tuple(s * od + t * d for s, t in zip(ns, os, strict=True)), d * od
+
+
+def full_deform(a: tuple, w: int) -> tuple:
+    """Multiply by (1 + w·ε): s_0 gains w·body."""
+    nb, (s0, *rest), d = a
+    return nb, (s0 + w * nb, *rest), d
+
+
+def full_fraction(expr: RationalDualExpr) -> tuple:
+    """The full fraction of (N_b + N_0·ε)/D with s_i = ∂_i(N_b/D), by the
+    quotient rule over D² and unreduced."""
+    nb, n0, d = expr.num_body, expr.num_s0, expr.den
+    parts = (nb.derivative(i) * d - nb * d.derivative(i) for i in range(nb.nvars))
+    return nb * d, (n0 * d, *parts), d * d
+
+
+def dual_div_squared(a: tuple, b: tuple) -> tuple:
     """Dual division by 1/(P + Q·ε) = (P − Q·ε)/P², whatever the operands."""
-    b, ob = self.num_body, other.num_body
+    (nb, ns, d), (ob, os, od) = a, b
     if ob.is_zero():
         raise ZeroBodyDivisionError("division by a value with zero body")
-    scale = other.den
-    return RationalDualExpr(
-        b * ob * scale,
-        tuple((s * ob - b * t) * scale for s, t in zip(self.num_slope, other.num_slope)),
-        self.den * ob * ob,
-    )
+    slope = tuple((s * ob - nb * t) * od for s, t in zip(ns, os, strict=True))
+    return nb * ob * od, slope, d * ob * ob
 
 
-def normalize_per_part(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
-    """Reduce the body and then the slope fraction, each on its own.
+def reduce_full(frac: tuple) -> tuple:
+    """``reduce_by_gcd`` over the body and every slope part together."""
+    (nb, *ns), den = reduce_by_gcd((frac[0], *frac[1]), frac[2])
+    return nb, tuple(ns), den
+
+
+def normalize_per_part(frac: tuple) -> tuple | NotLaurent:
+    """Reduce the body and then the slope fraction of a full fraction,
+    each on its own; (body, slope parts) when Laurent.
 
     Each is one pass of ``reduce_by_gcd``: over the body numerator alone, then
     over all slope parts together.  The value is Laurent when both
@@ -478,14 +519,39 @@ def normalize_per_part(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
     integer > 1 that does not divide the numerator content) makes it
     non-Laurent, and the first offending denominator is reported.
     """
+    nb, ns, den = frac
     parts = []
-    for part, nums in (("body", (expr.num_body,)), ("slope", expr.num_slope)):
-        nums, den = reduce_by_gcd(nums, expr.den)
-        if not den.is_one():
-            return NotLaurent(part, den)
+    for part, nums in (("body", (nb,)), ("slope", ns)):
+        nums, reduced = reduce_by_gcd(nums, den)
+        if not reduced.is_one():
+            return NotLaurent(part, reduced)
         parts.append(nums)
     (body,), slope = parts
-    return DualLaurent(body, tuple(slope))
+    return body, tuple(slope)
+
+
+def _joined(slope: tuple) -> Poly:
+    """s_0 + Σ y_i·s_i as one polynomial over x_1..x_n, y_1..y_n."""
+    n = len(slope) - 1
+    terms = {}
+    for i, part in enumerate(slope):
+        y = tuple(int(j == i - 1) for j in range(n))
+        terms.update((exps + y, c) for exps, c in part.terms.items())
+    return Poly(2 * n, terms)
+
+
+def dual_sexpr(body: Poly, slope: tuple) -> str:
+    names = var_names(body.nvars)
+    return f"(dual (body {body.sexpr(names)}) (slope {_joined(slope).sexpr(names)}))"
+
+
+def fraction_sexpr(frac: tuple) -> str:
+    nb, ns, den = frac
+    names = var_names(nb.nvars)
+    return (
+        f"(fraction (body-num {nb.sexpr(names)}) (slope-num {_joined(ns).sexpr(names)}) "
+        f"(den {den.sexpr(names)}))"
+    )
 
 
 def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
@@ -529,38 +595,42 @@ def reduce_by_gcd(nums, den: Poly) -> tuple[list[Poly], Poly]:
 
 
 def held_run_oracle(wq: WeightedQuiver, steps: int, evolve_weights: bool = False) -> list[tuple]:
-    """Rows (step, laurent, denominator, body terms, slope terms, variable)
+    """Rows (step, laurent, denominator, body terms, slope terms, sexpr)
     of the cycle "mutate at vertex 1, shift labels" with the weights held,
     or mutated along by ``WeightedQuiver.mutate`` when evolve_weights.
 
-    Every variable carries all n + 1 slope parts.  Every exchange divides
-    through P² (``dual_div_squared``) and reduces with ``reduce_by_gcd``;
-    products are taken one factor at a time, and each value is classified
-    by ``normalize_per_part``.
+    Every variable is a full fraction that carries all n + 1 slope parts.
+    Every exchange divides through P² (``dual_div_squared``) and reduces
+    with ``reduce_full``; products are taken one factor at a time, and
+    each value is classified by ``normalize_per_part``.
     """
     n = wq.n
-    state = [RationalDualExpr.from_dual(v) for v in initial_variables(n)]
+    state = full_seeds(n)
     current = wq
     rows = []
     for step in range(1, steps + 1):
-        out, into = RationalDualExpr.one(n), RationalDualExpr.one(n)
+        out, into = full_one(n), full_one(n)
         for j, c in enumerate(current.quiver.b[0]):
             for _ in range(abs(c)):
                 if c > 0:
-                    out = out.mul(state[j])
+                    out = full_mul(out, state[j])
                 else:
-                    into = into.mul(state[j])
-        exchange = dual_div_squared(out.add(into.deform(current.weights[0])), state[0])
-        (nb, *ns), den = reduce_by_gcd((exchange.num_body, *exchange.num_slope), exchange.den)
-        frac = RationalDualExpr(nb, tuple(ns), den)
+                    into = full_mul(into, state[j])
+        exchange = dual_div_squared(full_add(out, full_deform(into, current.weights[0])), state[0])
+        frac = reduce_full(exchange)
         result = normalize_per_part(frac)
-        laurent = isinstance(result, DualLaurent)
+        laurent = not isinstance(result, NotLaurent)
         if laurent:
-            variable, denominator = result, Poly.monomial(n, result.denominator_monomial())
+            body, slope = result
+            mins = body.min_exponents()
+            for part in slope:
+                mins = tuple(map(min, mins, part.min_exponents()))
+            denominator = Poly.monomial(n, tuple(max(0, -m) for m in mins))
+            sexpr = dual_sexpr(body, slope)
         else:
-            variable, denominator = frac, result.denominator
-        slope_terms = frac.term_count - nb.term_count
-        rows.append((step, laurent, denominator, nb.term_count, slope_terms, variable))
+            denominator, sexpr = result.denominator, fraction_sexpr(frac)
+        nb, ns, _ = frac
+        rows.append((step, laurent, denominator, nb.term_count, sum(p.term_count for p in ns), sexpr))
         state = state[1:] + [frac]
         if evolve_weights:
             current = current.mutate(1).rotate()

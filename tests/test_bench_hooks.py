@@ -5,7 +5,8 @@ renamed one as missing, which turns its metrics into nulls; this test
 makes such a rename fail the suite instead.  A call rerouted around a
 wrapped name would instead read 0, so the numeric commands' division
 and run counts, and the symbolic command's product, division and gcd
-counts, are checked too.
+counts, are checked too.  One request of each laurent pool is run and
+checked against the benchmark's expected rows, as the benchmark does.
 """
 
 import io
@@ -77,3 +78,24 @@ def test_laurent_reaches_traced_poly_kernels(monkeypatch, tmp_path, rows, flags)
     assert metrics["poly.exact_div.calls"] > 0
     if "--hold-weights" in flags:
         assert metrics["poly.gcd.calls"] > 0
+
+
+@pytest.mark.parametrize(
+    "workload, weights", [("laurent-somos4", "1,0,0,-1"), ("laurent-held", "1,0,-1")]
+)
+def test_laurent_rows_match_the_benchmark_expectation(monkeypatch, tmp_path, workload, weights):
+    # The benchmark compares every laurent request's rows with
+    # bench/laurent_expected.json; one request of each pool, checked the
+    # same way, makes a change that would fail that check fail the suite.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    built = workloads.build(workload, 0)
+    request = next(r for r in built.requests if r.params["weights"] == weights)
+    built.write_files(tmp_path)
+    checker = built.checker(request, workloads.load_expected_laurent())
+    out = io.StringIO()
+    assert cli.main(request.materialize(tmp_path), out=out) == 0
+    for line in out.getvalue().splitlines():
+        checker.feed(line)
+    checker.finish()

@@ -19,9 +19,10 @@ from quiverseq.laurent import (
     RationalDualExpr,
     ZeroAtPoleError,
     ZeroBodyDivisionError,
+    _classify,
     _FactorBase,
+    _full_fraction,
     _reduce,
-    _with_y_slopes,
     evaluate,
     initial_variables,
     normalize,
@@ -37,10 +38,12 @@ from quiverseq.seqgen import builtin, quiver_to_spec, run
 
 from golden import (
     dual_div_squared,
+    full_fraction,
     held_run_oracle,
     neg_p31,
     normalize_per_part,
     reduce_by_gcd,
+    reduce_full,
     somos4_quiver_a,
 )
 
@@ -69,14 +72,6 @@ def _x(p: Poly) -> Poly:
     body, *rest = _split(p)
     assert all(part.is_zero() for part in rest)
     return body
-
-
-def _dual(body: Poly, slope: Poly) -> DualLaurent:
-    return DualLaurent(_x(body), _split(slope))
-
-
-def _dual_expr(body: Poly, slope: Poly, den: Poly) -> RationalDualExpr:
-    return RationalDualExpr(_x(body), _split(slope), _x(den))
 
 
 def _mul(u: DualLaurent, v: DualLaurent) -> DualLaurent:
@@ -146,22 +141,14 @@ class TestSymExchange:
     def test_zero_body_divisor(self):
         wq = neg_p31_weighted()
         X = initial_variables(3)
-        zero_body = _dual(Poly.zero(6), Poly.variable(6, 3))
+        zero_body = DualLaurent(Poly.zero(3), Poly.one(3))
         with pytest.raises(ZeroBodyDivisionError):
             sym_exchange(wq, [zero_body, X[1], X[2]], 1)
-
-    def test_slope_of_the_wrong_length_is_refused(self):
-        # zip would truncate the exchange to the shortest slope tuple
-        wq = neg_p31_weighted()
-        X = initial_variables(3)
-        short = DualLaurent(X[0].body, X[0].slope[:2])
-        with pytest.raises(ValueError, match="slope of 4 parts, got 2"):
-            sym_exchange(wq, [short, X[1], X[2]], 1)
 
     def test_part_in_the_wrong_number_of_variables_is_refused(self):
         wq = neg_p31_weighted()
         X = initial_variables(3)
-        wide = DualLaurent(X[0].body, (*X[0].slope[:3], Poly.zero(4)))
+        wide = DualLaurent(X[0].body, Poly.zero(4))
         with pytest.raises(ValueError, match="in 3 variables"):
             sym_exchange(wq, [wide, X[1], X[2]], 1)
 
@@ -170,7 +157,7 @@ class TestSymExchange:
         X = initial_variables(3)
         x1, x2 = Poly.variable(3, 0), Poly.variable(3, 1)
         with pytest.raises(NotLaurentError) as err:
-            sym_exchange(wq, [DualLaurent(x1 + x2, X[0].slope), X[1], X[2]], 1)
+            sym_exchange(wq, [DualLaurent(x1 + x2, X[0].s0), X[1], X[2]], 1)
         assert err.value.failure.part == "body"
         assert err.value.failure.denominator == x1 + x2
 
@@ -191,71 +178,69 @@ def _poly_drawer(draw, n: int):
 def classified_exprs(draw):
     """(expr, kind) with kind "laurent", "slope" or "body".
 
-    For "laurent" every numerator is a multiple of the denominator, for
+    For "laurent" both numerators are multiples of the denominator, for
     "slope" only the body is, and for "body" none is built to be; the
     denominator may be an integer, so integer content is exercised too.
     """
     n = draw(st.integers(min_value=1, max_value=2))
     poly = _poly_drawer(draw, n)
-    den, body, slope = poly(nonzero=True), poly(), tuple(poly() for _ in range(n + 1))
+    den, body, s0 = poly(nonzero=True), poly(), poly()
     kind = draw(st.sampled_from(["laurent", "slope", "body"]))
     if kind != "body":
         body = body * den
     if kind == "laurent":
-        slope = tuple(part * den for part in slope)
-    return RationalDualExpr(body, slope, den), kind
+        s0 = s0 * den
+    return RationalDualExpr(body, s0, den), kind
 
 
 class TestNormalize:
     def test_polynomial_cancellation(self):
-        nv = 8
-        x1 = Poly.variable(nv, 0)
-        num = x1 * x1 - 1
-        den = x1 - 1
-        result = normalize(_dual_expr(num, Poly.zero(nv), den))
+        x1 = Poly.variable(2, 0)
+        result = normalize(RationalDualExpr(x1 * x1 - 1, Poly.zero(2), x1 - 1))
         assert isinstance(result, DualLaurent)
-        assert result.body == _x(x1 + 1)
+        assert result.body == x1 + 1
 
     def test_monomial_denominator(self):
-        nv = 8
-        x1, x2, x3, x4 = (Poly.variable(nv, i) for i in range(4))
-        num = x2 * x4 + x3 * x3
-        result = normalize(_dual_expr(num, Poly.zero(nv), x1))
+        # (x2·x4 + x3²)/x1: its y1-part ∂_1 body = −(x2·x4 + x3²)/x1²
+        # sets the exponent of x1.
+        x1, x2, x3, x4 = (Poly.variable(4, i) for i in range(4))
+        result = normalize(RationalDualExpr(x2 * x4 + x3 * x3, Poly.zero(4), x1))
         assert isinstance(result, DualLaurent)
-        assert result.denominator_monomial() == (1, 0, 0, 0)
+        assert result.denominator_monomial() == (2, 0, 0, 0)
 
     def test_not_laurent_reports_denominator(self):
-        nv = 8
-        x1, x2 = Poly.variable(nv, 0), Poly.variable(nv, 1)
-        result = normalize(_dual_expr(Poly.one(nv), Poly.zero(nv), x1 + x2))
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        result = normalize(RationalDualExpr(Poly.one(2), Poly.zero(2), x1 + x2))
         assert isinstance(result, NotLaurent)
         assert result.part == "body"
-        assert result.denominator == _x(x1 + x2)
+        assert result.denominator == x1 + x2
 
     def test_integer_content_must_divide(self):
-        nv = 8
-        x1 = Poly.variable(nv, 0)
-        ok = normalize(_dual_expr(2 * x1, Poly.zero(nv), Poly.const(nv, 2)))
-        assert isinstance(ok, DualLaurent) and ok.body == _x(x1)
-        bad = normalize(_dual_expr(x1 + 1, Poly.zero(nv), Poly.const(nv, 2)))
+        x1 = Poly.variable(2, 0)
+        ok = normalize(RationalDualExpr(2 * x1, Poly.zero(2), Poly.const(2, 2)))
+        assert isinstance(ok, DualLaurent) and ok.body == x1
+        bad = normalize(RationalDualExpr(x1 + 1, Poly.zero(2), Poly.const(2, 2)))
         assert isinstance(bad, NotLaurent)
-        assert bad.denominator == _x(Poly.const(nv, 2))
+        assert bad.denominator == Poly.const(2, 2)
 
     def test_body_reduces_but_slope_does_not(self):
-        nv = 4
-        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
-        result = normalize(_dual_expr((x1 + 1) * x2, y1, x1 + 1))
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        result = normalize(RationalDualExpr((x1 + 1) * x2, Poly.one(2), x1 + 1))
         assert isinstance(result, NotLaurent)
         assert result.part == "slope"
-        assert result.denominator == _x(x1 + 1)
+        assert result.denominator == x1 + 1
 
     @given(classified_exprs())
     @settings(max_examples=200, deadline=None)
     def test_matches_per_part_oracle(self, case):
         expr, kind = case
         result = normalize(expr)
-        # dataclass equality: same type, and same part and denominator or parts
-        assert result == normalize_per_part(expr)
+        expected = normalize_per_part(full_fraction(expr))
+        if isinstance(expected, NotLaurent):
+            assert result == expected
+        else:
+            assert isinstance(result, DualLaurent)
+            assert (result.body, result.slope) == expected
         if kind == "laurent":
             assert isinstance(result, DualLaurent)
         if kind == "slope":
@@ -264,42 +249,37 @@ class TestNormalize:
 
 class TestReduced:
     def test_gcd_leaves_a_non_monomial_denominator(self):
-        nv = 4
-        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
-        expr = _dual_expr(x1 + 1, (x1 + 1) * y1, (x1 + 1) * (x2 + 1))
-        assert expr.reduced() == _dual_expr(Poly.one(nv), y1, x2 + 1)
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        expr = RationalDualExpr(x1 + 1, (x1 + 1) * x2, (x1 + 1) * (x2 + 1))
+        assert expr.reduced() == RationalDualExpr(Poly.one(2), x2, x2 + 1)
 
     def test_trial_division_cancels_jointly(self):
-        nv = 4
-        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
-        den = x1 * x1 * (x2 + 1)
-        expr = _dual_expr((x2 + 1) * x2, (x2 + 1) * y1, den)
-        shift = (-2, 0, 0, 0)
-        assert expr.reduced() == _dual_expr(x2.shift(shift), y1.shift(shift), Poly.one(nv))
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        expr = RationalDualExpr((x2 + 1) * x2, (x2 + 1) * x1, x1 * x1 * (x2 + 1))
+        shift = (-2, 0)
+        assert expr.reduced() == RationalDualExpr(x2.shift(shift), x1.shift(shift), Poly.one(2))
 
     def test_negative_leading_denominator_is_flipped(self):
-        nv = 4
-        x1, x2, y2 = (Poly.variable(nv, i) for i in (0, 1, 3))
-        expr = _dual_expr(x1 - 3, x2 * y2, -x1 - x2)
-        assert expr.reduced() == _dual_expr(-x1 + 3, -x2 * y2, x1 + x2)
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        expr = RationalDualExpr(x1 - 3, x2, -x1 - x2)
+        assert expr.reduced() == RationalDualExpr(-x1 + 3, -x2, x1 + x2)
         result = normalize(expr)
         assert isinstance(result, NotLaurent)
         assert result.part == "body"
-        assert result.denominator == _x(x1 + x2)
+        assert result.denominator == x1 + x2
 
     def test_monomial_left_by_the_gcd_is_folded(self, monkeypatch):
         # In the Laurent ring a gcd is fixed only up to a unit; one that
         # carries a monomial leaves that monomial in the quotient of the
         # denominator, and the reducer folds it into the numerators.
-        nv = 4
-        x1, x2, y1 = (Poly.variable(nv, i) for i in (0, 1, 2))
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         gcd = laurent.poly_gcd
-        monkeypatch.setattr(laurent, "poly_gcd", lambda p, q: _x(x1) * gcd(p, q))
-        expr = _dual_expr(x2 + 1, (x2 + 1) * y1, (x2 + 1) * (x2 + 2))
-        assert expr.reduced() == _dual_expr(Poly.one(nv), y1, x2 + 2)
+        monkeypatch.setattr(laurent, "poly_gcd", lambda p, q: x1 * gcd(p, q))
+        expr = RationalDualExpr(x2 + 1, (x2 + 1) * x1, (x2 + 1) * (x2 + 2))
+        assert expr.reduced() == RationalDualExpr(Poly.one(2), x1, x2 + 2)
         result = normalize(expr)
         assert isinstance(result, NotLaurent)
-        assert result.denominator == _x(x2 + 2)
+        assert result.denominator == x2 + 2
 
 
 @st.composite
@@ -308,7 +288,7 @@ def division_pairs(draw):
 
     For kind "divisible" a is built as P·B + (B·Q + P·S)·ε over a.den, so
     every division of the direct route is exact; "slope-inexact" adds a
-    term to one slope part, and "random" draws a freely.
+    term to s_0, and "random" draws a freely.
     """
     n = draw(st.integers(min_value=1, max_value=2))
     poly = _poly_drawer(draw, n)
@@ -316,58 +296,58 @@ def division_pairs(draw):
     def den():
         return Poly.one(n) if draw(st.booleans()) else poly(nonzero=True)
 
-    body, slope = poly(nonzero=True), tuple(poly() for _ in range(n + 1))
-    b = RationalDualExpr(body, slope, den())
+    body, s0 = poly(nonzero=True), poly()
+    b = RationalDualExpr(body, s0, den())
     kind = draw(st.sampled_from(["divisible", "slope-inexact", "random"]))
     if kind == "random":
-        return RationalDualExpr(poly(), tuple(poly() for _ in range(n + 1)), den()), b, kind
+        return RationalDualExpr(poly(), poly(), den()), b, kind
     B = poly()
-    parts = [B * t + body * poly() for t in slope]
+    part = B * s0 + body * poly()
     if kind == "slope-inexact":
-        i = draw(st.integers(min_value=0, max_value=n))
-        parts[i] = parts[i] + poly(nonzero=True)
-    return RationalDualExpr(body * B, tuple(parts), den()), b, kind
+        part = part + poly(nonzero=True)
+    return RationalDualExpr(body * B, part, den()), b, kind
 
 
 class TestDiv:
-    """Dual division against the P² route it takes when the direct one fails."""
+    """Dual division against the P² route on full fractions."""
 
     @given(division_pairs())
     @settings(max_examples=100, deadline=None)
     def test_reduced_quotient_matches_p_squared_route(self, pair):
         a, b, kind = pair
         q = a.div(b)
-        assert q.reduced() == dual_div_squared(a, b).reduced()
+        expected = reduce_full(dual_div_squared(full_fraction(a), full_fraction(b)))
+        assert _full_fraction(q.reduced())[:3] == expected
         if kind == "divisible" and b.den.is_one():
             assert q.den == a.den
 
     def test_direct_route_keeps_the_denominator(self):
         # ((x1² − 1) + 2·x1·ε) / x2  divided by  (x1 + 1) + ε
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        one, zero = Poly.one(2), Poly.zero(2)
-        a = RationalDualExpr(x1 * x1 - 1, (2 * x1, zero, zero), x2)
-        b = RationalDualExpr(x1 + 1, (one, zero, zero), one)
-        assert a.div(b) == RationalDualExpr(x1 - 1, (one, zero, zero), x2)
+        one = Poly.one(2)
+        a = RationalDualExpr(x1 * x1 - 1, 2 * x1, x2)
+        b = RationalDualExpr(x1 + 1, one, one)
+        assert a.div(b) == RationalDualExpr(x1 - 1, one, x2)
 
     def test_failed_slope_division_keeps_its_numerators(self):
         # ((x1² − 1) + x2·ε) divided by (x1 + 1) + ε: the body divides, the
         # slope x2 − (x1 − 1) does not, and both numerators are kept over
         # the denominator x1 + 1 instead of being recomputed through P².
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        one, zero = Poly.one(2), Poly.zero(2)
-        a = RationalDualExpr(x1 * x1 - 1, (x2, zero, zero), one)
-        b = RationalDualExpr(x1 + 1, (one, zero, zero), one)
-        assert a.div(b) == RationalDualExpr(x1 * x1 - 1, (x2 - x1 + 1, zero, zero), x1 + 1)
+        one = Poly.one(2)
+        a = RationalDualExpr(x1 * x1 - 1, x2, one)
+        b = RationalDualExpr(x1 + 1, one, one)
+        assert a.div(b) == RationalDualExpr(x1 * x1 - 1, x2 - x1 + 1, x1 + 1)
 
     def test_divisor_with_a_denominator_divides_by_its_body(self):
         # The divisor ((x1 + 1)·(x2 + 1) + ε)/(x2 + 1) has body β = x1 + 1.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        one, zero = Poly.one(2), Poly.zero(2)
+        one = Poly.one(2)
         od = x2 + 1
-        a = RationalDualExpr(x1 * x1 - 1, (x2, zero, zero), one)
-        b = RationalDualExpr((x1 + 1) * od, (one, zero, zero), od)
+        a = RationalDualExpr(x1 * x1 - 1, x2, one)
+        b = RationalDualExpr((x1 + 1) * od, one, od)
         slope = x2 * od - (x1 - 1)
-        assert a.div(b) == RationalDualExpr((x1 * x1 - 1) * od, (slope, zero, zero), od * (x1 + 1))
+        assert a.div(b) == RationalDualExpr((x1 * x1 - 1) * od, slope, od * (x1 + 1))
 
 
 class TestVerifyRun:
@@ -442,6 +422,41 @@ class TestVerifyRun:
         with pytest.raises(BudgetExceededError, match=r"^step 6: 125 terms of the exchange fraction"):
             verify_laurent_run(wq, 6, budget=124, evolve_weights=False)
         assert sizes and max(sizes) < 124
+
+    def test_budget_bounds_every_exchange_product(self, monkeypatch):
+        # Checked only on the finished fraction, this run built a 51815-term
+        # exchange fraction in about 9 s before the budget stopped it.
+        rows = [[0, -2, 2, -1], [2, 0, 1, -2], [-2, -1, 0, 1], [1, 2, -1, 0]]
+        wq = WeightedQuiver(Quiver.from_rows(rows), (2, 1, 2, 2))
+        sizes = []
+        mul = Poly.__mul__
+
+        def recording(p, q):
+            product = mul(p, q)
+            sizes.append(product.term_count)
+            return product
+
+        monkeypatch.setattr(Poly, "__mul__", recording)
+        message = r"^step 4: 337 terms of the exchange product exceed budget 300$"
+        with pytest.raises(BudgetExceededError, match=message):
+            verify_laurent_run(wq, 6, budget=300)
+        assert sizes and max(sizes) <= 1000
+
+    def test_a_non_laurent_body_is_divided_once(self, monkeypatch):
+        # _full_fraction divides N_b by D; the classifier and the factor
+        # base take its quotient instead of dividing again.
+        fracs = [r.variable for r in _held(3, (1, 0, -1), 7) if not r.is_laurent]
+        assert len(fracs) == 4
+        calls = []
+        exact_div = Poly.exact_div
+        monkeypatch.setattr(Poly, "exact_div", lambda p, q: calls.append(p) or exact_div(p, q))
+        base = _FactorBase()
+        for frac in fracs:
+            full = _full_fraction(frac)
+            assert _classify(full) == NotLaurent("slope", frac.den)
+            base.add(full[3])
+        assert len(base.factors()) == 4
+        assert calls == [frac.num_body for frac in fracs]
 
     def test_budget_checks_the_reduced_fraction(self, monkeypatch):
         # A reducer that pads numerators and denominator by the same
@@ -521,7 +536,7 @@ class TestFactorBase:
         factors, nums, den, path = _factor_case(name)
         base = _FactorBase()
         for f in factors:
-            base.add(RationalDualExpr(f, (Poly.zero(3),) * 4, Poly.one(3)))
+            base.add(f)
         assert base.factors() == factors
         got_nums, got_den, got_path = _reduce(nums, den, base)
         assert (got_nums, got_den) == reduce_by_gcd(nums, den)
@@ -543,8 +558,8 @@ class TestFactorBase:
             for r in _held(n, weights, steps)
         ]
         expected = [
-            (step, laurent_, den.format(names), body_terms, slope_terms, variable.sexpr())
-            for step, laurent_, den, body_terms, slope_terms, variable in held_run_oracle(
+            (step, laurent_, den.format(names), body_terms, slope_terms, sexpr)
+            for step, laurent_, den, body_terms, slope_terms, sexpr in held_run_oracle(
                 WeightedQuiver(primitive(n, 1), weights), steps
             )
         ]
@@ -586,7 +601,7 @@ def small_runs(draw):
 
 
 class TestCarriedSlopes:
-    """Runs carry (s_0,) and rebuild s_i = ∂_i body; the oracle carries all parts."""
+    """Values carry body and s_0 and rebuild s_i = ∂_i body; the oracle carries all parts."""
 
     STEPS = 4
 
@@ -606,8 +621,8 @@ class TestCarriedSlopes:
             for r in verify_laurent_run(wq, self.STEPS, evolve_weights=evolve)
         ]
         expected = [
-            (step, laurent_, den.format(names), body_terms, slope_terms, variable.sexpr())
-            for step, laurent_, den, body_terms, slope_terms, variable in held_run_oracle(
+            (step, laurent_, den.format(names), body_terms, slope_terms, sexpr)
+            for step, laurent_, den, body_terms, slope_terms, sexpr in held_run_oracle(
                 wq, self.STEPS, evolve
             )
         ]
@@ -618,31 +633,28 @@ class TestCarriedSlopes:
         # and ∂_2 body = −x1/(x1 + x2)².
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         d = x1 + x2
-        carried = RationalDualExpr(x1, (x2,), d)
-        full = _with_y_slopes(carried, _FactorBase())
-        assert full == RationalDualExpr(x1 * d, (x2 * d, x2, -x1), d * d)
-        assert normalize(full) == NotLaurent("body", d)
+        carried = RationalDualExpr(x1, x2, d)
+        assert _full_fraction(carried) == (x1 * d, (x2 * d, x2, -x1), d * d, None)
+        assert normalize(carried) == NotLaurent("body", d)
 
 
 class TestEvaluate:
     def test_identity_fraction(self):
         X = initial_variables(2)
-        product = _mul(X[0], _dual(Poly.monomial(4, (-1, 0, 0, 0)), Poly.zero(4)))  # x1 * (1/x1)
-        assert product.body == _x(Poly.one(4))
+        product = _mul(X[0], DualLaurent(Poly.monomial(2, (-1, 0)), Poly.zero(2)))  # x1 * (1/x1)
+        assert product.body == Poly.one(2)
         assert evaluate(product, [DualScalar(5, 2), DualScalar(1, 0)]).body == 1
 
     def test_pole(self):
-        v = _dual(Poly.monomial(4, (-1, 0, 0, 0)), Poly.zero(4))
+        v = DualLaurent(Poly.monomial(2, (-1, 0)), Poly.zero(2))
         with pytest.raises(ZeroAtPoleError):
             evaluate(v, [DualScalar(0, 1), DualScalar(1, 0)])
 
     def test_slope_of_the_wrong_shape_is_refused(self):
         x1 = Poly.variable(2, 0)
         at = [DualScalar(1, 1), DualScalar(1, 1)]
-        with pytest.raises(ValueError, match="slope of 3 parts, got 2"):
-            evaluate(DualLaurent(x1, (x1, x1)), at)
         with pytest.raises(ValueError, match="in 2 variables"):
-            evaluate(DualLaurent(x1, (x1, x1, Poly.one(3))), at)
+            evaluate(DualLaurent(x1, Poly.one(3)), at)
 
     def test_somos_values(self):
         symbolic = symbolic_sequence(somos4_weighted(), 2)
@@ -652,26 +664,16 @@ class TestEvaluate:
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_substitution_homomorphism(self, data):
-        nv = 4  # two vertices
+        n = 2
         coeff = st.integers(min_value=-3, max_value=3)
         exp = st.integers(min_value=0, max_value=2)
 
         def draw_value():
             body = Poly(
-                nv,
-                {
-                    (data.draw(exp), data.draw(exp), 0, 0): data.draw(coeff),
-                    (data.draw(exp), 0, 0, 0): data.draw(coeff),
-                },
+                n, {(data.draw(exp), data.draw(exp)): data.draw(coeff), (data.draw(exp), 0): data.draw(coeff)}
             )
-            slope = Poly(
-                nv,
-                {
-                    (data.draw(exp), 0, 1, 0): data.draw(coeff),
-                    (0, data.draw(exp), 0, 1): data.draw(coeff),
-                },
-            )
-            return _dual(body, slope)
+            s0 = Poly(n, {(data.draw(exp), 0): data.draw(coeff), (0, data.draw(exp)): data.draw(coeff)})
+            return DualLaurent(body, s0)
 
         u, v = draw_value(), draw_value()
         point = [
@@ -691,6 +693,17 @@ def _six_step_run(name: str) -> tuple[WeightedQuiver, list]:
     return wq, verify_laurent_run(wq, 6)
 
 
+@cache
+def _iterated_exchanges(wq: WeightedQuiver, steps: int) -> list[DualLaurent]:
+    """sym_exchange along mutate-at-1-then-rotate, fed its own outputs."""
+    state, new = initial_variables(wq.n), []
+    for _ in range(steps):
+        state = state[1:] + [sym_exchange(wq, state, 1)]
+        new.append(state[-1])
+        wq = wq.mutate(1).rotate()
+    return new
+
+
 class TestRandomPoints:
     """Symbolic results against numeric runs at random dual points.
 
@@ -698,20 +711,36 @@ class TestRandomPoints:
     bodies and slopes can.
     """
 
-    @pytest.mark.parametrize("name", ["somos4", "neg_p31"])
-    @given(data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_evaluation_matches_numeric_run(self, name, data):
-        wq, reports = _six_step_run(name)
+    @staticmethod
+    def _point_and_run(wq: WeightedQuiver, data, steps: int):
         n = wq.n
         body = st.integers(min_value=-5, max_value=5).filter(bool)
         slope = st.integers(min_value=-5, max_value=5)
         a = data.draw(st.tuples(*[body] * n))
         b = data.draw(st.tuples(*[slope] * n))
         point = [DualScalar(Fraction(x), Fraction(y)) for x, y in zip(a, b)]
-        numeric = run(quiver_to_spec(wq), init_a=a, init_b=b, count=n + 6)
-        for k, term in enumerate(numeric.terms[n:], start=1):
-            assert evaluate(reports[k - 1].variable, point) == term
+        return point, run(quiver_to_spec(wq), init_a=a, init_b=b, count=n + steps).terms[n:]
+
+    @pytest.mark.parametrize("name", ["somos4", "neg_p31"])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_evaluation_matches_numeric_run(self, name, data):
+        wq, reports = _six_step_run(name)
+        point, terms = self._point_and_run(wq, data, 6)
+        for rep, term in zip(reports, terms):
+            assert evaluate(rep.variable, point) == term
+
+    def test_iterated_sym_exchange_matches_the_sequence(self):
+        wq, _ = _six_step_run("somos4")
+        assert _iterated_exchanges(wq, 6) == symbolic_sequence(wq, 6)
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_iterated_sym_exchange_matches_numeric_run(self, data):
+        wq, _ = _six_step_run("somos4")
+        point, terms = self._point_and_run(wq, data, 6)
+        for v, term in zip(_iterated_exchanges(wq, 6), terms):
+            assert evaluate(v, point) == term
 
 
 class TestSexprPins:
