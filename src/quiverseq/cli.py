@@ -58,16 +58,20 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept "3", "1..5", or "0,2,5"."""
+    """Accept "3", "1..5", or "0,2,5"; a range with no values, like "2..0", is refused."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",")]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f'expected an integer, a range like "1..5" or a list like "0,2,5", got {text!r}'
         ) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: the upper end is below the lower")
+    return values
 
 
 def _positive_int(text: str) -> int:

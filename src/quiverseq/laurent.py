@@ -127,13 +127,15 @@ class DualLaurent:
 
     def denominator_monomial(self) -> tuple[int, ...]:
         """x-exponents of the common monomial denominator (all ≥ 0)."""
-        mins = self.body.min_exponents()
-        for part in self.slope:
-            mins = tuple(map(min, mins, part.min_exponents()))
-        return tuple(max(0, -m) for m in mins)
+        return _denominator_monomial((self.body, *self.slope))
 
     def sexpr(self) -> str:
         return f"(dual (body {_sexpr(self.body)}) (slope {_slope_sexpr(self.slope)}))"
+
+
+def _denominator_monomial(parts: Sequence[Poly]) -> tuple[int, ...]:
+    """x-exponents of the least monomial clearing every part's negative exponents."""
+    return tuple(max(0, -min(col)) for col in zip(*(part.min_exponents() for part in parts)))
 
 
 def initial_variables(n: int) -> list[DualLaurent]:
@@ -182,8 +184,12 @@ class RationalDualExpr:
         return self.num_body.term_count + self.num_s0.term_count
 
     def mul(self, other: "RationalDualExpr") -> "RationalDualExpr":
-        b, ob = self.num_body, other.num_body
-        return RationalDualExpr(b * ob, b * other.num_s0 + self.num_s0 * ob, self.den * other.den)
+        """The product; a square (``other is self``) builds its cross term b·s_0 once."""
+        b, s, d = self.num_body, self.num_s0, self.den
+        if other is self:
+            return RationalDualExpr(b * b, 2 * (b * s), d * d)
+        ob = other.num_body
+        return RationalDualExpr(b * ob, b * other.num_s0 + s * ob, d * other.den)
 
     def add(self, other: "RationalDualExpr") -> "RationalDualExpr":
         d, od = self.den, other.den
@@ -544,7 +550,7 @@ def verify_laurent_run(
         result = _classify(full)
         laurent = isinstance(result, DualLaurent)
         if laurent:
-            variable, denominator = result, Poly.monomial(n, result.denominator_monomial())
+            variable, denominator = result, Poly.monomial(n, _denominator_monomial((nb, *slope)))
         else:
             variable, denominator = frac, result.denominator
         reports.append(

@@ -33,6 +33,19 @@ has deg_i(q) = deg_i(num) - deg_i(den) in every variable, since degrees
 add in Z[x]; so a quotient term outside 0..deg_i(num) - deg_i(den) proves
 the division inexact, and while every quotient term stays inside, every
 remainder key stays inside the numerator's radix.
+
+An operand with one term c·x^f has nothing to pack: the unit, a
+constant, an ``int`` coerced to one, or a monomial.  ``__mul__`` then
+returns {e + f: c·d} directly, and ``exact_div`` by it returns
+{e − f: c // d}, or None at the first coefficient that d does not
+divide; monomials are units in the Laurent ring, so that is the whole
+test of exactness.
+
+Every Poly holds the invariant that its keys are exponent tuples of
+length nvars and none of its coefficients is zero.  ``Poly(...)`` copies
+and filters its argument to establish it; the kernels, whose results
+hold it by construction, hand their term dicts to ``Poly._wrap``, which
+takes them without copying.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, sub
 
 
 class Poly:
@@ -56,6 +69,15 @@ class Poly:
                     self.terms[tuple(exps)] = coeff
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Poly":
+        """Take ownership of terms, whose keys are exponent tuples of length
+        nvars and whose coefficients are all nonzero; nothing is copied."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -124,12 +146,12 @@ class Poly:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        return Poly(self.nvars, out)
+        return Poly._wrap(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -144,6 +166,13 @@ class Poly:
         a, b = self.terms, other.terms
         if not a or not b:
             return Poly(self.nvars)
+        if len(a) == 1 or len(b) == 1:
+            if len(a) != 1:
+                a, b = b, a
+            ((f, d),) = a.items()
+            if any(f):
+                return Poly._wrap(self.nvars, {tuple(map(add, e, f)): c * d for e, c in b.items()})
+            return Poly._wrap(self.nvars, {e: c * d for e, c in b.items()})
         lo, hi = _bounds(a)
         blo, bhi = _bounds(b)
         lo = [x + y for x, y in zip(lo, blo)]
@@ -187,7 +216,7 @@ class Poly:
         """Multiply by the (unit) monomial with exponent vector delta."""
         if all(d == 0 for d in delta):
             return self
-        return Poly(self.nvars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()})
+        return Poly._wrap(self.nvars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()})
 
     def content(self) -> int:
         g = 0
@@ -213,7 +242,7 @@ class Poly:
             k = e[slot]
             if k:
                 out[e[:slot] + (k - 1,) + e[slot + 1 :]] = k * c
-        return Poly(self.nvars, out)
+        return Poly._wrap(self.nvars, out)
 
     # -- division and gcd --------------------------------------------------
 
@@ -226,13 +255,23 @@ class Poly:
         failure means the division is not exact.  Keys are packed in the
         radix of the shifted numerator, remainder leads come off a heap,
         and only quotient terms are unpacked; a quotient exponent outside
-        0..deg_i(num) - deg_i(den) proves the division inexact.
+        0..deg_i(num) - deg_i(den) proves the division inexact.  A one-term
+        divisor is divided out term by term, with no packing.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         num, den = self.terms, divisor.terms
         if not num:
             return Poly(self.nvars)
+        if len(den) == 1:
+            ((f, d),) = den.items()
+            quot = {}
+            for e, c in num.items():
+                qc, r = divmod(c, d)
+                if r:
+                    return None
+                quot[tuple(map(sub, e, f))] = qc
+            return Poly._wrap(self.nvars, quot)
         nlo, nhi = _bounds(num)
         dlo, dhi = _bounds(den)
         bound = [nh - nl - dh + dl for nl, nh, dl, dh in zip(nlo, nhi, dlo, dhi)]
@@ -273,7 +312,7 @@ class Poly:
                 else:
                     rem[k] = -qc * dc
                     heappush(heap, -k)
-        return Poly(self.nvars, quot)
+        return Poly._wrap(self.nvars, quot)
 
     # -- evaluation and printing -------------------------------------------
 
@@ -371,7 +410,7 @@ def _unpack(nvars: int, packed: dict[int, int], lo, weights) -> Poly:
                 d, k = divmod(k, w)
                 e.append(d + low)
             terms[tuple(e)] = c
-    return Poly(nvars, terms)
+    return Poly._wrap(nvars, terms)
 
 
 # -- multivariate gcd (heuristic, GCDHEU) ------------------------------------

@@ -41,6 +41,7 @@ def test_every_traced_name_exists(monkeypatch):
     [
         ["seq", "--family", "somos4", "--deform", "m2:1", "--terms", "12"],
         ["decompose", "--family", "somos4", "--terms", "12"],
+        ["scan", "--family", "fordy-marsh-s4", "--p", "1", "--q", "0..1", "--horizon", "12", "--deform", "m1:1"],
     ],
 )
 def test_numeric_commands_reach_traced_division(monkeypatch, argv):

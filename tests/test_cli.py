@@ -282,6 +282,22 @@ class TestScan:
         assert err.value.code == 2
         assert repr(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, empty",
+        [
+            (["scan", "--family", "fordy-marsh-s4", "--p", "1", "--q", "2..0"], "2..0"),
+            (["seq", "--family", "fordy-marsh-s4", "--p", "2..1", "--q", "0"], "2..1"),
+            (["decompose", "--family", "gale-robinson", "--N", "6", "--r", "1", "--s", "3..2"], "3..2"),
+        ],
+    )
+    def test_empty_range_is_usage_error(self, argv, empty, capsys):
+        # An empty range used to print nothing and exit 0 (scan) or fail
+        # later as a domain error (seq, decompose).
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"empty range {empty!r}" in capsys.readouterr().err
+
 
 class TestLaurent:
     def test_somos4_check(self, somos4a_weighted_path):

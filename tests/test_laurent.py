@@ -283,6 +283,37 @@ class TestReduced:
 
 
 @st.composite
+def fraction_pairs(draw):
+    """Two small fractions (num_body, num_s0, den) in one or two variables."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    poly = _poly_drawer(draw, n)
+    return [RationalDualExpr(poly(), poly(), poly(nonzero=True)) for _ in range(2)]
+
+
+class TestMul:
+    @given(fraction_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_square_equals_product_with_an_equal_copy(self, pair):
+        a, other = pair
+        copy = RationalDualExpr(*(Poly(p.nvars, dict(p.terms)) for p in (a.num_body, a.num_s0, a.den)))
+        assert copy == a and copy is not a
+        assert a.mul(a) == a.mul(copy)
+        assert a.mul(other) == other.mul(a)
+
+    def test_square_builds_its_cross_product_once(self, monkeypatch):
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        a = RationalDualExpr(x1 + x2, x1 - 2 * x2, x1)
+        products = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append((p, q)) or mul(p, q))
+        square = a.mul(a)
+        assert sum(a.num_s0 in (p, q) for p, q in products) == 1
+        assert square == RationalDualExpr(
+            (x1 + x2) * (x1 + x2), 2 * (x1 + x2) * (x1 - 2 * x2), x1 * x1
+        )
+
+
+@st.composite
 def division_pairs(draw):
     """(a, b, kind): b has a nonzero body P, and its denominator is 1 or not.
 
@@ -457,6 +488,20 @@ class TestVerifyRun:
             base.add(full[3])
         assert len(base.factors()) == 4
         assert calls == [frac.num_body for frac in fracs]
+
+    def test_y_parts_are_built_once_per_step(self, monkeypatch):
+        # ∂_i body for i = 1..4 on each of 11 Laurent steps, shared by the
+        # term counts and the monomial denominator.
+        calls = []
+        derivative = Poly.derivative
+        monkeypatch.setattr(Poly, "derivative", lambda p, slot: calls.append(slot) or derivative(p, slot))
+        wq = WeightedQuiver(Quiver.from_rows(SOMOS4_ROWS), (1, 0, 0, -1))
+        reports = verify_laurent_run(wq, 11)
+        assert all(r.is_laurent for r in reports)
+        assert len(calls) == 44
+        assert [r.denominator for r in reports] == [
+            Poly.monomial(4, r.variable.denominator_monomial()) for r in reports
+        ]
 
     def test_budget_checks_the_reduced_fraction(self, monkeypatch):
         # A reducer that pads numerators and denominator by the same

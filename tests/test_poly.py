@@ -181,6 +181,82 @@ class TestPackedKernels:
         assert num.exact_div(den) is None
 
 
+@st.composite
+def one_term_cases(draw):
+    """(p, m, k): p from packed_pairs, m a monomial with coefficient ±1 or
+    ±k and exponents that may be negative, or the zero polynomial, and k
+    a nonzero int to multiply by directly."""
+    p, _, _ = draw(packed_pairs())
+    nvars = p.nvars
+    k = draw(st.one_of(st.sampled_from([1, -1]), st.integers(min_value=2, max_value=10**6)))
+    k *= draw(st.sampled_from([1, -1]))
+    exps = draw(st.tuples(*[st.integers(min_value=-25, max_value=25)] * nvars))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        m = Poly.zero(nvars)
+    elif draw(st.booleans()):
+        m = Poly.const(nvars, k)
+    else:
+        m = Poly.monomial(nvars, exps, k)
+    return p, m, k
+
+
+def assert_invariant(p):
+    """The terms every kernel hands to Poly._wrap: nvars-tuples, no zero coefficient."""
+    assert all(type(e) is tuple and len(e) == p.nvars for e in p.terms)
+    assert all(type(c) is int and c for c in p.terms.values())
+
+
+class TestOneTermKernels:
+    """Products with a one-term operand and quotients by a one-term divisor
+    skip packing; the tuple-keyed oracles check them."""
+
+    @given(one_term_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_oracle(self, case):
+        p, m, k = case
+        assert p * m == tuple_mul(p, m)
+        assert m * p == tuple_mul(m, p)
+        assert m * m == tuple_mul(m, m)
+        c = Poly.const(p.nvars, k)
+        assert k * p == p * k == tuple_mul(p, c)
+
+    @given(one_term_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_matches_oracle(self, case):
+        p, m, k = case
+        if m.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                p.exact_div(m)
+            return
+        assert p.exact_div(m) == tuple_exact_div(p, m)
+        assert (p * m).exact_div(m) == p
+        assert m.exact_div(m) == Poly.one(p.nvars)
+        c = Poly.const(p.nvars, k)
+        assert (p * k).exact_div(c) == p
+
+    def test_inexact_coefficient_stops_the_quotient(self):
+        m = Poly.monomial(2, (-1, 2), -3)
+        assert (3 * x + 2 * y).exact_div(m) is None
+        assert (3 * x - 6 * y).exact_div(m) == Poly(2, {(2, -2): -1, (1, -1): 2})
+
+
+class TestKernelInvariant:
+    @given(packed_pairs(), one_term_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_results_have_tuple_keys_and_no_zero_coefficients(self, polys, case):
+        a, b, c = polys
+        p, m, k = case
+        results = [a * b, a + b, a - b, -a, b * k, p * m, m * p, a * c * b]
+        if not b.is_zero():
+            results += [(a * b).exact_div(b), (a * b + c).exact_div(b) or Poly.zero(a.nvars)]
+        if not m.is_zero():
+            results += [(p * m).exact_div(m), p.exact_div(m) or Poly.zero(p.nvars)]
+        results += [a.shift(tuple(range(a.nvars))), a.shift(tuple(-e for e in a.min_exponents()))]
+        results += [a.derivative(i) for i in range(a.nvars)]
+        for r in results:
+            assert_invariant(r)
+
+
 class TestGcd:
     def test_shared_factor(self):
         g = poly_gcd((x + 1) * (x + 2), (x + 1) * (x - 5))
