@@ -57,21 +57,30 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise QuiverSeqError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+MAX_RANGE_VALUES = 10_000
+
+
 def _parse_range(text: str) -> list[int]:
-    """Accept "3", "1..5", or "0,2,5"; a range with no values, like "2..0", is refused."""
+    """Accept "3", "1..5", or "0,2,5".
+
+    A range with no values, like "2..0", or with more than
+    MAX_RANGE_VALUES is refused before any list is built.
+    """
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split("..", 1))
         else:
-            values = [int(part) for part in text.split(",")]
+            return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f'expected an integer, a range like "1..5" or a list like "0,2,5", got {text!r}'
         ) from None
-    if not values:
+    count = hi - lo + 1
+    if count < 1:
         raise argparse.ArgumentTypeError(f"empty range {text!r}: the upper end is below the lower")
-    return values
+    if count > MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
+    return list(range(lo, hi + 1))
 
 
 def _positive_int(text: str) -> int:

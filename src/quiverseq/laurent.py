@@ -47,10 +47,20 @@ Leclerc & Schröer, "Factorial cluster algebras", Doc. Math. 18, 2013),
 times a monomial and a constant.  Exactness does not rest on that: a
 factor that stops dividing some numerator is kept only with the
 certificate gcd(factor, numerator) = 1, computed on the small factor.
-``RationalDualExpr.reduced`` runs the reducer once on body and s_0
-together and records its path; one classifier, ``_classify``, names the
-outcome: Laurent when the reduced denominator is 1, otherwise the part
-that fails and its denominator.
+
+On such held runs the bodies are still cluster variables, Laurent
+whatever the weights (Fomin & Zelevinsky, "Cluster algebras I", JAMS 15,
+2002); only s_0 fails.  So the trial division usually finds the body
+N_b/D and stops at s_0.  The reducer then takes the body first: it
+reduces s_0 alone over the factor base and rebuilds the body numerator
+as body·D' over the reduced denominator D', which is the joint result
+(see ``_reduce_with_body``).  Whether the body divided is read from the
+division, never assumed.  ``RationalDualExpr.reduced`` runs the reducer
+once on body and s_0 together and records its path and the body it
+found; ``_full_fraction`` and the next ``div`` reuse that body instead
+of dividing again.  One classifier, ``_classify``, names the outcome:
+Laurent when the reduced denominator is 1, otherwise the part that
+fails and its denominator.
 """
 
 from __future__ import annotations
@@ -158,14 +168,16 @@ class RationalDualExpr:
     ``mul``, ``add``, ``div`` and ``deform`` keep the y-parts
     s_i/den = ∂_i(num_body/den) of a value built from the seeds without
     carrying them; ``_full_fraction`` rebuilds them.  A fraction made by
-    ``reduced`` names the reducer's path in ``reduction``, which takes no
-    part in equality.
+    ``reduced`` names the reducer's path in ``reduction`` and keeps in
+    ``body`` the exact quotient num_body/den when the reducer found it
+    (None otherwise); neither takes part in equality.
     """
 
     num_body: Poly
     num_s0: Poly
     den: Poly
     reduction: str | None = field(default=None, compare=False, repr=False)
+    body: Poly | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.den.is_zero():
@@ -204,7 +216,8 @@ class RationalDualExpr:
     def div(self, other: "RationalDualExpr") -> "RationalDualExpr":
         """Dual division by (P + Q·ε)/D, keeping denominators x-only.
 
-        With β = P/D the divisor's body and q = N_b/β the quotient's body,
+        With β = P/D the divisor's body (its recorded ``body`` when it has
+        one, so nothing is divided for it) and q = N_b/β the quotient's body,
         self/other has body numerator N_b·D, s_0 numerator N_0·D − q·Q and
         denominator self.den·D·β.  When D is 1 the s_0 numerator is first
         divided by β; if that division is exact the denominator stays
@@ -217,7 +230,7 @@ class RationalDualExpr:
         if ob.is_zero():
             raise ZeroBodyDivisionError("division by a value with zero body")
         unit = od.is_one()
-        beta = ob if unit else ob.exact_div(od)
+        beta = other.body or (ob if unit else ob.exact_div(od))
         q = None if beta is None else b.exact_div(beta)
         if q is None:
             return RationalDualExpr(b * ob * od, (s * ob - b * t) * od, self.den * ob * ob)
@@ -231,12 +244,12 @@ class RationalDualExpr:
     def reduced(self, base: "_FactorBase | None" = None) -> "RationalDualExpr":
         """Cancel the denominator as far as possible, jointly for body and s_0.
 
-        One pass of ``_reduce``, with the factor base of a run when one is
-        given; the result records the path the reducer took in
-        ``reduction``.
+        One pass of the reducer, with the factor base of a run when one
+        is given; the result records the path the reducer took in
+        ``reduction`` and the body it found in ``body``.
         """
-        (nb, s0), den, path = _reduce((self.num_body, self.num_s0), self.den, base)
-        return RationalDualExpr(nb, s0, den, path)
+        (nb, s0), den, path, body = _reduce_with_body((self.num_body, self.num_s0), self.den, base)
+        return RationalDualExpr(nb, s0, den, path, body)
 
     def sexpr(self) -> str:
         """The fraction with its y-parts rebuilt (see ``_full_fraction``)."""
@@ -253,8 +266,10 @@ def _full_fraction(
     """(N_b, (N_0, N_1, …, N_n), D', body) for (N_b + N_0·ε)/D, where
     N_i/D' = ∂_i(N_b/D) and body = N_b/D if that division is exact.
 
-    When the body b = N_b/D is Laurent the parts are ∂_i b·D over the same
-    D; being multiples of D, they leave a reduced fraction reduced.
+    A fraction made by ``reduced`` brings the body its reducer found, so
+    N_b is divided by D only when it brings none.  When the body b = N_b/D
+    is Laurent the parts are ∂_i b·D over the same D; being multiples of
+    D, they leave a reduced fraction reduced.
     Otherwise the quotient rule puts ∂_i N_b·D − N_b·∂_i D over D², and
     the whole is reduced (over base when given).  With a skew-symmetric
     exchange matrix the bodies are cluster variables, Laurent by the
@@ -262,7 +277,7 @@ def _full_fraction(
     """
     nb, n0, d = frac.num_body, frac.num_s0, frac.den
     slots = range(nb.nvars)
-    body = nb if d.is_one() else nb.exact_div(d)
+    body = frac.body or (nb if d.is_one() else nb.exact_div(d))
     if body is None:
         parts = [nb.derivative(i) * d - nb * d.derivative(i) for i in slots]
         (nb, *slope), den, _ = _reduce((nb * d, n0 * d, *parts), d * d, base)
@@ -295,6 +310,13 @@ def _divide_all(nums, divisor: Poly) -> tuple[list[Poly], Poly | None]:
 
 
 def _reduce(nums, den: Poly, base: "_FactorBase | None" = None) -> tuple[list[Poly], Poly, str]:
+    """``_reduce_with_body`` without the body."""
+    return _reduce_with_body(nums, den, base)[:3]
+
+
+def _reduce_with_body(
+    nums, den: Poly, base: "_FactorBase | None" = None
+) -> tuple[list[Poly], Poly, str, Poly | None]:
     """Cancel a shared denominator against every numerator.
 
     The monomial part of den folds into (possibly negative) numerator
@@ -304,18 +326,33 @@ def _reduce(nums, den: Poly, base: "_FactorBase | None" = None) -> tuple[list[Po
     given ("factor", see ``_reduce_over``), and as a last resort it is
     cancelled by its GCD with all nonzero numerators ("gcd").  The
     reduced denominator comes back expanded, free of monomial factors and
-    with a positive lex-leading coefficient, together with the path.
+    with a positive lex-leading coefficient, together with the path and
+    the exact quotient nums[0]/den when trial division found one (None
+    otherwise).
+
+    Body first: when the trial division gets past some leading
+    numerators, such as a body that is Laurent, before it stops, only the
+    rest are reduced over the base, and each quotient q is rebuilt as
+    q·D' over the reduced denominator D'.  That is the joint result: a
+    multiple of den has every factor of den as often as den does, so it
+    never stops a factor's cancellation or holds a certificate, and its
+    content is a multiple of den's constant, so it leaves the integer step
+    alone.  For the same reason, when the rest do not reduce over the
+    base, all numerators together would not either, and the GCD route
+    follows.
     """
     nums, den = _fold_monomial(nums, den)
     if den.is_one():
-        return nums, den, "monomial"
+        return nums, den, "monomial", nums[0]
     quotients, stuck = _divide_all(nums, den)
+    body = quotients[0] if quotients else None
     if stuck is None:
-        return quotients, Poly.one(den.nvars), "trial"
+        return quotients, Poly.one(den.nvars), "trial", body
     if base is not None:
-        reduced = _reduce_over(base.factors(), nums, den)
+        reduced = _reduce_over(base.factors(), nums[len(quotients) :], den)
         if reduced is not None:
-            return (*reduced, "factor")
+            rest, left = reduced
+            return [q * left for q in quotients] + rest, left, "factor", body
     g = den
     for num in nums:
         if not (num.is_zero() or g.is_one()):
@@ -324,7 +361,7 @@ def _reduce(nums, den: Poly, base: "_FactorBase | None" = None) -> tuple[list[Po
         nums, den = _fold_monomial([num.exact_div(g) for num in nums], den.exact_div(g))
     if den.lex_lead()[1] < 0:
         nums, den = [-num for num in nums], -den
-    return nums, den, "gcd"
+    return nums, den, "gcd", body
 
 
 def _reduce_over(factors: list[Poly], nums: list[Poly], den: Poly) -> tuple[list[Poly], Poly] | None:
@@ -339,7 +376,9 @@ def _reduce_over(factors: list[Poly], nums: list[Poly], den: Poly) -> tuple[list
     so certified and the integer c made prime to the numerators'
     contents, the joint gcd is 1; no factor needs to be irreducible.
     None when den does not split into the factors or a certificate finds
-    a proper common factor; the caller then takes the GCD route.
+    a proper common factor; the caller then takes the GCD route.  On the
+    body-first route nums is s_0 alone (see ``_reduce_with_body``), so
+    the loop and the certificates never touch the larger body numerator.
     """
     rest, split = den, []
     for b in factors:

@@ -417,11 +417,11 @@ def _unpack(nvars: int, packed: dict[int, int], lo, weights) -> Poly:
 
 
 def _strip(p: Poly, mins: tuple[int, ...], content: int) -> Poly:
-    """p divided by its monomial factor x^mins and its integer content."""
-    return Poly(
-        p.nvars,
-        {tuple(a - m for a, m in zip(e, mins)): c // content for e, c in p.terms.items()},
-    )
+    """p divided by its monomial factor x^mins and its integer content;
+    p itself when both are 1."""
+    if content == 1 and not any(mins):
+        return p
+    return Poly._wrap(p.nvars, {tuple(map(sub, e, mins)): c // content for e, c in p.terms.items()})
 
 
 def _evaluate_at(p: Poly, slot: int, xi: int) -> Poly:
@@ -465,7 +465,8 @@ def _heu_candidate(
     coefficient of f or none of g.  The candidates are the primitive part
     of gamma's digits, and f or g divided by the cofactor whose digits
     are ff/gamma or gg/gamma; the first that divides both inputs exactly
-    is returned with a positive lex-leading coefficient.
+    is returned with a positive lex-leading coefficient.  A constant
+    candidate is 1, which divides everything, so it is returned at once.
 
     Any such h is the gcd G.  Its image divides gamma up to an integer of
     size at most xi/2, so the factor G/h takes a value that small at xi.
@@ -477,6 +478,8 @@ def _heu_candidate(
     a cofactor's digits can still carry one, so that is checked.
     """
     h = _interpolate(gamma, slot, xi)
+    if h.is_constant():
+        return Poly.one(h.nvars)
     scale = h.content() if h.lex_lead()[1] > 0 else -h.content()
     h = Poly(h.nvars, {e: c // scale for e, c in h.terms.items()})
     if f.exact_div(h) is not None and g.exact_div(h) is not None:

@@ -78,7 +78,12 @@ def test_laurent_reaches_traced_poly_kernels(monkeypatch, tmp_path, rows, flags)
     assert metrics["poly.mul.calls"] > 0
     assert metrics["poly.exact_div.calls"] > 0
     if "--hold-weights" in flags:
+        # Certificates and reduction stay where the tracer wraps them, and
+        # held steps divide each body once: dividing it again on every use
+        # made 20 divisions in this run.
         assert metrics["poly.gcd.calls"] > 0
+        assert list(tracer.span_name).count(tracer.names.index("laurent.reduced")) == 4
+        assert metrics["poly.exact_div.calls"] < 20
 
 
 @pytest.mark.parametrize(

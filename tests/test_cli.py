@@ -10,7 +10,7 @@ import pytest
 
 import quiverseq
 from quiverseq import cli
-from quiverseq.cli import main
+from quiverseq.cli import MAX_RANGE_VALUES, main
 from quiverseq.periodicity import solve_weight
 from quiverseq.quiver import Quiver, WeightedQuiver
 
@@ -297,6 +297,21 @@ class TestScan:
             main(argv)
         assert err.value.code == 2
         assert f"empty range {empty!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, huge",
+        [
+            (["scan", "--family", "fordy-marsh-s4", "--p", "1", "--q", f"1..{10**30}"], f"1..{10**30}"),
+            (["seq", "--family", "fordy-marsh-s4", f"--p={-10**30}..2", "--q", "0"], f"{-10**30}..2"),
+        ],
+    )
+    def test_oversized_range_is_usage_error(self, argv, huge, capsys):
+        # Such a range used to die with a raw MemoryError while its list was
+        # built; no machine can hold 10^30 values, so the cap must come first.
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"range {huge!r} has more than {MAX_RANGE_VALUES} values" in capsys.readouterr().err
 
 
 class TestLaurent:

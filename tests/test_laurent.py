@@ -23,6 +23,7 @@ from quiverseq.laurent import (
     _FactorBase,
     _full_fraction,
     _reduce,
+    _reduce_with_body,
     evaluate,
     initial_variables,
     normalize,
@@ -447,9 +448,9 @@ class TestVerifyRun:
 
         def recording(nums, *rest):
             sizes.append(sum(num.term_count for num in nums))
-            return _reduce(nums, *rest)
+            return _reduce_with_body(nums, *rest)
 
-        monkeypatch.setattr(laurent, "_reduce", recording)
+        monkeypatch.setattr(laurent, "_reduce_with_body", recording)
         with pytest.raises(BudgetExceededError, match=r"^step 6: 125 terms of the exchange fraction"):
             verify_laurent_run(wq, 6, budget=124, evolve_weights=False)
         assert sizes and max(sizes) < 124
@@ -474,19 +475,25 @@ class TestVerifyRun:
         assert sizes and max(sizes) <= 1000
 
     def test_a_non_laurent_body_is_divided_once(self, monkeypatch):
-        # _full_fraction divides N_b by D; the classifier and the factor
-        # base take its quotient instead of dividing again.
+        # A reduced fraction records the body its trial division found, and
+        # _full_fraction takes it; without one, _full_fraction divides N_b
+        # by D.  Either way the classifier and the factor base take that
+        # quotient instead of dividing again.
         fracs = [r.variable for r in _held(3, (1, 0, -1), 7) if not r.is_laurent]
         assert len(fracs) == 4
+        unrecorded = [RationalDualExpr(f.num_body, f.num_s0, f.den) for f in fracs]
+        bodies = [f.num_body.exact_div(f.den) for f in fracs]
         calls = []
         exact_div = Poly.exact_div
         monkeypatch.setattr(Poly, "exact_div", lambda p, q: calls.append(p) or exact_div(p, q))
-        base = _FactorBase()
-        for frac in fracs:
-            full = _full_fraction(frac)
-            assert _classify(full) == NotLaurent("slope", frac.den)
-            base.add(full[3])
-        assert len(base.factors()) == 4
+        for run in (fracs, unrecorded):
+            base = _FactorBase()
+            for frac, body in zip(run, bodies):
+                full = _full_fraction(frac)
+                assert full[3] == body
+                assert _classify(full) == NotLaurent("slope", frac.den)
+                base.add(full[3])
+            assert len(base.factors()) == 4
         assert calls == [frac.num_body for frac in fracs]
 
     def test_y_parts_are_built_once_per_step(self, monkeypatch):
@@ -509,10 +516,10 @@ class TestVerifyRun:
         pad = Poly(4, {(i, 0, 0, 0): 1 for i in range(50)})
 
         def padded(nums, den, base=None):
-            nums, den, path = _reduce(nums, den, base)
-            return [num * pad for num in nums], den * pad, path
+            nums, den, path, body = _reduce_with_body(nums, den, base)
+            return [num * pad for num in nums], den * pad, path, body
 
-        monkeypatch.setattr(laurent, "_reduce", padded)
+        monkeypatch.setattr(laurent, "_reduce_with_body", padded)
         with pytest.raises(BudgetExceededError, match=r"^step 1: \d+ terms of the reduced fraction"):
             verify_laurent_run(somos4_weighted(), 1, budget=20)
 
@@ -572,6 +579,57 @@ FACTOR_CASES = [
 ]
 
 
+@st.composite
+def small_x_polys(draw):
+    """Nonzero polynomials in x1..x3 with at most 4 terms, exponents 0..2."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+            st.sampled_from([c for c in range(-5, 6) if c]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return Poly(3, terms)
+
+
+@st.composite
+def factor_reductions(draw):
+    """(base factors, numerators, denominator, route) for the factor-base reducer.
+
+    den is a constant of either sign times a monomial times powers of base
+    factors.  "body first" puts N_b = body·den, so only s_0 is left to
+    reduce over the base; "joint" leaves one base factor out of N_b, so
+    den does not divide it; "shared" uses the reducible base factor B1·B2
+    and an s_0 sharing B1 with it, so a certificate finds that common
+    factor and the GCD route must answer.
+    """
+    b1, b2 = _held_p31_factors()
+    route = draw(st.sampled_from(["body first", "joint", "shared"]))
+    factors = [b1 * b2] if route == "shared" else [b1, b2]
+    exps = [draw(st.integers(min_value=0, max_value=2)) for _ in factors]
+    exps[draw(st.integers(min_value=0, max_value=len(factors) - 1))] += 1
+    c = draw(st.sampled_from([1, 2, 3, 6])) * draw(st.sampled_from([1, -1]))
+    mono = draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3))
+    den = Poly.monomial(3, mono, c)
+    for b, e in zip(factors, exps):
+        den = den * b**e
+    body, s0 = draw(small_x_polys()), draw(small_x_polys())
+    if route == "shared":
+        assume(s0.exact_div(b2) is None)
+        s0 = s0 * b1
+    else:
+        for b in factors:
+            s0 = s0 * b ** draw(st.integers(min_value=0, max_value=2))
+    if route == "joint":
+        short = next(b for b, e in zip(factors, exps) if e)
+        nb = body * den.exact_div(short)
+        assume(nb.exact_div(den) is None)
+    else:
+        nb = body * den
+    return factors, [nb, s0], den, route
+
+
 class TestFactorBase:
     """The factor-base reducer and the one division route against the
     expanded-denominator GCD route and the P² division of tests/golden.py."""
@@ -609,6 +667,30 @@ class TestFactorBase:
             )
         ]
         assert got == expected
+
+    @given(factor_reductions())
+    @settings(max_examples=60, deadline=None)
+    def test_random_reduction_matches_the_gcd_route(self, case):
+        factors, nums, den, route = case
+        base = _FactorBase()
+        for f in factors:
+            base.add(f)
+        got_nums, got_den, path = _reduce(nums, den, base)
+        assert (got_nums, got_den) == reduce_by_gcd(nums, den)
+        paths = {"body first": {"trial", "factor"}, "joint": {"factor"}, "shared": {"gcd"}}
+        assert path in paths[route]
+
+    @pytest.mark.parametrize("steps, divisions, gcds", [(7, 55, 10), (8, 82, 15)])
+    def test_held_steps_divide_the_body_once(self, monkeypatch, steps, divisions, gcds):
+        # Trial division finds each held body, s_0 alone is reduced over the
+        # base, and _full_fraction and the next div reuse the body.  Dividing
+        # the body again made 134 and 203 divisions, with the same gcds.
+        calls = []
+        exact_div, gcd = Poly.exact_div, laurent.poly_gcd
+        monkeypatch.setattr(Poly, "exact_div", lambda p, q: calls.append("div") or exact_div(p, q))
+        monkeypatch.setattr(laurent, "poly_gcd", lambda p, q: calls.append("gcd") or gcd(p, q))
+        _held(3, (1, 0, -1), steps)
+        assert (calls.count("div"), calls.count("gcd")) == (divisions, gcds)
 
     def test_gcd_calls_take_a_base_factor(self, monkeypatch):
         calls = []

@@ -382,6 +382,36 @@ class TestGcd:
         assert points[0] > first
 
 
+class TestGcdFastPaths:
+    def test_constant_candidate_is_one_at_once(self, monkeypatch):
+        # x + 1 and x + 2 at x = 10 give 11 and 12, whose gcd 1 lifts to a
+        # constant; 1 divides both inputs, so no division is tried.
+        f, g = x + 1, x + 2
+        ff, gg = poly_module._evaluate_at(f, 0, 10), poly_module._evaluate_at(g, 0, 10)
+        gamma = poly_gcd(ff, gg)
+        assert gamma == one
+
+        def refuse(p, q):
+            raise AssertionError("exact_div called")
+
+        monkeypatch.setattr(Poly, "exact_div", refuse)
+        assert poly_module._heu_candidate(f, g, ff, gg, gamma, 0, 10) == one
+        assert poly_module._heu_candidate(f, g, ff, gg, Poly.const(2, -3), 0, 10) == one
+
+    def test_strip_returns_its_input_when_nothing_to_strip(self):
+        p = 2 * x * x + 3 * y
+        assert poly_module._strip(p, (0, 0), 1) is p
+
+    @given(small_polys())
+    def test_strip_divides_out_monomial_and_content(self, p):
+        if p.is_zero():
+            return
+        mins, content = p.min_exponents(), -p.content()
+        stripped = poly_module._strip(p, mins, content)
+        assert stripped == p.shift(tuple(-m for m in mins)).exact_div(Poly.const(2, content))
+        assert all(isinstance(e, tuple) and c for e, c in stripped.terms.items())
+
+
 class TestDerivative:
     def test_negative_exponents(self):
         # 3·x^-2·y + 5·y + x^3
