@@ -36,12 +36,13 @@ def _read_quiver(path: str) -> Quiver | WeightedQuiver:
 def _weighted(args) -> WeightedQuiver:
     """Weighted quiver from file "w", --weights, or the solved weight function."""
     loaded = _read_quiver(args.quiver)
+    weights = getattr(args, "weights", None)
     if isinstance(loaded, WeightedQuiver):
-        if getattr(args, "weights", None):
-            return WeightedQuiver(loaded.quiver, _parse_ints(args.weights))
+        if weights is not None:
+            return WeightedQuiver(loaded.quiver, _parse_ints(weights))
         return loaded
-    if getattr(args, "weights", None):
-        return WeightedQuiver(loaded, _parse_ints(args.weights))
+    if weights is not None:
+        return WeightedQuiver(loaded, _parse_ints(weights))
     solution = periodicity.solve_weight(loaded)
     if solution is None:
         raise QuiverSeqError(
@@ -223,7 +224,7 @@ def _cmd_laurent(args, out) -> int:
 
 
 def _family_spec(args) -> seqgen.RecurrenceSpec:
-    if getattr(args, "quiver", None):
+    if getattr(args, "quiver", None) is not None:
         wq = _weighted(args)
         spec = seqgen.quiver_to_spec(wq)
     else:
@@ -235,7 +236,7 @@ def _family_spec(args) -> seqgen.RecurrenceSpec:
                     raise QuiverSeqError(f"--{key} must be a single value here, got {values}")
                 params[key] = values[0]
         spec = seqgen.builtin(args.family, **params)
-    if getattr(args, "deform", None):
+    if getattr(args, "deform", None) is not None:
         deform = _parse_deform(args.deform)
         if deform is None:
             spec = spec.without_deform()
@@ -246,8 +247,8 @@ def _family_spec(args) -> seqgen.RecurrenceSpec:
 
 def _cmd_seq(args, out) -> int:
     spec = _family_spec(args)
-    init_a = _parse_ints(args.init_a) if args.init_a else None
-    init_b = _parse_ints(args.init_b) if args.init_b else None
+    init_a = None if args.init_a is None else _parse_ints(args.init_a)
+    init_b = None if args.init_b is None else _parse_ints(args.init_b)
     result = seqgen.run(spec, init_a=init_a, init_b=init_b, count=args.terms)
     _emit_run(result, args.format, out)
     return 0
@@ -277,7 +278,7 @@ def _cmd_scan(args, out) -> int:
     grid = {key: getattr(args, key) for key in ("N", "r", "s", "p", "q") if getattr(args, key) is not None}
     if not grid:
         raise QuiverSeqError("scan needs at least one parameter range (e.g. --q 0..5)")
-    deform = _parse_deform(args.deform) if args.deform else None
+    deform = None if args.deform is None else _parse_deform(args.deform)
     cells = seqgen.integrality_scan(args.family, grid, args.horizon, deform)
     columns = (
         "clean", "degenerate", "first_fraction_index", "first_fraction_paper_index", "first_fraction_value"

@@ -8,12 +8,12 @@ differentiate: a rational expression F in the X's evaluates to
 F(x) + ε·Σ y_i·∂_i F(x) (Griewank & Walther, "Evaluating Derivatives",
 SIAM 2008), and the weights' factors (1 + w·ε) only add y-free terms, so
 s_i = ∂_i body for i ≥ 1.  A value is therefore stored as body and s_0
-alone, over one denominator in the x's: the seed X_j is (x_j, 0);
-``mul``, ``add`` and ``div`` follow the Leibniz, sum and quotient rules,
-and ``deform`` touches only s_0.  One function, ``_full_fraction``,
-rebuilds s_1..s_n with ``Poly.derivative`` for printing, evaluation and
-the reported term counts; printing joins the parts into one polynomial
-over x_1..x_n, y_1..y_n.
+alone: the seed X_j is (x_j, 0); ``mul``, ``add`` and ``div`` follow
+the Leibniz, sum and quotient rules, and ``deform`` touches only s_0.
+One function, ``_full_fraction``, rebuilds s_1..s_n with
+``Poly.derivative`` for printing, evaluation and the reported term
+counts; printing joins the parts into one polynomial over x_1..x_n,
+y_1..y_n.
 
 An exchange step at vertex k computes
 
@@ -26,41 +26,37 @@ exponents.  ``verify_laurent_run`` iterates the cycle "mutate at vertex
 1, shift labels" and reports Laurent-or-not per step, continuing with
 reduced fractions either way.
 
-Along a genuine run X'_k is Laurent, so the division by X_k is exact.
-``RationalDualExpr.div`` divides by the divisor's body β: the quotient's
-body q = N_b/β is one exact division, and when X_k has denominator 1
+The bodies are the classical sequences: the exchange matrix is
+skew-symmetric (``Quiver`` accepts nothing else), so every body of a run
+is a cluster variable, a Laurent polynomial by the Laurent phenomenon
+(Fomin & Zelevinsky, "Cluster algebras I", JAMS 15, 2002), whatever the
+weights.  Only s_0 can fail.  So a value is stored as
+``RationalDualExpr(body, num_s0, den)``: the body is a Laurent
+polynomial and only s_0 sits over den.  ``RationalDualExpr.div`` divides
+by the divisor's body β once, and the quotient q = body/β is the new
+body; a body that β does not divide raises ``NotLaurentError`` naming
+the reduced body denominator, which only ``sym_exchange`` on inputs that
+are not cluster variables can reach.  When X_k has denominator 1
 (whenever the previous steps were Laurent) s_0 is divided by β as well,
-so a Laurent result leaves nothing to reduce.  When it does not divide,
-the numerators already computed stay over the denominator times β; only
-when β or q is not exact does the division multiply through by
-(P − Q·ε)/P².
+so a Laurent result leaves nothing to reduce; otherwise s_0 stays over
+den times β.
 
-All cancellation goes through one reducer, ``_reduce``: fold the
-monomial part of the denominator, try one trial division, then split
-the denominator over a factor base and cancel it factor by factor, and
-only when that fails take the GCD of the expanded denominator with the
-numerators.  ``verify_laurent_run`` keeps the factor base: the bodies of
-the run's variables.  In every run tried with the weights held off
-their mutation rule, each denominator is a product of such bodies'
-numerators, which are cluster variables and so irreducible (Geiss,
-Leclerc & Schröer, "Factorial cluster algebras", Doc. Math. 18, 2013),
-times a monomial and a constant.  Exactness does not rest on that: a
-factor that stops dividing some numerator is kept only with the
-certificate gcd(factor, numerator) = 1, computed on the small factor.
-
-On such held runs the bodies are still cluster variables, Laurent
-whatever the weights (Fomin & Zelevinsky, "Cluster algebras I", JAMS 15,
-2002); only s_0 fails.  So the trial division usually finds the body
-N_b/D and stops at s_0.  The reducer then takes the body first: it
-reduces s_0 alone over the factor base and rebuilds the body numerator
-as body·D' over the reduced denominator D', which is the joint result
-(see ``_reduce_with_body``).  Whether the body divided is read from the
-division, never assumed.  ``RationalDualExpr.reduced`` runs the reducer
-once on body and s_0 together and records its path and the body it
-found; ``_full_fraction`` and the next ``div`` reuse that body instead
-of dividing again.  One classifier, ``_classify``, names the outcome:
-Laurent when the reduced denominator is 1, otherwise the part that
-fails and its denominator.
+All cancellation goes through one reducer, ``_reduce``, on the s_0
+numerator alone: fold the monomial part of the denominator, try one
+trial division, then split the denominator over a factor base and cancel
+it factor by factor, and only when that fails take the GCD of the
+expanded denominator with the numerator.  ``verify_laurent_run`` keeps
+the factor base: the bodies of the run's variables.  In every run tried
+with the weights held off their mutation rule, each denominator is a
+product of such bodies' numerators, which are cluster variables and so
+irreducible (Geiss, Leclerc & Schröer, "Factorial cluster algebras",
+Doc. Math. 18, 2013), times a monomial and a constant.  Exactness does
+not rest on that: a factor that stops dividing the numerator is kept
+only with the certificate gcd(factor, numerator) = 1, computed on the
+small factor.  ``RationalDualExpr.reduced`` runs the reducer and records
+its path.  One classifier, ``_classify``, names the outcome: Laurent
+when the reduced denominator is 1, otherwise the slope and its
+denominator.
 """
 
 from __future__ import annotations
@@ -91,7 +87,8 @@ class BudgetExceededError(QuiverSeqError, RuntimeError):
 
 
 class NotLaurentError(QuiverSeqError, ValueError):
-    """Raised by sym_exchange and symbolic_sequence on a non-Laurent result."""
+    """Raised by sym_exchange and symbolic_sequence on a non-Laurent result,
+    and by ``RationalDualExpr.div`` on a body that does not divide."""
 
     def __init__(self, failure: "NotLaurent"):
         super().__init__(f"non-Laurent {failure.part}: denominator {failure.denominator!r}")
@@ -163,21 +160,19 @@ class NotLaurent:
 
 @dataclass(frozen=True)
 class RationalDualExpr:
-    """(num_body + num_s0·ε) / den over x_1..x_n, with s_i = ∂_i body.
+    """body + (num_s0/den)·ε over x_1..x_n, with s_i = ∂_i body.
 
-    ``mul``, ``add``, ``div`` and ``deform`` keep the y-parts
-    s_i/den = ∂_i(num_body/den) of a value built from the seeds without
-    carrying them; ``_full_fraction`` rebuilds them.  A fraction made by
-    ``reduced`` names the reducer's path in ``reduction`` and keeps in
-    ``body`` the exact quotient num_body/den when the reducer found it
-    (None otherwise); neither takes part in equality.
+    ``body`` is a Laurent polynomial; only s_0 has a denominator.
+    ``mul``, ``add``, ``div`` and ``deform`` keep the y-parts s_i of a
+    value built from the seeds without carrying them; ``_full_fraction``
+    rebuilds them.  A fraction made by ``reduced`` names the reducer's
+    path in ``reduction``, which takes no part in equality.
     """
 
-    num_body: Poly
+    body: Poly
     num_s0: Poly
     den: Poly
     reduction: str | None = field(default=None, compare=False, repr=False)
-    body: Poly | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.den.is_zero():
@@ -193,192 +188,137 @@ class RationalDualExpr:
 
     @property
     def term_count(self) -> int:
-        return self.num_body.term_count + self.num_s0.term_count
+        return self.body.term_count + self.num_s0.term_count
 
     def mul(self, other: "RationalDualExpr") -> "RationalDualExpr":
-        """The product; a square (``other is self``) builds its cross term b·s_0 once."""
-        b, s, d = self.num_body, self.num_s0, self.den
+        """The product; a square (``other is self``) builds its cross term b·s_0 once
+        and keeps the denominator d rather than d²."""
+        b, s, d = self.body, self.num_s0, self.den
         if other is self:
-            return RationalDualExpr(b * b, 2 * (b * s), d * d)
-        ob = other.num_body
-        return RationalDualExpr(b * ob, b * other.num_s0 + s * ob, d * other.den)
+            return RationalDualExpr(b * b, 2 * (b * s), d)
+        ob, t, od = other.body, other.num_s0, other.den
+        return RationalDualExpr(b * ob, b * (t * d) + ob * (s * od), d * od)
 
     def add(self, other: "RationalDualExpr") -> "RationalDualExpr":
         d, od = self.den, other.den
-        return RationalDualExpr(
-            self.num_body * od + other.num_body * d, self.num_s0 * od + other.num_s0 * d, d * od
-        )
+        return RationalDualExpr(self.body + other.body, self.num_s0 * od + other.num_s0 * d, d * od)
 
     def deform(self, w: int) -> "RationalDualExpr":
         """Multiply by (1 + w·ε), which adds w·body to s_0."""
-        return RationalDualExpr(self.num_body, self.num_s0 + w * self.num_body, self.den)
+        return RationalDualExpr(self.body, self.num_s0 + w * self.body * self.den, self.den)
 
     def div(self, other: "RationalDualExpr") -> "RationalDualExpr":
-        """Dual division by (P + Q·ε)/D, keeping denominators x-only.
+        """Dual division by β + (t/δ)·ε, keeping denominators x-only.
 
-        With β = P/D the divisor's body (its recorded ``body`` when it has
-        one, so nothing is divided for it) and q = N_b/β the quotient's body,
-        self/other has body numerator N_b·D, s_0 numerator N_0·D − q·Q and
-        denominator self.den·D·β.  When D is 1 the s_0 numerator is first
-        divided by β; if that division is exact the denominator stays
-        self.den.  Every exchange of a genuine mutation run ends there,
-        since X'_k is Laurent.  Only when β or q is not exact is
-        1/(P + Q·ε) = (P − Q·ε)/P² used instead, and the extra factor it
-        brings is left to the reducer.
+        The quotient's body is q = b/β, one exact division, and its s_0
+        is (s·δ − q·t·d)/(d·δ·β).  When δ is 1 the s_0 numerator is first
+        divided by β; if that division is exact the denominator stays d.
+        Every exchange of a genuine mutation run ends there, since X'_k is
+        Laurent.  A body that β does not divide raises NotLaurentError
+        with the reduced denominator of b/β; along a run the bodies are
+        cluster variables and always divide.
         """
-        b, s, ob, t, od = self.num_body, self.num_s0, other.num_body, other.num_s0, other.den
-        if ob.is_zero():
+        b, s, d = self.body, self.num_s0, self.den
+        beta, t, od = other.body, other.num_s0, other.den
+        if beta.is_zero():
             raise ZeroBodyDivisionError("division by a value with zero body")
-        unit = od.is_one()
-        beta = other.body or (ob if unit else ob.exact_div(od))
-        q = None if beta is None else b.exact_div(beta)
+        q = b.exact_div(beta)
         if q is None:
-            return RationalDualExpr(b * ob * od, (s * ob - b * t) * od, self.den * ob * ob)
-        s0 = (s if unit else s * od) - q * t
-        if unit:
+            raise NotLaurentError(NotLaurent("body", _reduce(b, beta)[1]))
+        s0 = s * od - q * (t * d)
+        if od.is_one():
             quotient = s0.exact_div(beta)
             if quotient is not None:
-                return RationalDualExpr(q, quotient, self.den)
-        return RationalDualExpr(b * od, s0, self.den * od * beta)
+                return RationalDualExpr(q, quotient, d)
+        return RationalDualExpr(q, s0, d * od * beta)
 
     def reduced(self, base: "_FactorBase | None" = None) -> "RationalDualExpr":
-        """Cancel the denominator as far as possible, jointly for body and s_0.
+        """Cancel the denominator of s_0 as far as possible.
 
         One pass of the reducer, with the factor base of a run when one
         is given; the result records the path the reducer took in
-        ``reduction`` and the body it found in ``body``.
+        ``reduction``.
         """
-        (nb, s0), den, path, body = _reduce_with_body((self.num_body, self.num_s0), self.den, base)
-        return RationalDualExpr(nb, s0, den, path, body)
+        s0, den, path = _reduce(self.num_s0, self.den, base)
+        return RationalDualExpr(self.body, s0, den, path)
 
     def sexpr(self) -> str:
-        """The fraction with its y-parts rebuilt (see ``_full_fraction``)."""
-        nb, slope, den, _ = _full_fraction(self)
+        """The fraction (body·den + slope·ε)/den with its y-parts rebuilt
+        (see ``_full_fraction``)."""
+        nb, slope, den = _full_fraction(self)
         return (
             f"(fraction (body-num {_sexpr(nb)}) "
             f"(slope-num {_slope_sexpr(slope)}) (den {_sexpr(den)}))"
         )
 
 
-def _full_fraction(
-    frac: RationalDualExpr, base: "_FactorBase | None" = None
-) -> tuple[Poly, tuple[Poly, ...], Poly, Poly | None]:
-    """(N_b, (N_0, N_1, …, N_n), D', body) for (N_b + N_0·ε)/D, where
-    N_i/D' = ∂_i(N_b/D) and body = N_b/D if that division is exact.
+def _full_fraction(frac: RationalDualExpr) -> tuple[Poly, tuple[Poly, ...], Poly]:
+    """(N_b, (N_0, N_1, …, N_n), D) over the fraction's denominator D:
+    N_b = body·D, N_0 the s_0 numerator and N_i = ∂_i body·D.
 
-    A fraction made by ``reduced`` brings the body its reducer found, so
-    N_b is divided by D only when it brings none.  When the body b = N_b/D
-    is Laurent the parts are ∂_i b·D over the same D; being multiples of
-    D, they leave a reduced fraction reduced.
-    Otherwise the quotient rule puts ∂_i N_b·D − N_b·∂_i D over D², and
-    the whole is reduced (over base when given).  With a skew-symmetric
-    exchange matrix the bodies are cluster variables, Laurent by the
-    Laurent phenomenon, so that route does not run there.
+    Being multiples of D, the rebuilt parts leave a reduced fraction
+    reduced.
     """
-    nb, n0, d = frac.num_body, frac.num_s0, frac.den
-    slots = range(nb.nvars)
-    body = frac.body or (nb if d.is_one() else nb.exact_div(d))
-    if body is None:
-        parts = [nb.derivative(i) * d - nb * d.derivative(i) for i in slots]
-        (nb, *slope), den, _ = _reduce((nb * d, n0 * d, *parts), d * d, base)
-        return nb, tuple(slope), den, None
-    parts = [body.derivative(i) for i in slots]
+    body, d = frac.body, frac.den
+    parts = [body, *(body.derivative(i) for i in range(body.nvars))]
     if not d.is_one():
         parts = [part * d for part in parts]
-    return nb, (n0, *parts), d, body
+    nb, *slope = parts
+    return nb, (frac.num_s0, *slope), d
 
 
-def _fold_monomial(nums, den: Poly) -> tuple[list[Poly], Poly]:
-    """Divide den and the numerators by den's monomial factor, a unit."""
+def _fold_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Divide den and the numerator by den's monomial factor, a unit."""
     mins = den.min_exponents()
     if not any(mins):
-        return list(nums), den
+        return num, den
     back = tuple(-m for m in mins)
-    return [num.shift(back) for num in nums], den.shift(back)
+    return num.shift(back), den.shift(back)
 
 
-def _divide_all(nums, divisor: Poly) -> tuple[list[Poly], Poly | None]:
-    """Quotients of the numerators by divisor, up to the first it does not
-    divide; that numerator comes second, or None when all divide."""
-    quotients = []
-    for num in nums:
-        q = num.exact_div(divisor)
-        if q is None:
-            return quotients, num
-        quotients.append(q)
-    return quotients, None
-
-
-def _reduce(nums, den: Poly, base: "_FactorBase | None" = None) -> tuple[list[Poly], Poly, str]:
-    """``_reduce_with_body`` without the body."""
-    return _reduce_with_body(nums, den, base)[:3]
-
-
-def _reduce_with_body(
-    nums, den: Poly, base: "_FactorBase | None" = None
-) -> tuple[list[Poly], Poly, str, Poly | None]:
-    """Cancel a shared denominator against every numerator.
+def _reduce(num: Poly, den: Poly, base: "_FactorBase | None" = None) -> tuple[Poly, Poly, str]:
+    """Cancel a denominator against one numerator.
 
     The monomial part of den folds into (possibly negative) numerator
     exponents; if nothing else is left the path is "monomial".  Otherwise
-    one trial division of every numerator by den is tried ("trial").
+    one trial division of the numerator by den is tried ("trial").
     Failing that, den is split over the run's factor base when one is
     given ("factor", see ``_reduce_over``), and as a last resort it is
-    cancelled by its GCD with all nonzero numerators ("gcd").  The
-    reduced denominator comes back expanded, free of monomial factors and
-    with a positive lex-leading coefficient, together with the path and
-    the exact quotient nums[0]/den when trial division found one (None
-    otherwise).
-
-    Body first: when the trial division gets past some leading
-    numerators, such as a body that is Laurent, before it stops, only the
-    rest are reduced over the base, and each quotient q is rebuilt as
-    q·D' over the reduced denominator D'.  That is the joint result: a
-    multiple of den has every factor of den as often as den does, so it
-    never stops a factor's cancellation or holds a certificate, and its
-    content is a multiple of den's constant, so it leaves the integer step
-    alone.  For the same reason, when the rest do not reduce over the
-    base, all numerators together would not either, and the GCD route
-    follows.
+    cancelled by its GCD with the numerator ("gcd").  The reduced
+    denominator comes back expanded, free of monomial factors and with a
+    positive lex-leading coefficient, together with the path.
     """
-    nums, den = _fold_monomial(nums, den)
+    num, den = _fold_monomial(num, den)
     if den.is_one():
-        return nums, den, "monomial", nums[0]
-    quotients, stuck = _divide_all(nums, den)
-    body = quotients[0] if quotients else None
-    if stuck is None:
-        return quotients, Poly.one(den.nvars), "trial", body
+        return num, den, "monomial"
+    q = num.exact_div(den)
+    if q is not None:
+        return q, Poly.one(den.nvars), "trial"
     if base is not None:
-        reduced = _reduce_over(base.factors(), nums[len(quotients) :], den)
+        reduced = _reduce_over(base.factors(), num, den)
         if reduced is not None:
-            rest, left = reduced
-            return [q * left for q in quotients] + rest, left, "factor", body
-    g = den
-    for num in nums:
-        if not (num.is_zero() or g.is_one()):
-            g = poly_gcd(g, num)
+            return (*reduced, "factor")
+    g = poly_gcd(den, num)
     if not g.is_one():
-        nums, den = _fold_monomial([num.exact_div(g) for num in nums], den.exact_div(g))
+        num, den = _fold_monomial(num.exact_div(g), den.exact_div(g))
     if den.lex_lead()[1] < 0:
-        nums, den = [-num for num in nums], -den
-    return nums, den, "gcd", body
+        num, den = -num, -den
+    return num, den, "gcd"
 
 
-def _reduce_over(factors: list[Poly], nums: list[Poly], den: Poly) -> tuple[list[Poly], Poly] | None:
-    """Reduce nums/den through den = c·∏ B^e over the given factors, or None.
+def _reduce_over(factors: list[Poly], num: Poly, den: Poly) -> tuple[Poly, Poly] | None:
+    """Reduce num/den through den = c·∏ B^e over the given factors, or None.
 
     den must be free of monomial factors and the factors primitive, free
     of monomial factors and with positive leads.  Each B is cancelled from
-    every numerator as often as it divides them all.  Where it stops at a
-    numerator N, gcd(B, N) = 1 certifies that no factor of B is left in
-    common, and then neither is any factor of the B^k that stays in the
-    denominator, since later quotients divide N.  With every remaining B
-    so certified and the integer c made prime to the numerators'
-    contents, the joint gcd is 1; no factor needs to be irreducible.
-    None when den does not split into the factors or a certificate finds
-    a proper common factor; the caller then takes the GCD route.  On the
-    body-first route nums is s_0 alone (see ``_reduce_with_body``), so
-    the loop and the certificates never touch the larger body numerator.
+    the numerator as often as it divides it.  Where it stops,
+    gcd(B, num) = 1 certifies that no factor of B is left in common, and
+    then neither is any factor of the B^k that stays in the denominator.
+    With every remaining B so certified and the integer c made prime to
+    the numerator's content, the gcd is 1; no factor needs to be
+    irreducible.  None when den does not split into the factors or a
+    certificate finds a proper common factor; the caller then takes the
+    GCD route.
     """
     rest, split = den, []
     for b in factors:
@@ -396,25 +336,20 @@ def _reduce_over(factors: list[Poly], nums: list[Poly], den: Poly) -> tuple[list
     left = Poly.const(den.nvars, 1)
     for b, e in split:
         while e:
-            quotients, stuck = _divide_all(nums, b)
-            if stuck is not None:
+            q = num.exact_div(b)
+            if q is None:
                 break
-            nums, e = quotients, e - 1
+            num, e = q, e - 1
         if e:
-            if not poly_gcd(b, stuck).is_one():
+            if not poly_gcd(b, num).is_one():
                 return None
             left = left * b**e
     if c < 0:
-        nums, c = [-num for num in nums], -c
-    g = c
-    for num in nums:
-        if g == 1:
-            break
-        g = int_gcd(g, num.content())
+        num, c = -num, -c
+    g = int_gcd(c, num.content()) if c > 1 else 1
     if g > 1:
-        divisor = Poly.const(den.nvars, g)
-        nums, c = [num.exact_div(divisor) for num in nums], c // g
-    return nums, left if c == 1 else left * c
+        num, c = num.exact_div(Poly.const(den.nvars, g)), c // g
+    return num, left if c == 1 else left * c
 
 
 class _FactorBase:
@@ -428,16 +363,14 @@ class _FactorBase:
     """
 
     def __init__(self) -> None:
-        self._pending: list[Poly | None] = []
+        self._pending: list[Poly] = []
         self._factors: list[Poly] = []
 
-    def add(self, body: Poly | None) -> None:
+    def add(self, body: Poly) -> None:
         self._pending.append(body)
 
     def factors(self) -> list[Poly]:
         for body in self._pending:
-            if body is None or body.is_zero():
-                continue
             content = body.content() if body.lex_lead()[1] > 0 else -body.content()
             b = _strip(body, body.min_exponents(), content)
             if not b.is_constant() and b not in self._factors:
@@ -447,23 +380,20 @@ class _FactorBase:
 
 
 def _classify(full: tuple) -> DualLaurent | NotLaurent:
-    """Laurent, or which part fails, for ``_full_fraction`` of a reduced fraction.
+    """Laurent, or the slope's denominator, for ``_full_fraction`` of a reduced fraction.
 
-    Monomial factors are already folded, so the value is Laurent exactly
-    when the denominator is 1.  If the body divided exactly, the joint
-    denominator is prime to the slope parts and is the slope's own;
-    otherwise the body alone is reduced and its denominator named.
+    The body is a Laurent polynomial and monomial factors are already
+    folded, so the value is Laurent exactly when the denominator is 1;
+    otherwise that denominator is s_0's own.
     """
-    nb, slope, den, body = full
+    nb, slope, den = full
     if den.is_one():
         return DualLaurent(nb, slope[0])
-    if body is not None:
-        return NotLaurent("slope", den)
-    return NotLaurent("body", _reduce((nb,), den)[1])
+    return NotLaurent("slope", den)
 
 
 def normalize(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
-    """Reduce expr jointly, then name it Laurent or its offending part."""
+    """Reduce expr, then name it Laurent or its offending part."""
     return _classify(_full_fraction(expr.reduced()))
 
 
@@ -553,7 +483,7 @@ def verify_laurent_run(
     """Iterate the cycle (mutate at vertex 1, shift labels) symbolically.
 
     Each cycle produces the next sequence variable; the report records
-    whether it is Laurent, the term counts of its jointly reduced
+    whether it is Laurent, the term counts of its reduced
     fraction with every slope part, its denominator (the monomial one
     when Laurent, the offending part's otherwise) and the reducer's
     path.  The run continues through non-Laurent steps with reduced
@@ -582,8 +512,8 @@ def verify_laurent_run(
         )
         _check_budget(frac.term_count, budget, step, "exchange fraction")
         frac = frac.reduced(base)
-        full = _full_fraction(frac, base)
-        nb, slope, _, body = full
+        full = _full_fraction(frac)
+        nb, slope, _ = full
         body_terms, slope_terms = nb.term_count, sum(part.term_count for part in slope)
         _check_budget(body_terms + slope_terms, budget, step, "reduced fraction")
         result = _classify(full)
@@ -595,7 +525,7 @@ def verify_laurent_run(
         reports.append(
             StepReport(step, laurent, body_terms, slope_terms, denominator, variable, frac.reduction)
         )
-        base.add(body)
+        base.add(frac.body)
         state = state[1:] + [frac]
         if evolve_weights:
             current = current.mutate(1).rotate()

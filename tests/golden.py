@@ -485,11 +485,13 @@ def full_deform(a: tuple, w: int) -> tuple:
 
 
 def full_fraction(expr: RationalDualExpr) -> tuple:
-    """The full fraction of (N_b + N_0·ε)/D with s_i = ∂_i(N_b/D), by the
-    quotient rule over D² and unreduced."""
-    nb, n0, d = expr.num_body, expr.num_s0, expr.den
+    """The full fraction of body + (N_0/D)·ε with s_i = ∂_i body: the body
+    is written as N_b/D with N_b = body·D, and the slope parts come from
+    the quotient rule over D², unreduced."""
+    d = expr.den
+    nb = expr.body * d
     parts = (nb.derivative(i) * d - nb * d.derivative(i) for i in range(nb.nvars))
-    return nb * d, (n0 * d, *parts), d * d
+    return nb * d, (expr.num_s0 * d, *parts), d * d
 
 
 def dual_div_squared(a: tuple, b: tuple) -> tuple:

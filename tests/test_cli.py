@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quiverseq
 from quiverseq import cli
@@ -467,6 +472,85 @@ class TestMalformedQuiver:
         status, output = run_cli([command, "--quiver", str(path), *extra])
         assert (status, output) == (1, "")
         assert capsys.readouterr().err == "error: VertexIndexError: vertex 1 outside 1..0\n"
+
+
+class TestEmptyOptionValue:
+    """An option given with an empty value is refused like "1,,1", not
+    dropped for the default."""
+
+    @pytest.mark.parametrize(
+        "argv, got",
+        [
+            (["laurent", "--quiver", "@unweighted", "--weights=", "--steps", "2"], "expected comma-separated"),
+            (["laurent", "--quiver", "@weighted", "--weights=", "--steps", "2"], "expected comma-separated"),
+            (["period", "--quiver", "@unweighted", "--weights="], "expected comma-separated"),
+            (["seq", "--quiver", "@unweighted", "--weights="], "expected comma-separated"),
+            (["decompose", "--quiver", "@weighted", "--weights="], "expected comma-separated"),
+            (["seq", "--family", "somos4", "--init-a="], "expected comma-separated"),
+            (["seq", "--family", "somos4", "--init-b="], "expected comma-separated"),
+            (["seq", "--family", "somos4", "--deform="], "deform must look like"),
+            (["decompose", "--family", "somos4", "--deform="], "deform must look like"),
+            (["scan", "--family", "fordy-marsh-s4", "--p", "1", "--q", "1", "--deform="], "deform must look like"),
+            (["seq", "--quiver="], "cannot read"),
+            (["decompose", "--quiver="], "cannot read"),
+        ],
+    )
+    def test_is_a_domain_error(self, somos4a_path, somos4a_weighted_path, argv, got, capsys):
+        paths = {"@unweighted": somos4a_path, "@weighted": somos4a_weighted_path}
+        status, output = run_cli([paths.get(arg, arg) for arg in argv])
+        assert (status, output) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: QuiverSeqError: {got}") and err.count("\n") == 1
+
+
+@st.composite
+def laurent_argvs(draw):
+    """(rows, steps, flags) for ``laurent``: a skew-symmetric B with n = 2..4 and
+    entries in −2..2, weights in −2..2 held or evolved, json or text,
+    optional ``--emit sexpr`` and ``--check``, 1 to 6 steps, and a budget
+    of 50 to 400 terms or none."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(min_value=-2, max_value=2))
+            rows[j][i] = -rows[i][j]
+    weights = ",".join(str(draw(st.integers(min_value=-2, max_value=2))) for _ in range(n))
+    steps = draw(st.integers(min_value=1, max_value=6))
+    flags = [f"--weights={weights}", "--steps", str(steps)]
+    flags += ["--format", draw(st.sampled_from(["json", "text"]))]
+    for flag in ("--hold-weights", "--check"):
+        if draw(st.booleans()):
+            flags.append(flag)
+    if draw(st.booleans()):
+        flags += ["--emit", "sexpr"]
+    budget = draw(st.sampled_from([None, 50, 80, 150, 400]))
+    if budget is not None:
+        flags += ["--budget", str(budget)]
+    return rows, steps, flags
+
+
+class TestLaurentContract:
+    @given(laurent_argvs())
+    @settings(max_examples=40, deadline=None)
+    def test_exits_0_or_1_with_at_most_one_error_line(self, case):
+        rows, steps, flags = case
+        # An exchange of degree over 6 makes a run slow; cap it as the
+        # symbolic engine's own run properties do.
+        q = Quiver.from_rows(rows)
+        for _ in range(steps):
+            assume(sum(map(abs, q.b[0])) <= 6)
+            q = q.mutate(1).rotate()
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "quiver.json"
+            path.write_text(json.dumps({"b": rows}))
+            with contextlib.redirect_stderr(err):
+                status, _ = run_cli(["laurent", "--quiver", str(path), *flags])
+        assert status in (0, 1)
+        assert err.getvalue() == "" or re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
+        # Every body is a cluster variable, so the division never refuses one.
+        assert not err.getvalue().startswith("error: NotLaurentError")
 
 
 class TestCatalog:

@@ -23,7 +23,6 @@ from quiverseq.laurent import (
     _FactorBase,
     _full_fraction,
     _reduce,
-    _reduce_with_body,
     evaluate,
     initial_variables,
     normalize,
@@ -39,7 +38,10 @@ from quiverseq.seqgen import builtin, quiver_to_spec, run
 
 from golden import (
     dual_div_squared,
+    full_add,
+    full_deform,
     full_fraction,
+    full_mul,
     held_run_oracle,
     neg_p31,
     normalize_per_part,
@@ -177,18 +179,16 @@ def _poly_drawer(draw, n: int):
 
 @st.composite
 def classified_exprs(draw):
-    """(expr, kind) with kind "laurent", "slope" or "body".
+    """(expr, kind) with kind "laurent" or "slope".
 
-    For "laurent" both numerators are multiples of the denominator, for
-    "slope" only the body is, and for "body" none is built to be; the
-    denominator may be an integer, so integer content is exercised too.
+    For "laurent" the s_0 numerator is a multiple of the denominator, for
+    "slope" it is not built to be; the denominator may be an integer, so
+    integer content is exercised too, and has either sign.
     """
     n = draw(st.integers(min_value=1, max_value=2))
     poly = _poly_drawer(draw, n)
-    den, body, s0 = poly(nonzero=True), poly(), poly()
-    kind = draw(st.sampled_from(["laurent", "slope", "body"]))
-    if kind != "body":
-        body = body * den
+    den, body, s0 = poly(nonzero=True) * draw(st.sampled_from([1, -1])), poly(), poly()
+    kind = draw(st.sampled_from(["laurent", "slope"]))
     if kind == "laurent":
         s0 = s0 * den
     return RationalDualExpr(body, s0, den), kind
@@ -197,36 +197,38 @@ def classified_exprs(draw):
 class TestNormalize:
     def test_polynomial_cancellation(self):
         x1 = Poly.variable(2, 0)
-        result = normalize(RationalDualExpr(x1 * x1 - 1, Poly.zero(2), x1 - 1))
+        result = normalize(RationalDualExpr(x1, x1 * x1 - 1, x1 - 1))
         assert isinstance(result, DualLaurent)
-        assert result.body == x1 + 1
+        assert (result.body, result.s0) == (x1, x1 + 1)
 
     def test_monomial_denominator(self):
-        # (x2·x4 + x3²)/x1: its y1-part ∂_1 body = −(x2·x4 + x3²)/x1²
+        # body (x2·x4 + x3²)/x1: its y1-part ∂_1 body = −(x2·x4 + x3²)/x1²
         # sets the exponent of x1.
         x1, x2, x3, x4 = (Poly.variable(4, i) for i in range(4))
-        result = normalize(RationalDualExpr(x2 * x4 + x3 * x3, Poly.zero(4), x1))
+        body = (x2 * x4 + x3 * x3).shift((-1, 0, 0, 0))
+        result = normalize(RationalDualExpr(body, Poly.zero(4), Poly.one(4)))
         assert isinstance(result, DualLaurent)
         assert result.denominator_monomial() == (2, 0, 0, 0)
 
     def test_not_laurent_reports_denominator(self):
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        result = normalize(RationalDualExpr(Poly.one(2), Poly.zero(2), x1 + x2))
+        result = normalize(RationalDualExpr(x1, Poly.one(2), x1 + x2))
         assert isinstance(result, NotLaurent)
-        assert result.part == "body"
+        assert result.part == "slope"
         assert result.denominator == x1 + x2
 
     def test_integer_content_must_divide(self):
         x1 = Poly.variable(2, 0)
-        ok = normalize(RationalDualExpr(2 * x1, Poly.zero(2), Poly.const(2, 2)))
-        assert isinstance(ok, DualLaurent) and ok.body == x1
-        bad = normalize(RationalDualExpr(x1 + 1, Poly.zero(2), Poly.const(2, 2)))
+        ok = normalize(RationalDualExpr(x1, 2 * x1, Poly.const(2, 2)))
+        assert isinstance(ok, DualLaurent) and ok.s0 == x1
+        bad = normalize(RationalDualExpr(x1, x1 + 1, Poly.const(2, 2)))
         assert isinstance(bad, NotLaurent)
         assert bad.denominator == Poly.const(2, 2)
 
     def test_body_reduces_but_slope_does_not(self):
+        # The body is a Laurent polynomial; only s_0 = 1/(x1 + 1) fails.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        result = normalize(RationalDualExpr((x1 + 1) * x2, Poly.one(2), x1 + 1))
+        result = normalize(RationalDualExpr(x2, Poly.one(2), x1 + 1))
         assert isinstance(result, NotLaurent)
         assert result.part == "slope"
         assert result.denominator == x1 + 1
@@ -251,23 +253,24 @@ class TestNormalize:
 class TestReduced:
     def test_gcd_leaves_a_non_monomial_denominator(self):
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        expr = RationalDualExpr(x1 + 1, (x1 + 1) * x2, (x1 + 1) * (x2 + 1))
-        assert expr.reduced() == RationalDualExpr(Poly.one(2), x2, x2 + 1)
+        expr = RationalDualExpr(x1, (x1 + 1) * x2, (x1 + 1) * (x2 + 1))
+        assert expr.reduced() == RationalDualExpr(x1, x2, x2 + 1)
+        assert expr.reduced().reduction == "gcd"
 
     def test_trial_division_cancels_jointly(self):
+        # The monomial x1² folds first; trial division then cancels x2 + 1,
+        # and the body is left as it is.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        expr = RationalDualExpr((x2 + 1) * x2, (x2 + 1) * x1, x1 * x1 * (x2 + 1))
-        shift = (-2, 0)
-        assert expr.reduced() == RationalDualExpr(x2.shift(shift), x1.shift(shift), Poly.one(2))
+        expr = RationalDualExpr(x2, (x2 + 1) * x1, x1 * x1 * (x2 + 1))
+        reduced = expr.reduced()
+        assert reduced == RationalDualExpr(x2, x1.shift((-2, 0)), Poly.one(2))
+        assert reduced.reduction == "trial"
 
     def test_negative_leading_denominator_is_flipped(self):
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         expr = RationalDualExpr(x1 - 3, x2, -x1 - x2)
-        assert expr.reduced() == RationalDualExpr(-x1 + 3, -x2, x1 + x2)
-        result = normalize(expr)
-        assert isinstance(result, NotLaurent)
-        assert result.part == "body"
-        assert result.denominator == x1 + x2
+        assert expr.reduced() == RationalDualExpr(x1 - 3, -x2, x1 + x2)
+        assert normalize(expr) == NotLaurent("slope", x1 + x2)
 
     def test_monomial_left_by_the_gcd_is_folded(self, monkeypatch):
         # In the Laurent ring a gcd is fixed only up to a unit; one that
@@ -276,7 +279,7 @@ class TestReduced:
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         gcd = laurent.poly_gcd
         monkeypatch.setattr(laurent, "poly_gcd", lambda p, q: x1 * gcd(p, q))
-        expr = RationalDualExpr(x2 + 1, (x2 + 1) * x1, (x2 + 1) * (x2 + 2))
+        expr = RationalDualExpr(Poly.one(2), (x2 + 1) * x1, (x2 + 1) * (x2 + 2))
         assert expr.reduced() == RationalDualExpr(Poly.one(2), x1, x2 + 2)
         result = normalize(expr)
         assert isinstance(result, NotLaurent)
@@ -285,7 +288,7 @@ class TestReduced:
 
 @st.composite
 def fraction_pairs(draw):
-    """Two small fractions (num_body, num_s0, den) in one or two variables."""
+    """Two small fractions (body, num_s0, den) in one or two variables."""
     n = draw(st.integers(min_value=1, max_value=2))
     poly = _poly_drawer(draw, n)
     return [RationalDualExpr(poly(), poly(), poly(nonzero=True)) for _ in range(2)]
@@ -295,10 +298,12 @@ class TestMul:
     @given(fraction_pairs())
     @settings(max_examples=60, deadline=None)
     def test_square_equals_product_with_an_equal_copy(self, pair):
+        # A square keeps the denominator d and a product with a copy puts
+        # s_0 over d², so the two agree once reduced.
         a, other = pair
-        copy = RationalDualExpr(*(Poly(p.nvars, dict(p.terms)) for p in (a.num_body, a.num_s0, a.den)))
+        copy = RationalDualExpr(*(Poly(p.nvars, dict(p.terms)) for p in (a.body, a.num_s0, a.den)))
         assert copy == a and copy is not a
-        assert a.mul(a) == a.mul(copy)
+        assert a.mul(a).reduced() == a.mul(copy).reduced()
         assert a.mul(other) == other.mul(a)
 
     def test_square_builds_its_cross_product_once(self, monkeypatch):
@@ -309,77 +314,105 @@ class TestMul:
         monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append((p, q)) or mul(p, q))
         square = a.mul(a)
         assert sum(a.num_s0 in (p, q) for p, q in products) == 1
-        assert square == RationalDualExpr(
-            (x1 + x2) * (x1 + x2), 2 * (x1 + x2) * (x1 - 2 * x2), x1 * x1
-        )
+        assert square == RationalDualExpr((x1 + x2) * (x1 + x2), 2 * (x1 + x2) * (x1 - 2 * x2), x1)
 
 
 @st.composite
-def division_pairs(draw):
-    """(a, b, kind): b has a nonzero body P, and its denominator is 1 or not.
+def arithmetic_cases(draw):
+    """(op, a, b, w, exact): two fractions in one or two variables, an
+    operation and a weight for "deform".
 
-    For kind "divisible" a is built as P·B + (B·Q + P·S)·ε over a.den, so
-    every division of the direct route is exact; "slope-inexact" adds a
-    term to s_0, and "random" draws a freely.
+    Denominators are 1 or a polynomial of either sign.  For "div" b has a
+    nonzero body β and a's body is β·B; when exact, a's s_0 is built as
+    β·S + B·t·d, so if b's denominator is 1 the s_0 division is exact.
     """
     n = draw(st.integers(min_value=1, max_value=2))
     poly = _poly_drawer(draw, n)
 
     def den():
-        return Poly.one(n) if draw(st.booleans()) else poly(nonzero=True)
+        if draw(st.booleans()):
+            return Poly.one(n)
+        return poly(nonzero=True) * draw(st.sampled_from([1, -1]))
 
-    body, s0 = poly(nonzero=True), poly()
-    b = RationalDualExpr(body, s0, den())
-    kind = draw(st.sampled_from(["divisible", "slope-inexact", "random"]))
-    if kind == "random":
-        return RationalDualExpr(poly(), poly(), den()), b, kind
-    B = poly()
-    part = B * s0 + body * poly()
-    if kind == "slope-inexact":
-        part = part + poly(nonzero=True)
-    return RationalDualExpr(body * B, part, den()), b, kind
+    op = draw(st.sampled_from(["mul", "square", "add", "deform", "div", "reduced"]))
+    a, b = (RationalDualExpr(poly(), poly(), den()) for _ in range(2))
+    if op == "div":
+        b = RationalDualExpr(poly(nonzero=True), b.num_s0, b.den)
+        B, d, s0 = poly(), den(), poly()
+        exact = draw(st.booleans())
+        if exact:
+            s0 = b.body * s0 + B * b.num_s0 * d
+        a = RationalDualExpr(b.body * B, s0, d)
+    else:
+        exact = False
+    return op, a, b, draw(st.integers(min_value=-2, max_value=2)), exact
+
+
+class TestArithmetic:
+    """Body-and-s_0 arithmetic against the full-tuple oracle of tests/golden.py."""
+
+    @given(arithmetic_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_tuple_oracle(self, case):
+        op, a, b, w, exact = case
+        fa, fb = full_fraction(a), full_fraction(b)
+        got, expected = {
+            "mul": lambda: (a.mul(b), full_mul(fa, fb)),
+            "square": lambda: (a.mul(a), full_mul(fa, fa)),
+            "add": lambda: (a.add(b), full_add(fa, fb)),
+            "deform": lambda: (a.deform(w), full_deform(fa, w)),
+            "div": lambda: (a.div(b), dual_div_squared(fa, fb)),
+            "reduced": lambda: (a, fa),
+        }[op]()
+        assert _full_fraction(got.reduced()) == reduce_full(expected)
+        if exact and b.den.is_one():
+            assert got.den == a.den
 
 
 class TestDiv:
-    """Dual division against the P² route on full fractions."""
-
-    @given(division_pairs())
-    @settings(max_examples=100, deadline=None)
-    def test_reduced_quotient_matches_p_squared_route(self, pair):
-        a, b, kind = pair
-        q = a.div(b)
-        expected = reduce_full(dual_div_squared(full_fraction(a), full_fraction(b)))
-        assert _full_fraction(q.reduced())[:3] == expected
-        if kind == "divisible" and b.den.is_one():
-            assert q.den == a.den
-
     def test_direct_route_keeps_the_denominator(self):
-        # ((x1² − 1) + 2·x1·ε) / x2  divided by  (x1 + 1) + ε
+        # ((x1² − 1) + (2·x1·x2/x2)·ε)  divided by  (x1 + 1) + ε
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         one = Poly.one(2)
-        a = RationalDualExpr(x1 * x1 - 1, 2 * x1, x2)
+        a = RationalDualExpr(x1 * x1 - 1, 2 * x1 * x2, x2)
         b = RationalDualExpr(x1 + 1, one, one)
-        assert a.div(b) == RationalDualExpr(x1 - 1, one, x2)
+        assert a.div(b) == RationalDualExpr(x1 - 1, x2, x2)
 
     def test_failed_slope_division_keeps_its_numerators(self):
         # ((x1² − 1) + x2·ε) divided by (x1 + 1) + ε: the body divides, the
-        # slope x2 − (x1 − 1) does not, and both numerators are kept over
-        # the denominator x1 + 1 instead of being recomputed through P².
+        # slope x2 − (x1 − 1) does not and is kept over x1 + 1.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         one = Poly.one(2)
         a = RationalDualExpr(x1 * x1 - 1, x2, one)
         b = RationalDualExpr(x1 + 1, one, one)
-        assert a.div(b) == RationalDualExpr(x1 * x1 - 1, x2 - x1 + 1, x1 + 1)
+        assert a.div(b) == RationalDualExpr(x1 - 1, x2 - x1 + 1, x1 + 1)
 
     def test_divisor_with_a_denominator_divides_by_its_body(self):
-        # The divisor ((x1 + 1)·(x2 + 1) + ε)/(x2 + 1) has body β = x1 + 1.
+        # The divisor (x1 + 1) + ε/(x2 + 1) has body β = x1 + 1.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         one = Poly.one(2)
         od = x2 + 1
         a = RationalDualExpr(x1 * x1 - 1, x2, one)
-        b = RationalDualExpr((x1 + 1) * od, one, od)
+        b = RationalDualExpr(x1 + 1, one, od)
         slope = x2 * od - (x1 - 1)
-        assert a.div(b) == RationalDualExpr((x1 * x1 - 1) * od, slope, od * (x1 + 1))
+        assert a.div(b) == RationalDualExpr(x1 - 1, slope, od * (x1 + 1))
+
+    def test_zero_body_divisor(self):
+        x1 = Poly.variable(2, 0)
+        one = Poly.one(2)
+        with pytest.raises(ZeroBodyDivisionError):
+            RationalDualExpr(x1, one, one).div(RationalDualExpr(Poly.zero(2), one, one))
+
+    def test_body_that_does_not_divide_is_a_body_offender(self):
+        # (x2 + 1)/(−x1·(x1 + x2)) reduces to a denominator x1 + x2: the
+        # monomial x1 folds and the sign goes to the numerator.
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        one = Poly.one(2)
+        a = RationalDualExpr(x2 + 1, one, one)
+        b = RationalDualExpr(-x1 * (x1 + x2), one, one)
+        with pytest.raises(NotLaurentError) as err:
+            a.div(b)
+        assert err.value.failure == NotLaurent("body", x1 + x2)
 
 
 class TestVerifyRun:
@@ -438,22 +471,31 @@ class TestVerifyRun:
             verify_laurent_run(somos4_weighted(), 8, budget=50)
 
     def test_budget_stops_the_exchange_fraction_before_reduction(self, monkeypatch):
-        # Held P(3,1): step 6 carries 125 terms (body and s_0) before
-        # reduction, and its full reported variable has 265; step 5's has 124.
+        # Held P(3,1): step 6's full reported variable has 265 terms and
+        # step 5's has 124; the exchange fractions, whose bodies are Laurent,
+        # stay below that.
         wq = WeightedQuiver(primitive(3, 1), (1, 0, -1))
         assert len(verify_laurent_run(wq, 6, budget=265, evolve_weights=False)) == 6
-        with pytest.raises(BudgetExceededError, match=r"^step 6: 265 terms of the reduced fraction"):
-            verify_laurent_run(wq, 6, budget=264, evolve_weights=False)
+        for budget in (264, 124):
+            with pytest.raises(BudgetExceededError, match=r"^step 6: 265 terms of the reduced fraction"):
+                verify_laurent_run(wq, 6, budget=budget, evolve_weights=False)
+        # A division that pads s_0 and its denominator by the same 50-term
+        # factor keeps the value but not the size; the budget stops it
+        # before the reducer runs.
+        pad = Poly(4, {(i, 0, 0, 0): 1 for i in range(50)})
+        div = RationalDualExpr.div
+
+        def padded(a, b):
+            q = div(a, b)
+            return RationalDualExpr(q.body, q.num_s0 * pad, q.den * pad)
+
+        monkeypatch.setattr(RationalDualExpr, "div", padded)
         sizes = []
-
-        def recording(nums, *rest):
-            sizes.append(sum(num.term_count for num in nums))
-            return _reduce_with_body(nums, *rest)
-
-        monkeypatch.setattr(laurent, "_reduce_with_body", recording)
-        with pytest.raises(BudgetExceededError, match=r"^step 6: 125 terms of the exchange fraction"):
-            verify_laurent_run(wq, 6, budget=124, evolve_weights=False)
-        assert sizes and max(sizes) < 124
+        monkeypatch.setattr(laurent, "_reduce", lambda num, *rest: sizes.append(num) or _reduce(num, *rest))
+        message = r"^step 1: 52 terms of the exchange fraction exceed budget 20$"
+        with pytest.raises(BudgetExceededError, match=message):
+            verify_laurent_run(somos4_weighted(), 1, budget=20)
+        assert sizes == []
 
     def test_budget_bounds_every_exchange_product(self, monkeypatch):
         # Checked only on the finished fraction, this run built a 51815-term
@@ -475,26 +517,24 @@ class TestVerifyRun:
         assert sizes and max(sizes) <= 1000
 
     def test_a_non_laurent_body_is_divided_once(self, monkeypatch):
-        # A reduced fraction records the body its trial division found, and
-        # _full_fraction takes it; without one, _full_fraction divides N_b
-        # by D.  Either way the classifier and the factor base take that
-        # quotient instead of dividing again.
+        # A held step's body is the quotient of div, found by one exact
+        # division; the reducer, _full_fraction, the classifier and the
+        # factor base take it as it is.
+        quotients = []
+        exact_div = Poly.exact_div
+        monkeypatch.setattr(Poly, "exact_div", lambda p, q: quotients.append(r := exact_div(p, q)) or r)
         fracs = [r.variable for r in _held(3, (1, 0, -1), 7) if not r.is_laurent]
         assert len(fracs) == 4
-        unrecorded = [RationalDualExpr(f.num_body, f.num_s0, f.den) for f in fracs]
-        bodies = [f.num_body.exact_div(f.den) for f in fracs]
-        calls = []
-        exact_div = Poly.exact_div
-        monkeypatch.setattr(Poly, "exact_div", lambda p, q: calls.append(p) or exact_div(p, q))
-        for run in (fracs, unrecorded):
-            base = _FactorBase()
-            for frac, body in zip(run, bodies):
-                full = _full_fraction(frac)
-                assert full[3] == body
-                assert _classify(full) == NotLaurent("slope", frac.den)
-                base.add(full[3])
-            assert len(base.factors()) == 4
-        assert calls == [frac.num_body for frac in fracs]
+        assert [sum(q == frac.body for q in quotients) for frac in fracs] == [1] * 4
+        quotients.clear()
+        base = _FactorBase()
+        for frac in fracs:
+            full = _full_fraction(frac)
+            assert full[0] == frac.body * frac.den
+            assert _classify(full) == NotLaurent("slope", frac.den)
+            base.add(frac.body)
+        assert len(base.factors()) == 4
+        assert quotients == []
 
     def test_y_parts_are_built_once_per_step(self, monkeypatch):
         # ∂_i body for i = 1..4 on each of 11 Laurent steps, shared by the
@@ -515,11 +555,11 @@ class TestVerifyRun:
         # 50-term factor keeps the value but not the size.
         pad = Poly(4, {(i, 0, 0, 0): 1 for i in range(50)})
 
-        def padded(nums, den, base=None):
-            nums, den, path, body = _reduce_with_body(nums, den, base)
-            return [num * pad for num in nums], den * pad, path, body
+        def padded(num, den, base=None):
+            num, den, path = _reduce(num, den, base)
+            return num * pad, den * pad, path
 
-        monkeypatch.setattr(laurent, "_reduce_with_body", padded)
+        monkeypatch.setattr(laurent, "_reduce", padded)
         with pytest.raises(BudgetExceededError, match=r"^step 1: \d+ terms of the reduced fraction"):
             verify_laurent_run(somos4_weighted(), 1, budget=20)
 
@@ -534,8 +574,7 @@ class TestVerifyRun:
 def _body_numerator(rep) -> Poly:
     """The numerator of a step's body: primitive, free of monomial factors
     and with a positive lex-leading coefficient."""
-    v = rep.variable
-    body = v.body if rep.is_laurent else v.num_body.exact_div(v.den)
+    body = rep.variable.body
     body = body.shift(tuple(-m for m in body.min_exponents()))
     content = body.content() if body.lex_lead()[1] > 0 else -body.content()
     return Poly(body.nvars, {e: c // content for e, c in body.terms.items()})
@@ -554,19 +593,19 @@ def _held_p31_factors() -> tuple[Poly, Poly]:
 
 
 def _factor_case(name: str):
-    """(factors put in the base, numerators, denominator, expected path)."""
+    """(factors put in the base, numerator, denominator, expected path)."""
     b1, b2 = _held_p31_factors()
     x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
     if name == "reducible factor cancels":
-        return [b1 * b2], [b1 * b2 * x1, b1 * b2 * (x2 + 3)], (b1 * b2) ** 2, "factor"
+        return [b1 * b2], b1 * b2 * (x2 + 3), (b1 * b2) ** 2, "factor"
     if name == "reducible factor shares a part":
-        return [b1 * b2], [b1 * x1, b1 * (x2 + 3)], b1 * b2, "gcd"
+        return [b1 * b2], b1 * (x2 + 3), b1 * b2, "gcd"
     if name == "denominator does not split":
-        return [b1, b2], [b1 * x2, b1 * x3 + 1], b1 * (x1 + 2), "gcd"
+        return [b1, b2], b1 * x2, b1 * (x1 + 2), "gcd"
     if name == "integer left over":
-        return [b1], [2 * b1 * x2, 4 * b1 * x3], 6 * b1, "factor"
+        return [b1], 2 * b1 * x2 + 4 * b1 * x3, 6 * b1, "factor"
     if name == "negative lex lead":
-        return [b1, b2], [b1 * x1, b1 * (x2 + 1)], -x1 * b1 * b2, "factor"
+        return [b1, b2], b1 * (x2 + 1), -x1 * b1 * b2, "factor"
     raise ValueError(name)
 
 
@@ -595,17 +634,17 @@ def small_x_polys(draw):
 
 @st.composite
 def factor_reductions(draw):
-    """(base factors, numerators, denominator, route) for the factor-base reducer.
+    """(base factors, numerator, denominator, route) for the factor-base reducer.
 
     den is a constant of either sign times a monomial times powers of base
-    factors.  "body first" puts N_b = body·den, so only s_0 is left to
-    reduce over the base; "joint" leaves one base factor out of N_b, so
-    den does not divide it; "shared" uses the reducible base factor B1·B2
-    and an s_0 sharing B1 with it, so a certificate finds that common
-    factor and the GCD route must answer.
+    factors.  On the "split" route the numerator carries powers of the
+    factors, so the base cancels them; "unsplit" multiplies den by
+    x1 + 2, which is not in the base; "shared" uses the reducible base
+    factor B1·B2 and a numerator sharing B1 with it, so a certificate
+    finds that common factor.  The GCD route must answer the last two.
     """
     b1, b2 = _held_p31_factors()
-    route = draw(st.sampled_from(["body first", "joint", "shared"]))
+    route = draw(st.sampled_from(["split", "unsplit", "shared"]))
     factors = [b1 * b2] if route == "shared" else [b1, b2]
     exps = [draw(st.integers(min_value=0, max_value=2)) for _ in factors]
     exps[draw(st.integers(min_value=0, max_value=len(factors) - 1))] += 1
@@ -614,20 +653,16 @@ def factor_reductions(draw):
     den = Poly.monomial(3, mono, c)
     for b, e in zip(factors, exps):
         den = den * b**e
-    body, s0 = draw(small_x_polys()), draw(small_x_polys())
+    num = draw(small_x_polys())
     if route == "shared":
-        assume(s0.exact_div(b2) is None)
-        s0 = s0 * b1
+        assume(num.exact_div(b2) is None)
+        num = num * b1
     else:
         for b in factors:
-            s0 = s0 * b ** draw(st.integers(min_value=0, max_value=2))
-    if route == "joint":
-        short = next(b for b, e in zip(factors, exps) if e)
-        nb = body * den.exact_div(short)
-        assume(nb.exact_div(den) is None)
-    else:
-        nb = body * den
-    return factors, [nb, s0], den, route
+            num = num * b ** draw(st.integers(min_value=0, max_value=2))
+    if route == "unsplit":
+        den = den * (Poly.variable(3, 0) + 2)
+    return factors, num, den, route
 
 
 class TestFactorBase:
@@ -636,15 +671,16 @@ class TestFactorBase:
 
     @pytest.mark.parametrize("name", FACTOR_CASES)
     def test_matches_the_gcd_route(self, name):
-        factors, nums, den, path = _factor_case(name)
+        factors, num, den, path = _factor_case(name)
         base = _FactorBase()
         for f in factors:
             base.add(f)
         assert base.factors() == factors
-        got_nums, got_den, got_path = _reduce(nums, den, base)
-        assert (got_nums, got_den) == reduce_by_gcd(nums, den)
+        got_num, got_den, got_path = _reduce(num, den, base)
+        assert ([got_num], got_den) == reduce_by_gcd([num], den)
         assert got_path == path
-        assert _reduce(nums, den) == (*reduce_by_gcd(nums, den), "gcd")
+        plain_num, plain_den, plain_path = _reduce(num, den)
+        assert ([plain_num], plain_den, plain_path) == (*reduce_by_gcd([num], den), "gcd")
 
     @pytest.mark.parametrize(
         "n, weights, steps",
@@ -671,20 +707,19 @@ class TestFactorBase:
     @given(factor_reductions())
     @settings(max_examples=60, deadline=None)
     def test_random_reduction_matches_the_gcd_route(self, case):
-        factors, nums, den, route = case
+        factors, num, den, route = case
         base = _FactorBase()
         for f in factors:
             base.add(f)
-        got_nums, got_den, path = _reduce(nums, den, base)
-        assert (got_nums, got_den) == reduce_by_gcd(nums, den)
-        paths = {"body first": {"trial", "factor"}, "joint": {"factor"}, "shared": {"gcd"}}
+        got_num, got_den, path = _reduce(num, den, base)
+        assert ([got_num], got_den) == reduce_by_gcd([num], den)
+        paths = {"split": {"trial", "factor"}, "unsplit": {"trial", "gcd"}, "shared": {"gcd"}}
         assert path in paths[route]
 
-    @pytest.mark.parametrize("steps, divisions, gcds", [(7, 55, 10), (8, 82, 15)])
+    @pytest.mark.parametrize("steps, divisions, gcds", [(7, 51, 10), (8, 77, 15)])
     def test_held_steps_divide_the_body_once(self, monkeypatch, steps, divisions, gcds):
-        # Trial division finds each held body, s_0 alone is reduced over the
-        # base, and _full_fraction and the next div reuse the body.  Dividing
-        # the body again made 134 and 203 divisions, with the same gcds.
+        # div finds each held body as its quotient, and s_0 alone is reduced
+        # over the base.
         calls = []
         exact_div, gcd = Poly.exact_div, laurent.poly_gcd
         monkeypatch.setattr(Poly, "exact_div", lambda p, q: calls.append("div") or exact_div(p, q))
@@ -754,15 +789,6 @@ class TestCarriedSlopes:
             )
         ]
         assert got == expected
-
-    def test_non_laurent_body_takes_the_quotient_rule(self):
-        # body x1/(x1 + x2), s_0 = x2/(x1 + x2): ∂_1 body = x2/(x1 + x2)²
-        # and ∂_2 body = −x1/(x1 + x2)².
-        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-        d = x1 + x2
-        carried = RationalDualExpr(x1, x2, d)
-        assert _full_fraction(carried) == (x1 * d, (x2 * d, x2, -x1), d * d, None)
-        assert normalize(carried) == NotLaurent("body", d)
 
 
 class TestEvaluate:
