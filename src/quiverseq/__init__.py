@@ -5,7 +5,7 @@ The package has five layers:
 * ``dualnum``     exact dual scalars a + b·ε (ε² = 0) over ints/rationals
 * ``quiver``      skew-symmetric exchange matrices, mutation, weights, rotation
 * ``periodicity`` primitive quivers, period-1 tests, weight-function solving
-* ``laurent``     sparse dual Laurent polynomials and symbolic exchange runs
+* ``laurent``     symbolic dual values (one fraction type) and exchange runs
 * ``seqgen``      dual recurrence runs, basis decomposition, integrality scans
 
 plus a ``quiverseq`` CLI binding them together.
@@ -14,7 +14,6 @@ plus a ``quiverseq`` CLI binding them together.
 from .dualnum import DualScalar, ZeroBodyError, format_scalar, parse_scalar
 from .errors import QuiverSeqError
 from .laurent import (
-    DualLaurent,
     NotLaurent,
     RationalDualExpr,
     evaluate,
@@ -48,7 +47,6 @@ from .seqgen import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DualLaurent",
     "DualScalar",
     "Monomial",
     "NotLaurent",

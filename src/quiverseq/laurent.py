@@ -54,9 +54,12 @@ Doc. Math. 18, 2013), times a monomial and a constant.  Exactness does
 not rest on that: a factor that stops dividing the numerator is kept
 only with the certificate gcd(factor, numerator) = 1, computed on the
 small factor.  ``RationalDualExpr.reduced`` runs the reducer and records
-its path.  One classifier, ``_classify``, names the outcome: Laurent
-when the reduced denominator is 1, otherwise the slope and its
-denominator.
+its path.  A reduced value is Laurent exactly when its denominator is 1:
+the body is a Laurent polynomial and monomial factors are folded, so a
+denominator left over is s_0's own.  ``RationalDualExpr`` is the only
+value type, Laurent or not; its ``sexpr`` prints the ``(dual …)`` form
+when den is 1 and the ``(fraction …)`` form otherwise, and ``evaluate``
+takes either.
 """
 
 from __future__ import annotations
@@ -112,44 +115,6 @@ def _slope_sexpr(slope: tuple[Poly, ...]) -> str:
     return Poly(2 * n, joined).sexpr(var_names(n))
 
 
-@dataclass(frozen=True, eq=True)
-class DualLaurent:
-    """A normalized dual Laurent value  body + slope·ε.
-
-    ``body`` and ``s0`` are Laurent polynomials in x_1..x_n.  The slope
-    is s_0 + Σ y_i·s_i with s_i = ∂_i body, and ``slope`` derives the
-    tuple (s_0, s_1, …, s_n).
-    """
-
-    body: Poly
-    s0: Poly
-
-    @property
-    def n(self) -> int:
-        return self.body.nvars
-
-    @property
-    def slope(self) -> tuple[Poly, ...]:
-        return _full_fraction(RationalDualExpr.from_dual(self))[1]
-
-    def denominator_monomial(self) -> tuple[int, ...]:
-        """x-exponents of the common monomial denominator (all ≥ 0)."""
-        return _denominator_monomial((self.body, *self.slope))
-
-    def sexpr(self) -> str:
-        return f"(dual (body {_sexpr(self.body)}) (slope {_slope_sexpr(self.slope)}))"
-
-
-def _denominator_monomial(parts: Sequence[Poly]) -> tuple[int, ...]:
-    """x-exponents of the least monomial clearing every part's negative exponents."""
-    return tuple(max(0, -min(col)) for col in zip(*(part.min_exponents() for part in parts)))
-
-
-def initial_variables(n: int) -> list[DualLaurent]:
-    """The seed variables X_i = x_i + y_i·ε for an n-vertex quiver."""
-    return [DualLaurent(Poly.variable(n, i), Poly.zero(n)) for i in range(n)]
-
-
 @dataclass(frozen=True)
 class NotLaurent:
     """Normalization failure; carries the offending reduced denominator."""
@@ -162,6 +127,7 @@ class NotLaurent:
 class RationalDualExpr:
     """body + (num_s0/den)·ε over x_1..x_n, with s_i = ∂_i body.
 
+    The one symbolic value type: a Laurent value is the case den = 1.
     ``body`` is a Laurent polynomial; only s_0 has a denominator.
     ``mul``, ``add``, ``div`` and ``deform`` keep the y-parts s_i of a
     value built from the seeds without carrying them; ``_full_fraction``
@@ -177,10 +143,6 @@ class RationalDualExpr:
     def __post_init__(self) -> None:
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
-
-    @classmethod
-    def from_dual(cls, v: DualLaurent) -> "RationalDualExpr":
-        return cls(v.body, v.s0, Poly.one(v.n))
 
     @classmethod
     def one(cls, n: int) -> "RationalDualExpr":
@@ -243,13 +205,22 @@ class RationalDualExpr:
         return RationalDualExpr(self.body, s0, den, path)
 
     def sexpr(self) -> str:
-        """The fraction (body·den + slope·ε)/den with its y-parts rebuilt
+        """``(dual (body …) (slope …))`` when den is 1, else the fraction
+        (body·den + slope·ε)/den; either way with the y-parts rebuilt
         (see ``_full_fraction``)."""
         nb, slope, den = _full_fraction(self)
+        if den.is_one():
+            return f"(dual (body {_sexpr(nb)}) (slope {_slope_sexpr(slope)}))"
         return (
             f"(fraction (body-num {_sexpr(nb)}) "
             f"(slope-num {_slope_sexpr(slope)}) (den {_sexpr(den)}))"
         )
+
+
+def initial_variables(n: int) -> list[RationalDualExpr]:
+    """The seed variables X_i = x_i + y_i·ε for an n-vertex quiver."""
+    one = Poly.one(n)
+    return [RationalDualExpr(Poly.variable(n, i), Poly.zero(n), one) for i in range(n)]
 
 
 def _full_fraction(frac: RationalDualExpr) -> tuple[Poly, tuple[Poly, ...], Poly]:
@@ -379,22 +350,11 @@ class _FactorBase:
         return self._factors
 
 
-def _classify(full: tuple) -> DualLaurent | NotLaurent:
-    """Laurent, or the slope's denominator, for ``_full_fraction`` of a reduced fraction.
-
-    The body is a Laurent polynomial and monomial factors are already
-    folded, so the value is Laurent exactly when the denominator is 1;
-    otherwise that denominator is s_0's own.
-    """
-    nb, slope, den = full
-    if den.is_one():
-        return DualLaurent(nb, slope[0])
-    return NotLaurent("slope", den)
-
-
-def normalize(expr: RationalDualExpr) -> DualLaurent | NotLaurent:
-    """Reduce expr, then name it Laurent or its offending part."""
-    return _classify(_full_fraction(expr.reduced()))
+def normalize(expr: RationalDualExpr) -> RationalDualExpr | NotLaurent:
+    """Reduce expr: the reduced fraction when its denominator is 1 (a
+    Laurent value), else the slope's offending denominator."""
+    reduced = expr.reduced()
+    return reduced if reduced.den.is_one() else NotLaurent("slope", reduced.den)
 
 
 def _exchange_fraction(
@@ -431,13 +391,13 @@ def _exchange_fraction(
     return numerator.div(state[k - 1])
 
 
-def _check_shape(v: DualLaurent, n: int) -> None:
-    """ValueError unless v's body and s_0 are polynomials in n variables."""
-    if v.body.nvars != n or v.s0.nvars != n:
+def _check_shape(v: RationalDualExpr, n: int) -> None:
+    """ValueError unless v's body, s_0 numerator and den are polynomials in n variables."""
+    if not v.body.nvars == v.num_s0.nvars == v.den.nvars == n:
         raise ValueError(f"expected polynomials in {n} variables")
 
 
-def sym_exchange(wq: WeightedQuiver, vars: Sequence[DualLaurent], k: int) -> DualLaurent:
+def sym_exchange(wq: WeightedQuiver, vars: Sequence[RationalDualExpr], k: int) -> RationalDualExpr:
     """One symbolic exchange at vertex k (1-indexed), normalized.
 
     Raises NotLaurentError when the result does not reduce to a Laurent
@@ -449,8 +409,7 @@ def sym_exchange(wq: WeightedQuiver, vars: Sequence[DualLaurent], k: int) -> Dua
         raise ValueError(f"expected {wq.n} variables, got {len(vars)}")
     for v in vars:
         _check_shape(v, wq.n)
-    state = [RationalDualExpr.from_dual(v) for v in vars]
-    result = normalize(_exchange_fraction(wq, state, k))
+    result = normalize(_exchange_fraction(wq, vars, k))
     if isinstance(result, NotLaurent):
         raise NotLaurentError(result)
     return result
@@ -465,7 +424,7 @@ class StepReport:
     body_terms: int
     slope_terms: int
     denominator: Poly  # monomial denominator when Laurent, offender otherwise
-    variable: DualLaurent | RationalDualExpr
+    variable: RationalDualExpr  # the reduced fraction; den is 1 exactly when Laurent
     reduction: str  # the path of _reduce: "monomial", "trial", "factor" or "gcd"
 
 
@@ -502,7 +461,7 @@ def verify_laurent_run(
     n = wq.n
     if n < 1:
         raise VertexIndexError(f"vertex 1 outside 1..{n}")
-    state = [RationalDualExpr.from_dual(v) for v in initial_variables(n)]
+    state = initial_variables(n)
     current = wq
     base = _FactorBase()
     reports: list[StepReport] = []
@@ -512,19 +471,14 @@ def verify_laurent_run(
         )
         _check_budget(frac.term_count, budget, step, "exchange fraction")
         frac = frac.reduced(base)
-        full = _full_fraction(frac)
-        nb, slope, _ = full
+        nb, slope, den = _full_fraction(frac)
         body_terms, slope_terms = nb.term_count, sum(part.term_count for part in slope)
         _check_budget(body_terms + slope_terms, budget, step, "reduced fraction")
-        result = _classify(full)
-        laurent = isinstance(result, DualLaurent)
-        if laurent:
-            variable, denominator = result, Poly.monomial(n, _denominator_monomial((nb, *slope)))
-        else:
-            variable, denominator = frac, result.denominator
-        reports.append(
-            StepReport(step, laurent, body_terms, slope_terms, denominator, variable, frac.reduction)
-        )
+        laurent = den.is_one()
+        if laurent:  # report the least monomial clearing every part's negative exponents
+            mins = zip(*(part.min_exponents() for part in (nb, *slope)))
+            den = Poly.monomial(n, tuple(max(0, -min(col)) for col in mins))
+        reports.append(StepReport(step, laurent, body_terms, slope_terms, den, frac, frac.reduction))
         base.add(frac.body)
         state = state[1:] + [frac]
         if evolve_weights:
@@ -536,29 +490,37 @@ def verify_laurent_run(
 
 def symbolic_sequence(
     wq: WeightedQuiver, steps: int, budget: int = DEFAULT_TERM_BUDGET
-) -> list[DualLaurent]:
-    """The new variables X_{n+1} .. X_{n+steps}; raises if any is non-Laurent."""
+) -> list[RationalDualExpr]:
+    """The new variables X_{n+1} .. X_{n+steps}, each with den 1; raises
+    if any is non-Laurent."""
     reports = verify_laurent_run(wq, steps, budget)
     for rep in reports:
         if not rep.is_laurent:
-            raise NotLaurentError(_classify(_full_fraction(rep.variable)))
+            raise NotLaurentError(NotLaurent("slope", rep.denominator))
     return [rep.variable for rep in reports]
 
 
-def evaluate(v: DualLaurent, assignment: Sequence[DualScalar]) -> DualScalar:
+def evaluate(v: RationalDualExpr, assignment: Sequence[DualScalar]) -> DualScalar:
     """Substitute x_i ← body, y_i ← slope of each assigned dual scalar.
 
-    Exact rational evaluation: the body is body(x), the slope is
-    s_0(x) + Σ y_i·s_i(x).  ε² = 0 is what keeps slopes linear in the
-    y's, so this is the full dual value of the symbolic expression.
+    Exact rational evaluation of the parts of ``_full_fraction``: the body
+    is N_b(x)/D(x), the slope (N_0(x) + Σ y_i·N_i(x))/D(x).  ε² = 0 is what
+    keeps slopes linear in the y's, so this is the full dual value of the
+    symbolic expression.  A zero coordinate under a negative exponent, or
+    a point where D vanishes, raises ZeroAtPoleError.
     """
-    if len(assignment) != v.n:
-        raise ValueError(f"expected {v.n} assignments, got {len(assignment)}")
-    _check_shape(v, v.n)
+    n = v.body.nvars
+    if len(assignment) != n:
+        raise ValueError(f"expected {n} assignments, got {len(assignment)}")
+    _check_shape(v, n)
     x = [s.body for s in assignment]
+    nb, (s0, *parts), den = _full_fraction(v)
     try:
-        s0, *parts = (part.evaluate(x) for part in v.slope)
-        slope = s0 + sum(s.slope * p for s, p in zip(assignment, parts))
-        return DualScalar(v.body.evaluate(x), slope)
+        d = den.evaluate(x)
+        body = nb.evaluate(x)
+        slope = s0.evaluate(x) + sum(s.slope * p.evaluate(x) for s, p in zip(assignment, parts))
     except ZeroDivisionError as exc:
         raise ZeroAtPoleError("zero assigned where a negative exponent occurs") from exc
+    if not d:
+        raise ZeroAtPoleError("the denominator vanishes at the assigned point")
+    return DualScalar(body / d, slope / d)

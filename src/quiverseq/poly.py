@@ -36,7 +36,9 @@ remainder key stays inside the numerator's radix.
 
 An operand with one term c·x^f has nothing to pack: the unit, a
 constant, an ``int`` coerced to one, or a monomial.  ``__mul__`` then
-returns {e + f: c·d} directly, and ``exact_div`` by it returns
+returns {e + f: c·d} directly, or the other operand itself when this one
+is the unit (no Poly's terms change after it is built, so sharing them
+is safe), and ``exact_div`` by it returns
 {e − f: c // d}, or None at the first coefficient that d does not
 divide; monomials are units in the Laurent ring, so that is the whole
 test of exactness.
@@ -167,6 +169,10 @@ class Poly:
         if not a or not b:
             return Poly(self.nvars)
         if len(a) == 1 or len(b) == 1:
+            if other.is_one():
+                return self
+            if self.is_one():
+                return other
             if len(a) != 1:
                 a, b = b, a
             ((f, d),) = a.items()

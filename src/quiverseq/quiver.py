@@ -121,9 +121,6 @@ class Quiver:
         """True when mutation at vertex 1 followed by rotation is the identity."""
         return self.mutate(1).rotate() == self
 
-    def opposite(self) -> "Quiver":
-        return self.scaled(-1)
-
     def scaled(self, c: int) -> "Quiver":
         return Quiver(tuple(tuple(c * e for e in row) for row in self.b))
 

@@ -105,7 +105,7 @@ def somos4_family(p: int, q: int) -> Quiver:
 def somos4_family_opposite(p: int, q: int) -> Quiver:
     from quiverseq.periodicity import combine
 
-    return combine(4, (p, -q), somos4_correction(p, q).opposite())
+    return combine(4, (p, -q), somos4_correction(p, q).scaled(-1))
 
 
 def somos4_quiver_a() -> Quiver:

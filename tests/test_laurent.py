@@ -1,8 +1,11 @@
 import hashlib
 import io
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,13 +16,11 @@ from quiverseq.cli import main
 from quiverseq.dualnum import DualScalar
 from quiverseq.laurent import (
     BudgetExceededError,
-    DualLaurent,
     NotLaurent,
     NotLaurentError,
     RationalDualExpr,
     ZeroAtPoleError,
     ZeroBodyDivisionError,
-    _classify,
     _FactorBase,
     _full_fraction,
     _reduce,
@@ -77,12 +78,17 @@ def _x(p: Poly) -> Poly:
     return body
 
 
-def _mul(u: DualLaurent, v: DualLaurent) -> DualLaurent:
-    return normalize(RationalDualExpr.from_dual(u).mul(RationalDualExpr.from_dual(v)))
+def _laurent(body: Poly, s0: Poly) -> RationalDualExpr:
+    """The Laurent value body + s0·ε: a fraction with denominator 1."""
+    return RationalDualExpr(body, s0, Poly.one(body.nvars))
 
 
-def _add(u: DualLaurent, v: DualLaurent) -> DualLaurent:
-    return normalize(RationalDualExpr.from_dual(u).add(RationalDualExpr.from_dual(v)))
+def _mul(u: RationalDualExpr, v: RationalDualExpr) -> RationalDualExpr:
+    return normalize(u.mul(v))
+
+
+def _add(u: RationalDualExpr, v: RationalDualExpr) -> RationalDualExpr:
+    return normalize(u.add(v))
 
 
 def somos4_weighted() -> WeightedQuiver:
@@ -122,7 +128,8 @@ class TestSymExchange:
                 (-2, 0, 2, 0, 1, 0, 0, 0): -1,  # x3^2 y1 / x1^2
             },
         )
-        assert x5.slope == _split(expected_slope)
+        assert x5.den.is_one()
+        assert _full_fraction(x5)[1] == _split(expected_slope)
 
     def test_empty_out_product_is_one(self):
         # double arrow 1 -> 2: the incoming product at vertex 1 is empty
@@ -144,23 +151,24 @@ class TestSymExchange:
     def test_zero_body_divisor(self):
         wq = neg_p31_weighted()
         X = initial_variables(3)
-        zero_body = DualLaurent(Poly.zero(3), Poly.one(3))
+        zero_body = _laurent(Poly.zero(3), Poly.one(3))
         with pytest.raises(ZeroBodyDivisionError):
             sym_exchange(wq, [zero_body, X[1], X[2]], 1)
 
     def test_part_in_the_wrong_number_of_variables_is_refused(self):
         wq = neg_p31_weighted()
         X = initial_variables(3)
-        wide = DualLaurent(X[0].body, Poly.zero(4))
-        with pytest.raises(ValueError, match="in 3 variables"):
-            sym_exchange(wq, [wide, X[1], X[2]], 1)
+        for part in ("num_s0", "den"):
+            wide = replace(X[0], **{part: Poly.one(4)})
+            with pytest.raises(ValueError, match="in 3 variables"):
+                sym_exchange(wq, [wide, X[1], X[2]], 1)
 
     def test_non_monomial_divisor_is_a_body_offender(self):
         wq = neg_p31_weighted()
         X = initial_variables(3)
         x1, x2 = Poly.variable(3, 0), Poly.variable(3, 1)
         with pytest.raises(NotLaurentError) as err:
-            sym_exchange(wq, [DualLaurent(x1 + x2, X[0].s0), X[1], X[2]], 1)
+            sym_exchange(wq, [_laurent(x1 + x2, X[0].num_s0), X[1], X[2]], 1)
         assert err.value.failure.part == "body"
         assert err.value.failure.denominator == x1 + x2
 
@@ -198,17 +206,18 @@ class TestNormalize:
     def test_polynomial_cancellation(self):
         x1 = Poly.variable(2, 0)
         result = normalize(RationalDualExpr(x1, x1 * x1 - 1, x1 - 1))
-        assert isinstance(result, DualLaurent)
-        assert (result.body, result.s0) == (x1, x1 + 1)
+        assert result == _laurent(x1, x1 + 1)
 
     def test_monomial_denominator(self):
         # body (x2·x4 + x3²)/x1: its y1-part ∂_1 body = −(x2·x4 + x3²)/x1²
-        # sets the exponent of x1.
+        # sets the exponent of x1, and the first Somos-4 step reports x1².
         x1, x2, x3, x4 = (Poly.variable(4, i) for i in range(4))
         body = (x2 * x4 + x3 * x3).shift((-1, 0, 0, 0))
-        result = normalize(RationalDualExpr(body, Poly.zero(4), Poly.one(4)))
-        assert isinstance(result, DualLaurent)
-        assert result.denominator_monomial() == (2, 0, 0, 0)
+        result = normalize(_laurent(body, Poly.zero(4)))
+        assert result == _laurent(body, Poly.zero(4))
+        (report,) = verify_laurent_run(WeightedQuiver(Quiver.from_rows(SOMOS4_ROWS), (0, 0, 0, 0)), 1)
+        assert report.variable == result
+        assert report.denominator == Poly.monomial(4, (2, 0, 0, 0))
 
     def test_not_laurent_reports_denominator(self):
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
@@ -220,7 +229,7 @@ class TestNormalize:
     def test_integer_content_must_divide(self):
         x1 = Poly.variable(2, 0)
         ok = normalize(RationalDualExpr(x1, 2 * x1, Poly.const(2, 2)))
-        assert isinstance(ok, DualLaurent) and ok.s0 == x1
+        assert ok == _laurent(x1, x1)
         bad = normalize(RationalDualExpr(x1, x1 + 1, Poly.const(2, 2)))
         assert isinstance(bad, NotLaurent)
         assert bad.denominator == Poly.const(2, 2)
@@ -242,12 +251,13 @@ class TestNormalize:
         if isinstance(expected, NotLaurent):
             assert result == expected
         else:
-            assert isinstance(result, DualLaurent)
-            assert (result.body, result.slope) == expected
+            assert isinstance(result, RationalDualExpr) and result.den.is_one()
+            nb, slope, _ = _full_fraction(result)
+            assert (nb, slope) == expected
         if kind == "laurent":
-            assert isinstance(result, DualLaurent)
+            assert not isinstance(result, NotLaurent)
         if kind == "slope":
-            assert isinstance(result, DualLaurent) or result.part == "slope"
+            assert not isinstance(result, NotLaurent) or result.part == "slope"
 
 
 class TestReduced:
@@ -422,9 +432,10 @@ class TestVerifyRun:
         for r in reports:
             v = r.variable
             # structural shape: a y-free body and one x-only slope part per y
-            assert v.body.nvars == 4
-            assert len(v.slope) == 5
-            assert all(part.nvars == 4 for part in v.slope)
+            assert v.body.nvars == 4 and v.den.is_one()
+            slope = _full_fraction(v)[1]
+            assert len(slope) == 5
+            assert all(part.nvars == 4 for part in slope)
 
     def test_neg_p31_six_steps_all_laurent(self):
         reports = verify_laurent_run(neg_p31_weighted(), 6)
@@ -518,7 +529,7 @@ class TestVerifyRun:
 
     def test_a_non_laurent_body_is_divided_once(self, monkeypatch):
         # A held step's body is the quotient of div, found by one exact
-        # division; the reducer, _full_fraction, the classifier and the
+        # division; the reducer, _full_fraction, the printer and the
         # factor base take it as it is.
         quotients = []
         exact_div = Poly.exact_div
@@ -531,7 +542,7 @@ class TestVerifyRun:
         for frac in fracs:
             full = _full_fraction(frac)
             assert full[0] == frac.body * frac.den
-            assert _classify(full) == NotLaurent("slope", frac.den)
+            assert frac.sexpr().startswith("(fraction ")
             base.add(frac.body)
         assert len(base.factors()) == 4
         assert quotients == []
@@ -546,9 +557,10 @@ class TestVerifyRun:
         reports = verify_laurent_run(wq, 11)
         assert all(r.is_laurent for r in reports)
         assert len(calls) == 44
-        assert [r.denominator for r in reports] == [
-            Poly.monomial(4, r.variable.denominator_monomial()) for r in reports
-        ]
+        for r in reports:
+            nb, slope, _ = _full_fraction(r.variable)
+            mins = zip(*(part.min_exponents() for part in (nb, *slope)))
+            assert r.denominator == Poly.monomial(4, [-min(0, *col) for col in mins])
 
     def test_budget_checks_the_reduced_fraction(self, monkeypatch):
         # A reducer that pads numerators and denominator by the same
@@ -794,20 +806,41 @@ class TestCarriedSlopes:
 class TestEvaluate:
     def test_identity_fraction(self):
         X = initial_variables(2)
-        product = _mul(X[0], DualLaurent(Poly.monomial(2, (-1, 0)), Poly.zero(2)))  # x1 * (1/x1)
+        product = _mul(X[0], _laurent(Poly.monomial(2, (-1, 0)), Poly.zero(2)))  # x1 * (1/x1)
         assert product.body == Poly.one(2)
         assert evaluate(product, [DualScalar(5, 2), DualScalar(1, 0)]).body == 1
 
     def test_pole(self):
-        v = DualLaurent(Poly.monomial(2, (-1, 0)), Poly.zero(2))
+        v = _laurent(Poly.monomial(2, (-1, 0)), Poly.zero(2))
         with pytest.raises(ZeroAtPoleError):
             evaluate(v, [DualScalar(0, 1), DualScalar(1, 0)])
+
+    def test_fraction_off_the_pole(self):
+        # x2/x1 + (x2/(x1 + 1) + y1·(−x2/x1²) + y2·(1/x1))·ε at x = (1/2, 3),
+        # y = (5, −4): body 6, slope 2 − 60 − 8.
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        v = RationalDualExpr(x2.shift((-1, 0)), x2, x1 + 1)
+        at = [DualScalar(Fraction(1, 2), 5), DualScalar(3, -4)]
+        assert evaluate(v, at) == DualScalar(6, -66)
+
+    def test_fraction_at_a_zero_of_its_denominator(self):
+        x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+        v = RationalDualExpr(x2, x2, x1 + 1)
+        with pytest.raises(ZeroAtPoleError, match="denominator vanishes"):
+            evaluate(v, [DualScalar(-1, 0), DualScalar(3, 1)])
 
     def test_slope_of_the_wrong_shape_is_refused(self):
         x1 = Poly.variable(2, 0)
         at = [DualScalar(1, 1), DualScalar(1, 1)]
-        with pytest.raises(ValueError, match="in 2 variables"):
-            evaluate(DualLaurent(x1, Poly.one(3)), at)
+        for part in ("num_s0", "den"):
+            v = replace(RationalDualExpr(x1, x1, x1 + 1), **{part: Poly.one(3)})
+            with pytest.raises(ValueError, match="in 2 variables"):
+                evaluate(v, at)
+
+    def test_assignment_of_the_wrong_length_is_refused(self):
+        v = RationalDualExpr(Poly.variable(2, 0), Poly.one(2), Poly.variable(2, 1) + 1)
+        with pytest.raises(ValueError, match="expected 2 assignments, got 3"):
+            evaluate(v, [DualScalar(1, 0)] * 3)
 
     def test_somos_values(self):
         symbolic = symbolic_sequence(somos4_weighted(), 2)
@@ -826,7 +859,7 @@ class TestEvaluate:
                 n, {(data.draw(exp), data.draw(exp)): data.draw(coeff), (data.draw(exp), 0): data.draw(coeff)}
             )
             s0 = Poly(n, {(data.draw(exp), 0): data.draw(coeff), (0, data.draw(exp)): data.draw(coeff)})
-            return DualLaurent(body, s0)
+            return _laurent(body, s0)
 
         u, v = draw_value(), draw_value()
         point = [
@@ -847,7 +880,7 @@ def _six_step_run(name: str) -> tuple[WeightedQuiver, list]:
 
 
 @cache
-def _iterated_exchanges(wq: WeightedQuiver, steps: int) -> list[DualLaurent]:
+def _iterated_exchanges(wq: WeightedQuiver, steps: int) -> list[RationalDualExpr]:
     """sym_exchange along mutate-at-1-then-rotate, fed its own outputs."""
     state, new = initial_variables(wq.n), []
     for _ in range(steps):
@@ -894,6 +927,63 @@ class TestRandomPoints:
         point, terms = self._point_and_run(wq, data, 6)
         for v, term in zip(_iterated_exchanges(wq, 6), terms):
             assert evaluate(v, point) == term
+
+
+LONG_RUNS = {
+    # name: (quiver, weights, steps, evolve_weights, gradings in ker B)
+    "somos4": (Quiver.from_rows(SOMOS4_ROWS), (1, 0, 0, -1), 14, True, [(1, 1, 1, 1), (1, 2, 3, 4)]),
+    "p31-held": (primitive(3, 1), (1, 0, -1), 10, False, [(1, -1, 1)]),
+}
+
+
+@cache
+def _long_run(name: str) -> tuple:
+    """(wq, numeric twin, reports) of one long run, computed once per session.
+
+    A held run's twin forces the constant schedule w_1 on the deformed
+    monomial, as the symbolic run forces the weights."""
+    q, weights, steps, evolve, _ = LONG_RUNS[name]
+    wq = WeightedQuiver(q, weights)
+    spec = quiver_to_spec(wq) if evolve else quiver_to_spec(wq).with_deform("m2", (weights[0],))
+    return wq, spec, verify_laurent_run(wq, steps, evolve_weights=evolve)
+
+
+class TestLongRuns:
+    """Invariants cheap enough to check every step of a 10-14 step run,
+    past the sizes the straight-line oracles reach.  The held run has 7
+    non-Laurent steps, so evaluation covers fractions with den ≠ 1."""
+
+    @pytest.mark.parametrize("name", LONG_RUNS)
+    def test_evaluation_matches_the_numeric_twin(self, name):
+        wq, spec, reports = _long_run(name)
+        assert sum(not r.is_laurent for r in reports) == (7 if name == "p31-held" else 0)
+        rng = random.Random(2101)
+        for _ in range(3):
+            # Positive bodies keep every divisor and denominator nonzero.
+            a = [rng.randint(1, 6) for _ in range(wq.n)]
+            b = [rng.randint(-5, 5) for _ in range(wq.n)]
+            point = [DualScalar(x, y) for x, y in zip(a, b)]
+            terms = run(spec, init_a=a, init_b=b, count=wq.n + len(reports)).terms[wq.n :]
+            assert [evaluate(r.variable, point) for r in reports] == terms
+
+    @pytest.mark.parametrize("name", LONG_RUNS)
+    def test_parts_are_homogeneous(self, name):
+        # Every exchange binomial is homogeneous for a grading in ker B, so
+        # the body, the s_0 numerator and the denominator each have one
+        # degree, and s_0 has the body's (Grabowski, "Graded cluster
+        # algebras", J. Algebraic Combin. 42, 2015).
+        wq, _, reports = _long_run(name)
+        for grading in LONG_RUNS[name][4]:
+            assert all(sum(map(mul, row, grading)) == 0 for row in wq.quiver.b)
+            for r in reports:
+                v = r.variable
+                degrees = [
+                    {sum(map(mul, e, grading)) for e in part.terms} for part in (v.body, v.num_s0, v.den)
+                ]
+                assert all(len(d) == 1 for d in degrees[::2]) and len(degrees[1]) <= 1, (r.step, degrees)
+                if degrees[1]:
+                    (body,), (s0,), (den,) = degrees
+                    assert s0 - den == body, (r.step, grading)
 
 
 class TestSexprPins:

@@ -62,7 +62,7 @@ class TestPrimitive:
 class TestCombine:
     def test_neg_p31_is_opposite_primitive(self):
         assert combine(3, (-1,)) == neg_p31()
-        assert combine(3, (-1,)) == primitive(3, 1).opposite()
+        assert combine(3, (-1,)) == primitive(3, 1).scaled(-1)
 
     def test_neg_p41(self):
         assert combine(4, (-1, 0)) == neg_p41()

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quiverseq.poly as poly_module
@@ -233,6 +233,20 @@ class TestOneTermKernels:
         assert m.exact_div(m) == Poly.one(p.nvars)
         c = Poly.const(p.nvars, k)
         assert (p * k).exact_div(c) == p
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_a_unit_factor_returns_the_other_operand(self, p, m):
+        # No Poly's terms change after it is built, so the operand is shared.
+        assume(not p.is_zero())
+        unit = Poly.one(2)
+        assert p * unit is p
+        assert unit * p is p
+        assert 1 * p is p and p * 1 is p
+        assert unit * unit is unit
+        if not (p.is_one() or m.is_one()):
+            product = p * m
+            assert product is not p and product is not m
 
     def test_inexact_coefficient_stops_the_quotient(self):
         m = Poly.monomial(2, (-1, 2), -3)
