@@ -24,7 +24,6 @@ from .laurent import (
     verify_laurent_run,
 )
 from .periodicity import (
-    WeightSolution,
     combine,
     primitive,
     solve_weight,
@@ -57,7 +56,6 @@ __all__ = [
     "RationalDualExpr",
     "RecurrenceSpec",
     "SequenceRun",
-    "WeightSolution",
     "WeightedQuiver",
     "ZeroBodyError",
     "builtin",

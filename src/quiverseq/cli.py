@@ -19,7 +19,7 @@ import sys
 
 from . import laurent as laurent_mod
 from . import periodicity, seqgen
-from .dualnum import format_scalar
+from .dualnum import DigitLimitError, format_scalar
 from .errors import QuiverSeqError
 from .quiver import Quiver, WeightedQuiver, load_quiver
 
@@ -48,13 +48,20 @@ def _weighted(args) -> WeightedQuiver:
         raise QuiverSeqError(
             "quiver has no period-1 weight function; pass --weights explicitly"
         )
-    return WeightedQuiver(loaded, solution.weights)
+    return WeightedQuiver(loaded, solution)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        digits = (part.strip().lstrip("+-") for part in text.split(","))
+        longest = max((len(d) for d in digits if d.isdecimal()), default=0)
+        if 0 < limit < longest:
+            raise DigitLimitError(
+                f"an integer of {longest} digits is past the {limit}-digit limit"
+            ) from None
         raise QuiverSeqError(f"expected comma-separated integers, got {text!r}") from exc
 
 
@@ -154,10 +161,9 @@ def _cmd_mutate(args, out) -> int:
 def _cmd_weight(args, out) -> int:
     loaded = _read_quiver(args.quiver)
     q = loaded.quiver if isinstance(loaded, WeightedQuiver) else loaded
-    exists = periodicity.weight_exists(q)
     residual = periodicity.closing_residual(q)
-    solution = periodicity.solve_weight(q)
-    weights = list(solution.weights) if solution else None
+    weights = periodicity.solve_weight(q)
+    exists = weights is not None
     if args.format == "json":
         print(_jline({"exists": exists, "weights": weights, "closing_residual": residual}), file=out)
     else:
@@ -228,6 +234,8 @@ def _family_spec(args) -> seqgen.RecurrenceSpec:
         wq = _weighted(args)
         spec = seqgen.quiver_to_spec(wq)
     else:
+        if getattr(args, "weights", None) is not None:
+            raise QuiverSeqError("--weights applies only with --quiver")
         params = {}
         for key in ("N", "r", "s", "p", "q"):
             values = getattr(args, key, None)
@@ -449,9 +457,5 @@ def main(argv=None, out=None) -> int:
         return 1
 
 
-def entry() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

@@ -15,6 +15,7 @@ is unchanged: both parts become ``Fraction`` when either one is.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,15 @@ class ZeroBodyError(QuiverSeqError, ArithmeticError):
 
     Elements b·ε are nilpotent (their square is 0), so a dual scalar is
     invertible exactly when its body is nonzero.
+    """
+
+
+class DigitLimitError(QuiverSeqError, ValueError):
+    """An integer longer than Python's int/str conversion limit.
+
+    CPython refuses to convert an integer of more than
+    ``sys.get_int_max_str_digits()`` decimal digits (4300 by default) to
+    or from a string.
     """
 
 
@@ -133,8 +143,16 @@ class DualScalar:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Decimal string; rationals render as "p/q" in lowest terms, q > 0."""
-    return str(value)
+    """Decimal string; rationals render as "p/q" in lowest terms, q > 0.
+
+    Raises DigitLimitError for a value past the int/str conversion limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise DigitLimitError(
+            f"a value of more than {sys.get_int_max_str_digits()} digits cannot be printed"
+        ) from None
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -503,24 +503,26 @@ def symbolic_sequence(
 def evaluate(v: RationalDualExpr, assignment: Sequence[DualScalar]) -> DualScalar:
     """Substitute x_i ← body, y_i ← slope of each assigned dual scalar.
 
-    Exact rational evaluation of the parts of ``_full_fraction``: the body
-    is N_b(x)/D(x), the slope (N_0(x) + Σ y_i·N_i(x))/D(x).  ε² = 0 is what
-    keeps slopes linear in the y's, so this is the full dual value of the
-    symbolic expression.  A zero coordinate under a negative exponent, or
-    a point where D vanishes, raises ZeroAtPoleError.
+    Exact rational evaluation of the body b, of s_0 = N_0/D and of the
+    y-parts ∂_i b, which ``_full_fraction`` of the value over D = 1 gives
+    with no product: the slope is N_0(x)/D(x) + Σ y_i·∂_i b(x).  ε² = 0 is
+    what keeps slopes linear in the y's, so this is the full dual value of
+    the symbolic expression.  A zero coordinate under a negative exponent,
+    or a point where D vanishes, raises ZeroAtPoleError.
     """
     n = v.body.nvars
     if len(assignment) != n:
         raise ValueError(f"expected {n} assignments, got {len(assignment)}")
     _check_shape(v, n)
     x = [s.body for s in assignment]
-    nb, (s0, *parts), den = _full_fraction(v)
+    body, (s0, *parts), _ = _full_fraction(RationalDualExpr(v.body, v.num_s0, Poly.one(n)))
     try:
-        d = den.evaluate(x)
-        body = nb.evaluate(x)
-        slope = s0.evaluate(x) + sum(s.slope * p.evaluate(x) for s, p in zip(assignment, parts))
+        d = v.den.evaluate(x)
+        value = body.evaluate(x)
+        s0_value = s0.evaluate(x)
+        y_slope = sum(s.slope * p.evaluate(x) for s, p in zip(assignment, parts))
     except ZeroDivisionError as exc:
         raise ZeroAtPoleError("zero assigned where a negative exponent occurs") from exc
     if not d:
         raise ZeroAtPoleError("the denominator vanishes at the assigned point")
-    return DualScalar(body / d, slope / d)
+    return DualScalar(value, s0_value / d + y_slope)

@@ -15,8 +15,6 @@ to 2.  The solution is then unique up to an integer multiple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import QuiverSeqError
 from .quiver import Quiver, WeightedQuiver, pos_part
 
@@ -52,7 +50,7 @@ def primitive(n: int, t: int) -> Quiver:
         hi, lo = max(i, j), min(i, j)
         b[hi][lo] = 1
         b[lo][hi] = -1
-    return Quiver.from_rows(b)
+    return Quiver(b)
 
 
 def combine(n: int, coeffs, correction: Quiver | None = None) -> Quiver:
@@ -86,21 +84,7 @@ def combine(n: int, coeffs, correction: Quiver | None = None) -> Quiver:
         for i in range(n):
             for j in range(n):
                 b[i][j] += correction.b[i][j]
-    return Quiver.from_rows(b)
-
-
-@dataclass(frozen=True)
-class WeightSolution:
-    """Period-1 weight function normalized to w_1 = 1.
-
-    Every other period-1 weight function on the same quiver is an integer
-    multiple of this one.
-    """
-
-    weights: tuple[int, ...]
-
-    def scaled(self, m: int) -> tuple[int, ...]:
-        return tuple(m * w for w in self.weights)
+    return Quiver(b)
 
 
 def _descend(q: Quiver) -> tuple[tuple[int, ...], int]:
@@ -114,32 +98,32 @@ def _descend(q: Quiver) -> tuple[tuple[int, ...], int]:
     return tuple(w), w[-1] + 1
 
 
-def weight_exists(q: Quiver) -> bool:
-    """Whether a period-1 weight function exists: row-1 positive parts sum to 2."""
-    if not q.is_period_one():
-        raise NotPeriodOneError("weight criterion applies to period-1 quivers only")
-    return sum(pos_part(e) for e in q.b[0]) == 2
-
-
 def closing_residual(q: Quiver) -> int:
-    """Residual w_n + w_1 of the candidate solution (0 iff a solution exists)."""
+    """Residual w_n + w_1 of the candidate solution (0 iff a solution exists).
+
+    It equals 2 − Σ_j [b_1j]_+.
+    """
     if not q.is_period_one():
         raise NotPeriodOneError("weight criterion applies to period-1 quivers only")
     return _descend(q)[1]
 
 
-def solve_weight(q: Quiver) -> WeightSolution | None:
-    """Solve for the period-1 weight function, or None when none exists.
+def weight_exists(q: Quiver) -> bool:
+    """Whether a period-1 weight function exists: row-1 positive parts sum to 2."""
+    return closing_residual(q) == 0
 
-    On success the returned weights are fixed exactly by one
-    mutate-at-1-then-rotate cycle.
+
+def solve_weight(q: Quiver) -> tuple[int, ...] | None:
+    """The period-1 weight function normalized to w_1 = 1, or None when none exists.
+
+    The weights are fixed exactly by one mutate-at-1-then-rotate cycle,
+    and every other period-1 weight function on the same quiver is an
+    integer multiple of them.
     """
     if not q.is_period_one():
         raise NotPeriodOneError("weight solving applies to period-1 quivers only")
     w, residual = _descend(q)
-    if residual != 0:
-        return None
-    return WeightSolution(w)
+    return w if residual == 0 else None
 
 
 def _weight_orbit(wq: WeightedQuiver, max_cycles: int, what: str) -> tuple[int, ...] | None:

@@ -5,7 +5,10 @@ exponents may be negative.  Besides ring arithmetic the module provides
 exact division and a multivariate GCD, which back the fraction reduction
 in the symbolic exchange engine.  The expected case there is a monomial
 denominator, so reduction tries content extraction and a single trial
-division first and only falls back to the full GCD.
+division first.  On a held run it then splits the denominator over the
+run's factor base, earlier body numerators, and cancels it factor by
+factor, using a GCD only to certify that what is left is coprime; only
+a denominator that does not split that way falls back to the full GCD.
 
 The GCD is the heuristic GCDHEU of Char, Geddes & Gonnet (JSC 1989):
 evaluate one variable at a large integer, recurse down to integer gcds,

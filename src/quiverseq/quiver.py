@@ -69,19 +69,9 @@ class Quiver:
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", _validated_rows(self.b))
 
-    @classmethod
-    def from_rows(cls, rows) -> "Quiver":
-        return cls(rows)
-
     @property
     def n(self) -> int:
         return len(self.b)
-
-    def entry(self, i: int, j: int) -> int:
-        """Signed arrow count from vertex i to vertex j (1-indexed)."""
-        self._check_vertex(i)
-        self._check_vertex(j)
-        return self.b[i - 1][j - 1]
 
     def _check_vertex(self, k: int) -> None:
         if not 1 <= k <= self.n:
@@ -137,14 +127,10 @@ class Quiver:
         rows = data["b"]
         if not isinstance(rows, list):
             raise QuiverFormatError('"b" must be a list of rows')
-        q = cls.from_rows(rows)
+        q = cls(rows)
         if "n" in data and data["n"] != q.n:
             raise QuiverFormatError(f'"n" = {data["n"]} does not match matrix size {q.n}')
         return q
-
-    @classmethod
-    def from_json(cls, text: str) -> "Quiver":
-        return cls.from_dict(_parse_json(text))
 
 
 @dataclass(frozen=True)
@@ -191,10 +177,6 @@ class WeightedQuiver:
             tuple(self.weights[(i + 1) % n] for i in range(n)),
         )
 
-    def is_period_one(self) -> bool:
-        """Period-1 test for the quiver part only."""
-        return self.quiver.is_period_one()
-
     def to_dict(self) -> dict:
         d = self.quiver.to_dict()
         d["w"] = list(self.weights)
@@ -212,10 +194,6 @@ class WeightedQuiver:
         if not isinstance(w, list):
             raise QuiverFormatError('"w" must be a list of integers')
         return cls(q, tuple(w))
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedQuiver":
-        return cls.from_dict(_parse_json(text))
 
 
 def _parse_json(text: str):

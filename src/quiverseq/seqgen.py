@@ -236,7 +236,7 @@ def decompose_basis(spec: RecurrenceSpec, count: int) -> list[list[Scalar]]:
     return [run(spec, init_b=unit, count=count).slopes() for unit in units]
 
 
-def quiver_to_spec(wq: WeightedQuiver, max_cycles: int = 64) -> RecurrenceSpec:
+def quiver_to_spec(wq: WeightedQuiver) -> RecurrenceSpec:
     """Compile a period-1 weighted quiver into its sequence recurrence.
 
     Row 1 of the exchange matrix supplies the monomials: out-arrow
@@ -250,7 +250,7 @@ def quiver_to_spec(wq: WeightedQuiver, max_cycles: int = 64) -> RecurrenceSpec:
     row = q.b[0]
     out_exps = tuple(pos_part(c) for c in row[1:])
     in_exps = tuple(-neg_part(c) for c in row[1:])
-    schedule = weight_trace(wq, max_cycles)
+    schedule = weight_trace(wq)
     deform = "m2" if any(schedule) else "none"
     label = f"w_1 trace over weight period {len(schedule)}" if deform != "none" else ""
     return RecurrenceSpec(

@@ -78,19 +78,19 @@ FM_FIRST_FRACTIONS = {  # q -> (index with origin 0, value)
 
 def neg_p31() -> Quiver:
     """Three vertices, arrows 1->2, 1->3, 2->3 (opposite of the primitive)."""
-    return Quiver.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
+    return Quiver([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
 
 
 def neg_p41() -> Quiver:
     """Four vertices, arrows 1->2, 2->3, 3->4, 1->4."""
-    return Quiver.from_rows(
+    return Quiver(
         [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]]
     )
 
 
 def somos4_correction(p: int, q: int) -> Quiver:
     """Correction term of the non-homogeneous Somos-4 quiver family."""
-    return Quiver.from_rows(
+    return Quiver(
         [[0, 0, 0, 0], [0, 0, p * q, 0], [0, -p * q, 0, 0], [0, 0, 0, 0]]
     )
 
@@ -120,7 +120,7 @@ def somos4_quiver_b() -> Quiver:
 
 def kronecker2() -> Quiver:
     """Two vertices joined by a double arrow into vertex 1."""
-    return Quiver.from_rows([[0, -2], [2, 0]])
+    return Quiver([[0, -2], [2, 0]])
 
 
 # -- independent oracles ------------------------------------------------------

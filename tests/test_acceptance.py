@@ -142,12 +142,12 @@ def test_criterion_07_integrality_fingerprints():
 
 
 def test_criterion_08_weight_criterion():
-    assert weight_exists(neg_p31()) and solve_weight(neg_p31()).weights == (1, 0, -1)
+    assert weight_exists(neg_p31()) and solve_weight(neg_p31()) == (1, 0, -1)
     assert not weight_exists(primitive(3, 1))
-    assert weight_exists(neg_p41()) and solve_weight(neg_p41()).weights == (1, 0, 0, -1)
+    assert weight_exists(neg_p41()) and solve_weight(neg_p41()) == (1, 0, 0, -1)
     assert not weight_exists(primitive(4, 1))
-    assert solve_weight(somos4_quiver_a()).weights == (1, 0, 0, -1)
-    assert solve_weight(somos4_quiver_b()).weights == (1, 1, -1, -1)
+    assert solve_weight(somos4_quiver_a()) == (1, 0, 0, -1)
+    assert solve_weight(somos4_quiver_b()) == (1, 1, -1, -1)
     for p in range(1, 6):
         for q in range(0, 6):
             assert weight_exists(somos4_family(p, q)) == (p == 1), (p, q)
@@ -178,7 +178,7 @@ def test_criterion_08_weight_criterion():
         if oracle is None:
             assert solution is None
         else:
-            assert solution.weights == oracle
+            assert solution == oracle
         checked += 1
     print("ACCEPTANCE 08 PASS - printed weight examples, the p=1 / q=2 family laws, and 200 oracle agreements")
 
@@ -207,7 +207,7 @@ def test_criterion_10_weight_periods():
     assert weight_period(WeightedQuiver(kronecker2(), (1, 1))) == 4
     assert weight_period(WeightedQuiver(primitive(3, 1), (1, 1, 1))) == 6
     for q in (neg_p31(), neg_p41(), somos4_quiver_a(), somos4_quiver_b()):
-        weights = solve_weight(q).weights
+        weights = solve_weight(q)
         assert weight_period(WeightedQuiver(q, weights)) == 1
     print("ACCEPTANCE 10 PASS - weight periods 4, 6, and 1 as required")
 

@@ -38,7 +38,7 @@ def somos4a_path(tmp_path):
 @pytest.fixture
 def somos4a_weighted_path(tmp_path):
     q = somos4_quiver_a()
-    wq = WeightedQuiver(q, solve_weight(q).weights)
+    wq = WeightedQuiver(q, solve_weight(q))
     path = tmp_path / "somos4a_weighted.json"
     path.write_text(wq.to_json())
     return str(path)
@@ -67,7 +67,7 @@ class TestWeight:
         assert "exists: false" in output
 
     def test_not_period_one_is_domain_error(self, tmp_path):
-        q = Quiver.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        q = Quiver([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
         path = tmp_path / "bad.json"
         path.write_text(q.to_json())
         status, _ = run_cli(["weight", "--quiver", str(path)])
@@ -474,6 +474,48 @@ class TestMalformedQuiver:
         assert capsys.readouterr().err == "error: VertexIndexError: vertex 1 outside 1..0\n"
 
 
+class TestFamilyOnlyOptions:
+    @pytest.mark.parametrize("command", ["seq", "decompose"])
+    def test_weights_without_quiver_is_domain_error(self, command, capsys):
+        status, output = run_cli([command, "--family", "somos4", "--weights", "9,9", "--terms", "6"])
+        assert (status, output) == (1, "")
+        assert capsys.readouterr().err == "error: QuiverSeqError: --weights applies only with --quiver\n"
+
+
+class TestDigitLimit:
+    """Values past Python's 4300-digit int/str limit end in one error line."""
+
+    ERROR = "error: DigitLimitError: a value of more than 4300 digits cannot be printed\n"
+
+    @pytest.mark.parametrize("fmt, rows", [("json", 5), ("csv", 6), ("text", 5)])
+    def test_seq_prints_the_rows_before_the_long_term(self, fmt, rows, capsys):
+        # the term after 1, 1, 1, 10^3000 - 1, 2 has about 6000 digits
+        init = "1,1,1," + "9" * 3000
+        status, output = run_cli(["seq", "--family", "somos4", f"--init-a={init}", "--terms", "7", "--format", fmt])
+        assert status == 1
+        assert len(output.splitlines()) == rows
+        assert capsys.readouterr().err == self.ERROR
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_decompose(self, fmt, capsys):
+        argv = ["decompose", "--family", "fordy-marsh-s4", "--p", "2", "--q", "3", "--terms", "18"]
+        status, _ = run_cli([*argv, "--format", fmt])
+        assert status == 1
+        assert capsys.readouterr().err == self.ERROR
+
+    @pytest.mark.parametrize("option", ["--init-a", "--init-b"])
+    def test_long_initial_value_names_the_limit(self, option, capsys):
+        status, output = run_cli(["seq", "--family", "somos4", f"{option}=1,1,1,{'9' * 4400}"])
+        assert (status, output) == (1, "")
+        err = capsys.readouterr().err
+        assert err == "error: DigitLimitError: an integer of 4400 digits is past the 4300-digit limit\n"
+
+    def test_long_garbage_is_not_called_an_integer(self, capsys):
+        status, _ = run_cli(["seq", "--family", "somos4", f"--init-a=1,1,1,{'x' * 4400}"])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("error: QuiverSeqError: expected comma-separated integers")
+
+
 class TestEmptyOptionValue:
     """An option given with an empty value is refused like "1,,1", not
     dropped for the default."""
@@ -537,7 +579,7 @@ class TestLaurentContract:
         rows, steps, flags = case
         # An exchange of degree over 6 makes a run slow; cap it as the
         # symbolic engine's own run properties do.
-        q = Quiver.from_rows(rows)
+        q = Quiver(rows)
         for _ in range(steps):
             assume(sum(map(abs, q.b[0])) <= 6)
             q = q.mutate(1).rotate()
@@ -694,3 +736,58 @@ class TestNumericPins:
         status, output = run_cli([*argv, "--format", fmt])
         assert status == 0
         assert hashlib.sha256(output.encode()).hexdigest()[:16] == digest
+
+
+_QUIVER_PINNED = [
+    (["mutate", "--quiver", "somos4a_weighted_path", "--at", "1"], ("23d54838f92c2923", "589073dcb7d6d643")),
+    (["mutate", "--quiver", "somos4a_weighted_path", "--at", "2"], ("e80d726c08c7891e", "efaf6a64d1a37ac2")),
+    (["mutate", "--quiver", "p31_path", "--at", "1"], ("dbc7448090b027af", "793b4ce50400630e")),
+    (["mutate", "--quiver", "p31_path", "--at", "2"], ("53923f930239f7a5", "9d32a49b9569ff1a")),
+    (["weight", "--quiver", "somos4a_path"], ("adb6b753aaeddfdb", "24061040b995b408")),
+    (["weight", "--quiver", "p31_path"], ("c81e504aaaa590a2", "7723da545b2ca0e9")),
+    (
+        ["period", "--quiver", "p31_path", "--weights", "1,1,1", "--max", "10"],
+        ("63905398124b8c92", "a09f9ad9f203c3bf"),
+    ),
+    (
+        ["period", "--quiver", "p31_path", "--weights", "1,1,1", "--max", "5"],
+        ("d6a848670c7a6fb0", "921ee6060ccdfdc9"),
+    ),
+    (["catalog"], ("890593cdc4d9658c", "28a469c4ccde598d")),
+]
+
+
+class TestQuiverPins:
+    """SHA-256 prefixes of ``mutate``, ``weight``, ``period`` and ``catalog`` output.
+
+    A ``--quiver`` value names the fixture that writes the file: the
+    weighted Somos-4 quiver, its unweighted form, or P(3,1).  The period
+    cases are P(3,1) with weights 1,1,1, whose period 6 is found within
+    10 cycles and not within 5.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, fmt, digest",
+        [
+            (argv, fmt, digest)
+            for argv, digests in _QUIVER_PINNED
+            for fmt, digest in zip(("json", "text"), digests)
+        ],
+    )
+    def test_output_digest(self, argv, fmt, digest, request):
+        argv = [request.getfixturevalue(a) if a.endswith("_path") else a for a in argv]
+        status, output = run_cli([*argv, "--format", fmt])
+        assert status == 0
+        assert hashlib.sha256(output.encode()).hexdigest()[:16] == digest
+
+    def test_weight_checks_period_one_twice(self, somos4a_path, monkeypatch):
+        calls = []
+        is_period_one = Quiver.is_period_one
+
+        def counting(self):
+            calls.append(1)
+            return is_period_one(self)
+
+        monkeypatch.setattr(Quiver, "is_period_one", counting)
+        assert run_cli(["weight", "--quiver", somos4a_path])[0] == 0
+        assert len(calls) == 2

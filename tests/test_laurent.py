@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -93,12 +93,12 @@ def _add(u: RationalDualExpr, v: RationalDualExpr) -> RationalDualExpr:
 
 def somos4_weighted() -> WeightedQuiver:
     q = somos4_quiver_a()
-    return WeightedQuiver(q, solve_weight(q).weights)
+    return WeightedQuiver(q, solve_weight(q))
 
 
 def neg_p31_weighted() -> WeightedQuiver:
     q = neg_p31()
-    return WeightedQuiver(q, solve_weight(q).weights)
+    return WeightedQuiver(q, solve_weight(q))
 
 
 class TestSymExchange:
@@ -133,7 +133,7 @@ class TestSymExchange:
 
     def test_empty_out_product_is_one(self):
         # double arrow 1 -> 2: the incoming product at vertex 1 is empty
-        q = Quiver.from_rows([[0, 2], [-2, 0]])
+        q = Quiver([[0, 2], [-2, 0]])
         wq = WeightedQuiver(q, (1, 0))
         X = initial_variables(2)
         new = sym_exchange(wq, X, 1)
@@ -215,7 +215,7 @@ class TestNormalize:
         body = (x2 * x4 + x3 * x3).shift((-1, 0, 0, 0))
         result = normalize(_laurent(body, Poly.zero(4)))
         assert result == _laurent(body, Poly.zero(4))
-        (report,) = verify_laurent_run(WeightedQuiver(Quiver.from_rows(SOMOS4_ROWS), (0, 0, 0, 0)), 1)
+        (report,) = verify_laurent_run(WeightedQuiver(Quiver(SOMOS4_ROWS), (0, 0, 0, 0)), 1)
         assert report.variable == result
         assert report.denominator == Poly.monomial(4, (2, 0, 0, 0))
 
@@ -473,7 +473,7 @@ class TestVerifyRun:
 
     @pytest.mark.parametrize("build", [verify_laurent_run, symbolic_sequence])
     def test_quiver_without_vertices(self, build):
-        wq = WeightedQuiver(Quiver.from_rows([]), ())
+        wq = WeightedQuiver(Quiver([]), ())
         with pytest.raises(VertexIndexError, match=r"^vertex 1 outside 1\.\.0$"):
             build(wq, 2)
 
@@ -512,7 +512,7 @@ class TestVerifyRun:
         # Checked only on the finished fraction, this run built a 51815-term
         # exchange fraction in about 9 s before the budget stopped it.
         rows = [[0, -2, 2, -1], [2, 0, 1, -2], [-2, -1, 0, 1], [1, 2, -1, 0]]
-        wq = WeightedQuiver(Quiver.from_rows(rows), (2, 1, 2, 2))
+        wq = WeightedQuiver(Quiver(rows), (2, 1, 2, 2))
         sizes = []
         mul = Poly.__mul__
 
@@ -553,7 +553,7 @@ class TestVerifyRun:
         calls = []
         derivative = Poly.derivative
         monkeypatch.setattr(Poly, "derivative", lambda p, slot: calls.append(slot) or derivative(p, slot))
-        wq = WeightedQuiver(Quiver.from_rows(SOMOS4_ROWS), (1, 0, 0, -1))
+        wq = WeightedQuiver(Quiver(SOMOS4_ROWS), (1, 0, 0, -1))
         reports = verify_laurent_run(wq, 11)
         assert all(r.is_laurent for r in reports)
         assert len(calls) == 44
@@ -771,7 +771,7 @@ def small_runs(draw):
             rows[i][j] = draw(st.integers(min_value=-2, max_value=2))
             rows[j][i] = -rows[i][j]
     weights = draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * n))
-    return WeightedQuiver(Quiver.from_rows(rows), weights), draw(st.booleans())
+    return WeightedQuiver(Quiver(rows), weights), draw(st.booleans())
 
 
 class TestCarriedSlopes:
@@ -873,7 +873,7 @@ class TestEvaluate:
 @cache
 def _six_step_run(name: str) -> tuple[WeightedQuiver, list]:
     if name == "somos4":
-        wq = WeightedQuiver(Quiver.from_rows(SOMOS4_ROWS), (1, 0, 0, -1))
+        wq = WeightedQuiver(Quiver(SOMOS4_ROWS), (1, 0, 0, -1))
     else:
         wq = neg_p31_weighted()
     return wq, verify_laurent_run(wq, 6)
@@ -931,7 +931,7 @@ class TestRandomPoints:
 
 LONG_RUNS = {
     # name: (quiver, weights, steps, evolve_weights, gradings in ker B)
-    "somos4": (Quiver.from_rows(SOMOS4_ROWS), (1, 0, 0, -1), 14, True, [(1, 1, 1, 1), (1, 2, 3, 4)]),
+    "somos4": (Quiver(SOMOS4_ROWS), (1, 0, 0, -1), 14, True, [(1, 1, 1, 1), (1, 2, 3, 4)]),
     "p31-held": (primitive(3, 1), (1, 0, -1), 10, False, [(1, -1, 1)]),
 }
 
@@ -984,6 +984,46 @@ class TestLongRuns:
                 if degrees[1]:
                     (body,), (s0,), (den,) = degrees
                     assert s0 - den == body, (r.step, grading)
+
+
+# name: (steps, a second weight vector w′) for the linearity checks
+LINEARITY = {"somos4": (12, (0, 1, 0, 0)), "p31-held": (10, (2, 0, -3))}
+
+
+@cache
+def _variables(name: str, weights: tuple[int, ...]) -> list[RationalDualExpr]:
+    """The first LINEARITY[name] steps of the long run with other weights."""
+    q, base, _, evolve, _ = LONG_RUNS[name]
+    steps = LINEARITY[name][0]
+    if weights == base:
+        reports = _long_run(name)[2][:steps]
+    else:
+        reports = verify_laurent_run(WeightedQuiver(q, weights), steps, evolve_weights=evolve)
+    return [r.variable for r in reports]
+
+
+class TestLinearityInWeights:
+    """The weight rule is linear and ε² = 0, so the bodies do not depend
+    on the weights and s_0 is linear in them."""
+
+    @pytest.mark.parametrize("name", LONG_RUNS)
+    def test_tripled_weights_triple_s0(self, name):
+        weights = LONG_RUNS[name][1]
+        tripled = _variables(name, tuple(3 * w for w in weights))
+        for v, t in zip(_variables(name, weights), tripled, strict=True):
+            assert (t.body, t.den) == (v.body, v.den)
+            assert t.num_s0 == 3 * v.num_s0
+
+    @pytest.mark.parametrize("name", LONG_RUNS)
+    def test_slope_is_additive_in_the_weights(self, name):
+        # Denominators may differ between weight vectors, so compare values.
+        weights, other = LONG_RUNS[name][1], LINEARITY[name][1]
+        runs = [_variables(name, w) for w in (weights, other, tuple(map(add, weights, other)))]
+        rng = random.Random(2201)
+        point = [DualScalar(rng.randint(1, 6), 0) for _ in weights]
+        for v, v_other, v_sum in zip(*runs, strict=True):
+            slopes = [evaluate(u, point).slope for u in (v, v_other, v_sum)]
+            assert slopes[2] == slopes[0] + slopes[1]
 
 
 class TestSexprPins:

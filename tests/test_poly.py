@@ -241,7 +241,9 @@ class TestOneTermKernels:
         assume(not p.is_zero())
         unit = Poly.one(2)
         assert p * unit is p
-        assert unit * p is p
+        if not p.is_one():
+            # when p is a second unit, either operand is "the other one"
+            assert unit * p is p
         assert 1 * p is p and p * 1 is p
         assert unit * unit is unit
         if not (p.is_one() or m.is_one()):

@@ -242,7 +242,7 @@ class TestDeformSwap:
 class TestQuiverToSpec:
     def test_somos4_quiver(self):
         q = somos4_quiver_a()
-        wq = WeightedQuiver(q, solve_weight(q).weights)
+        wq = WeightedQuiver(q, solve_weight(q))
         spec = quiver_to_spec(wq)
         assert spec.order == 4
         assert spec.monomial1.exponents == (1, 0, 1)
@@ -253,7 +253,7 @@ class TestQuiverToSpec:
 
     def test_family_quiver_general_q(self):
         q = golden.somos4_family(1, 3)
-        wq = WeightedQuiver(q, solve_weight(q).weights)
+        wq = WeightedQuiver(q, solve_weight(q))
         spec = quiver_to_spec(wq)
         assert spec.monomial1.exponents == (1, 0, 1)
         assert spec.monomial2.exponents == (0, 3, 0)
@@ -286,7 +286,7 @@ class TestQuiverToSpec:
         assert spec.deform == "none"
 
     def test_requires_period_one(self):
-        not_p1 = Quiver.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        not_p1 = Quiver([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
         with pytest.raises(NotPeriodOneError):
             quiver_to_spec(WeightedQuiver(not_p1, (1, 0, 0)))
 
