@@ -120,26 +120,6 @@ def _jline(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _emit_run(run: seqgen.SequenceRun, fmt: str, out) -> None:
-    # Rows are formatted and printed one at a time, so the decimal strings
-    # of a long run are never all held at once.
-    if fmt == "csv":
-        print("index,paper_index,body,slope,integral", file=out)
-    for i, (t, integral) in enumerate(zip(run.terms, run.integral)):
-        paper, body, slope = run.paper_index(i), format_scalar(t.body), format_scalar(t.slope)
-        if fmt == "json":
-            row = {"index": i, "paper_index": paper, "body": body, "slope": slope, "integral": integral}
-            line = _jline(row)
-        elif fmt == "csv":
-            line = f"{i},{paper},{body},{slope},{str(integral).lower()}"
-        else:
-            mark = "" if integral else "   <- not integral"
-            line = f"n={i} (paper {paper}): body={body} slope={slope}{mark}"
-        print(line, file=out)
-    if fmt == "text" and run.degenerate_steps:
-        print(f"degenerate at steps: {run.degenerate_steps}", file=out)
-
-
 def _cmd_mutate(args, out) -> int:
     loaded = _read_quiver(args.quiver)
     mutated = loaded.mutate(args.at)
@@ -257,28 +237,56 @@ def _cmd_seq(args, out) -> int:
     spec = _family_spec(args)
     init_a = None if args.init_a is None else _parse_ints(args.init_a)
     init_b = None if args.init_b is None else _parse_ints(args.init_b)
-    result = seqgen.run(spec, init_a=init_a, init_b=init_b, count=args.terms)
-    _emit_run(result, args.format, out)
+    fmt, origin = args.format, spec.index_origin
+
+    def emit(i, term):
+        # The header waits for the first term, so input that the run
+        # rejects prints nothing.
+        if fmt == "csv" and i == 0:
+            print("index,paper_index,body,slope,integral", file=out)
+        paper, body, slope = origin + i, format_scalar(term.body), format_scalar(term.slope)
+        integral = term.is_integral
+        if fmt == "json":
+            row = {"index": i, "paper_index": paper, "body": body, "slope": slope, "integral": integral}
+            line = _jline(row)
+        elif fmt == "csv":
+            line = f"{i},{paper},{body},{slope},{str(integral).lower()}"
+        else:
+            mark = "" if integral else "   <- not integral"
+            line = f"n={i} (paper {paper}): body={body} slope={slope}{mark}"
+        print(line, file=out)
+
+    result = seqgen.run(spec, init_a=init_a, init_b=init_b, count=args.terms, each=emit)
+    if fmt == "text" and result.degenerate_steps:
+        print(f"degenerate at steps: {result.degenerate_steps}", file=out)
     return 0
 
 
 def _cmd_decompose(args, out) -> int:
     spec = _family_spec(args)
-    rows = seqgen.decompose_basis(spec, args.terms)
-    if args.format == "csv":
-        print("basis,index,paper_index,value", file=out)
-        for i, row in enumerate(rows, start=1):
-            for j, value in enumerate(row):
-                print(f"{i},{j},{spec.index_origin + j},{format_scalar(value)}", file=out)
-    elif args.format == "text":
-        for i, row in enumerate(rows, start=1):
-            print(f"b^{i}: " + ", ".join(format_scalar(v) for v in row), file=out)
-    else:
-        for i, row in enumerate(rows, start=1):
-            print(
-                _jline({"basis": i, "values": [format_scalar(v) for v in row]}),
-                file=out,
-            )
+    fmt, origin = args.format, spec.index_origin
+    values: list[str] = []  # json and text: the formatted values of the row being run
+
+    def print_row(basis):
+        if fmt == "text":
+            print(f"b^{basis}: " + ", ".join(values), file=out)
+        else:
+            print(_jline({"basis": basis, "values": values}), file=out)
+        values.clear()
+
+    def emit(row, i, value):
+        if fmt == "csv":
+            if row == i == 0:
+                print("basis,index,paper_index,value", file=out)
+            print(f"{row + 1},{i},{origin + i},{format_scalar(value)}", file=out)
+            return
+        if i == 0 and row > 0:
+            print_row(row)  # the previous row, numbered from 1
+        values.append(format_scalar(value))
+
+    rows = seqgen.decompose_basis(spec, args.terms, each=emit)
+    if fmt != "csv":
+        print_row(len(rows))
     return 0
 
 

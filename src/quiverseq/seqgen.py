@@ -10,11 +10,15 @@ with w drawn cycle-by-cycle from a repeating integer schedule.  Runs are
 carried out in exact dual scalars, integer kind up to the first
 non-integral term and rational from it on; a fractional term is recorded
 and the run keeps going (only an exact zero divisor body truncates it).
+A caller that wants each term as soon as it is made, such as the CLI,
+which prints it then, passes a callback; whatever the callback raises
+ends the run before the next division.
 
 The module also decomposes the slope space into unit-initial basis rows
-(one run per row), compiles a recurrence out of a period-1 weighted
-quiver, scans parameter grids for the first non-integral term, and ships
-a catalog of built-in families.
+(one run per row, the callback passed through with the row index),
+compiles a recurrence out of a period-1 weighted quiver, scans parameter
+grids for the first non-integral term, and ships a catalog of built-in
+families.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dualnum import DualScalar, Scalar
 from .errors import QuiverSeqError
-from .periodicity import NotPeriodOneError, weight_trace
+from .periodicity import weight_trace
 from .quiver import WeightedQuiver, neg_part, pos_part
 
 
@@ -183,6 +187,7 @@ def run(
     init_a: Sequence[int] | None = None,
     init_b: Sequence[int] | None = None,
     count: int = 20,
+    each: Callable[[int, DualScalar], object] | None = None,
 ) -> SequenceRun:
     """Run the recurrence to ``count`` total terms (initial block included).
 
@@ -190,6 +195,11 @@ def run(
     ints; from the first non-integral term on, every term is rational.
     A divisor with zero body is recorded in ``degenerate_steps`` and
     truncates the run; fractional terms are recorded but do not stop it.
+
+    ``each(i, term)``, when given, is called with every term in order,
+    the initial block included, as soon as the term is made.  An
+    exception it raises propagates and ends the run: no further term is
+    computed and no ``SequenceRun`` is returned.
     """
     N = spec.order
     if count < N:
@@ -199,6 +209,9 @@ def run(
     if len(a) != N or len(b) != N:
         raise BadParamsError("initial vectors must have length = order")
     terms = [DualScalar(x, y) for x, y in zip(a, b)]
+    if each is not None:
+        for i, term in enumerate(terms):
+            each(i, term)
     degenerate: list[int] = []
     for step in range(count - N):
         divisor = terms[step]
@@ -218,22 +231,37 @@ def run(
             # stay rational from the first fraction on, even where the window skips it
             term = DualScalar(Fraction(term.body), term.slope)
         terms.append(term)
+        if each is not None:
+            each(N + step, term)
     return SequenceRun(spec, terms, degenerate_steps=degenerate)
 
 
-def decompose_basis(spec: RecurrenceSpec, count: int) -> list[list[Scalar]]:
+def decompose_basis(
+    spec: RecurrenceSpec,
+    count: int,
+    each: Callable[[int, int, Scalar], object] | None = None,
+) -> list[list[Scalar]]:
     """Slope basis rows from unit initial vectors (undeformed specs only).
 
     Row i is the slope sequence of ``run`` with initial slopes e_i.  The
     slope solution space of an undeformed recurrence is linear, so every
     slope sequence is the unique combination of these N rows; the
     all-ones combination reproduces the bodies themselves.
+
+    ``each(row, i, slope)``, when given, is passed to each row's ``run``
+    with the row's index, so rows arrive one after another, each value
+    as soon as its term is made; an exception it raises ends the
+    decomposition.
     """
     if spec.deform != "none":
         raise BadParamsError("basis decomposition applies to undeformed recurrences")
     N = spec.order
-    units = [[int(i == j) for j in range(N)] for i in range(N)]
-    return [run(spec, init_b=unit, count=count).slopes() for unit in units]
+    rows = []
+    for r in range(N):
+        unit = [int(r == j) for j in range(N)]
+        on_term = None if each is None else (lambda i, term, r=r: each(r, i, term.slope))
+        rows.append(run(spec, init_b=unit, count=count, each=on_term).slopes())
+    return rows
 
 
 def quiver_to_spec(wq: WeightedQuiver) -> RecurrenceSpec:
@@ -242,15 +270,14 @@ def quiver_to_spec(wq: WeightedQuiver) -> RecurrenceSpec:
     Row 1 of the exchange matrix supplies the monomials: out-arrow
     multiplicities are the exponents of the undeformed monomial, in-arrow
     multiplicities those of the deformed one.  The deformation schedule is
-    the trace of w_1 over one full weight period.
+    the trace of w_1 over one full weight period; ``weight_trace`` raises
+    NotPeriodOneError when the quiver is not period-1.
     """
     q = wq.quiver
-    if not q.is_period_one():
-        raise NotPeriodOneError("recurrence compilation requires a period-1 quiver")
+    schedule = weight_trace(wq)
     row = q.b[0]
     out_exps = tuple(pos_part(c) for c in row[1:])
     in_exps = tuple(-neg_part(c) for c in row[1:])
-    schedule = weight_trace(wq)
     deform = "m2" if any(schedule) else "none"
     label = f"w_1 trace over weight period {len(schedule)}" if deform != "none" else ""
     return RecurrenceSpec(

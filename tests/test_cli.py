@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import quiverseq
 from quiverseq import cli
 from quiverseq.cli import MAX_RANGE_VALUES, main
+from quiverseq.dualnum import DualScalar
 from quiverseq.periodicity import solve_weight
 from quiverseq.quiver import Quiver, WeightedQuiver
 
@@ -503,6 +504,23 @@ class TestDigitLimit:
         assert status == 1
         assert capsys.readouterr().err == self.ERROR
 
+    @pytest.mark.parametrize("command", ["seq", "decompose"])
+    def test_a_run_past_the_limit_stops_at_its_first_unprintable_term(self, command, monkeypatch, capsys):
+        # Term 313 is the first past 4300 digits, in seq and in the first
+        # basis row, and terms 4..313 take 310 divisions; a run that went
+        # on to 400 terms would make 396, or 4 · 396 for decompose.
+        divisions = []
+        truediv = DualScalar.__truediv__
+
+        def counting(self, other):
+            divisions.append(1)
+            return truediv(self, other)
+
+        monkeypatch.setattr(DualScalar, "__truediv__", counting)
+        assert run_cli([command, "--family", "somos4", "--terms", "400"])[0] == 1
+        assert capsys.readouterr().err == self.ERROR
+        assert len(divisions) == 310
+
     @pytest.mark.parametrize("option", ["--init-a", "--init-b"])
     def test_long_initial_value_names_the_limit(self, option, capsys):
         status, output = run_cli(["seq", "--family", "somos4", f"{option}=1,1,1,{'9' * 4400}"])
@@ -780,7 +798,8 @@ class TestQuiverPins:
         assert status == 0
         assert hashlib.sha256(output.encode()).hexdigest()[:16] == digest
 
-    def test_weight_checks_period_one_twice(self, somos4a_path, monkeypatch):
+    @pytest.fixture
+    def period_one_calls(self, monkeypatch):
         calls = []
         is_period_one = Quiver.is_period_one
 
@@ -789,5 +808,85 @@ class TestQuiverPins:
             return is_period_one(self)
 
         monkeypatch.setattr(Quiver, "is_period_one", counting)
+        return calls
+
+    def test_weight_checks_period_one_twice(self, somos4a_path, period_one_calls):
         assert run_cli(["weight", "--quiver", somos4a_path])[0] == 0
-        assert len(calls) == 2
+        assert len(period_one_calls) == 2
+
+    @pytest.mark.parametrize(
+        "command, path, checks",
+        [("seq", "somos4a_weighted_path", 1), ("decompose", "somos4a_path", 2)],
+    )
+    def test_compiling_a_quiver_checks_period_one_once(self, command, path, checks, period_one_calls, request):
+        # weight_trace makes the one check of compilation; solving the
+        # weights of an unweighted file makes the other
+        path = request.getfixturevalue(path)
+        period_one_calls.clear()  # the weighted fixture solves its weights
+        assert run_cli([command, "--quiver", path, "--deform", "none"])[0] == 0
+        assert len(period_one_calls) == checks
+
+    @pytest.mark.parametrize("command", ["seq", "decompose"])
+    def test_weighted_quiver_not_period_one(self, tmp_path, command, capsys):
+        path = tmp_path / "not_p1.json"
+        path.write_text(WeightedQuiver(Quiver([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), (1, 0, 0)).to_json())
+        assert run_cli([command, "--quiver", str(path)]) == (1, "")
+        assert capsys.readouterr().err == "error: NotPeriodOneError: weight trace requires a period-1 quiver\n"
+
+
+_LIMIT = TestDigitLimit.ERROR
+
+_STOPPED = [
+    (["seq", "--family", "somos4", "--terms", "320"], 1, ("6d3be81e8cb0405b", "1ce4ad78d876786c", "15fb43c9c32e0e08"), _LIMIT),
+    (["decompose", "--family", "somos4", "--terms", "320"], 1, ("e3b0c44298fc1c14", "1468f1126c2f88cd", "e3b0c44298fc1c14"), _LIMIT),
+    (
+        ["decompose", "--family", "fordy-marsh-s4", "--p", "2", "--q", "3", "--terms", "18"],
+        1,
+        ("e3b0c44298fc1c14", "3d148c0e83dc4549", "e3b0c44298fc1c14"),
+        _LIMIT,
+    ),
+    (
+        ["seq", "--family", "somos4", "--terms", "2"],
+        1,
+        ("e3b0c44298fc1c14",) * 3,
+        "error: BadParamsError: count 2 smaller than order 4\n",
+    ),
+    (
+        ["decompose", "--family", "somos4", "--deform", "m2:1", "--terms", "20"],
+        1,
+        ("e3b0c44298fc1c14",) * 3,
+        "error: BadParamsError: basis decomposition applies to undeformed recurrences\n",
+    ),
+    (
+        ["seq", "--family", "somos4", "--init-a=1,1,1,0", "--terms", "10"],
+        0,
+        ("961ec997d6f2bbd8", "391c3ab39a4fc1e1", "4d803b84898032b1"),
+        "",
+    ),
+]
+
+
+class TestStoppedRunPins:
+    """Exit status, SHA-256 prefix of stdout and exact stderr of runs that fail or stop.
+
+    ``e3b0c44298fc1c14`` is empty output.  A run past the 4300-digit
+    limit prints the rows before its first unprintable term: 313 for
+    Somos-4 ``seq``, and for ``decompose`` the values of the first basis
+    row in csv, but no line for that row in json or text.  Input that
+    the run rejects prints no CSV header.  A degenerate run's text
+    trailer follows its rows.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, status, fmt, digest, err",
+        [
+            pytest.param(argv, status, fmt, digest, err, id=f"case{n}-{fmt}")
+            for n, (argv, status, digests, err) in enumerate(_STOPPED)
+            for fmt, digest in zip(("json", "csv", "text"), digests)
+        ],
+    )
+    def test_output(self, argv, status, fmt, digest, err, capsys):
+        got, output = run_cli([*argv, "--format", fmt])
+        assert got == status
+        assert hashlib.sha256(output.encode()).hexdigest()[:16] == digest
+        assert capsys.readouterr().err == err

@@ -189,6 +189,67 @@ class TestIntegerFirstRun:
         assert [t.kind for t in terms] == ["integer"] * k + ["rational"] * (len(terms) - k)
 
 
+class _Stop(Exception):
+    pass
+
+
+_EACH_CASES = [
+    (builtin("somos4"), None),
+    (builtin("somos4"), (1, 1, 1, 0)),  # zero divisor body at step 3
+    (builtin("fordy-marsh-s4", p=1, q=0).with_deform("m1", (1,)), None),  # fractional from n = 9
+    (builtin("fordy-marsh-s4", p=1, q=1).with_deform("m1", (1,)), None),
+    (builtin("cassini-minus"), None),
+    (builtin("limping-fibonacci"), None),
+    # skips the newest term, so the term after the fraction at n = 6 is
+    # computed in integers and promoted to rational
+    (RecurrenceSpec("skip", 3, Monomial(1, (1, 0)), Monomial(1, (0, 0))), None),
+]
+
+
+class TestEachCallback:
+    """``each`` gets every term of the run as it is made, and what it raises ends the run."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_terms_in_order_and_stop_at_the_raise(self, data):
+        spec, init_a = data.draw(st.sampled_from(_EACH_CASES), label="case")
+        N = spec.order
+        init_b = data.draw(st.lists(st.integers(-3, 3), min_size=N, max_size=N), label="init_b")
+        count = data.draw(st.integers(N, N + 12), label="count")
+        seen = []
+        result = run(spec, init_a, init_b, count, each=lambda i, term: seen.append((i, term)))
+        assert [(i, t, t.kind) for i, t in seen] == [(i, t, t.kind) for i, t in enumerate(result.terms)]
+
+        k = data.draw(st.integers(0, len(result.terms) - 1), label="k")
+        divisions, at_call = [], []
+        truediv = DualScalar.__truediv__
+
+        def counting(self, other):
+            divisions.append(1)
+            return truediv(self, other)
+
+        def each(i, term):
+            at_call.append(len(divisions))
+            if i == k:
+                raise _Stop
+
+        DualScalar.__truediv__ = counting
+        try:
+            with pytest.raises(_Stop):
+                run(spec, init_a, init_b, count, each=each)
+        finally:
+            DualScalar.__truediv__ = truediv
+        # called k + 1 times, term i >= N right after the division that
+        # made it, and no division follows the raise
+        assert at_call == [max(0, i - N + 1) for i in range(k + 1)]
+        assert len(divisions) == at_call[-1]
+
+        plain = spec.without_deform()
+        passed = []
+        rows = decompose_basis(plain, count, each=lambda r, i, v: passed.append((r, i, v)))
+        assert passed == [(r, i, v) for r, row in enumerate(rows) for i, v in enumerate(row)]
+
+
 class TestDecompose:
     def test_somos4_basis(self):
         spec = builtin("somos4")
