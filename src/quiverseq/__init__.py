@@ -11,7 +11,7 @@ The package has five layers:
 plus a ``quiverseq`` CLI binding them together.
 """
 
-from .dualnum import DualScalar, ZeroBodyError, format_scalar, parse_scalar
+from .dualnum import DualScalar, ZeroBodyError, format_scalar
 from .errors import QuiverSeqError
 from .laurent import (
     NotLaurent,
@@ -19,8 +19,6 @@ from .laurent import (
     evaluate,
     initial_variables,
     normalize,
-    sym_exchange,
-    symbolic_sequence,
     verify_laurent_run,
 )
 from .periodicity import (
@@ -67,14 +65,11 @@ __all__ = [
     "integrality_scan",
     "load_quiver",
     "normalize",
-    "parse_scalar",
     "poly_gcd",
     "primitive",
     "quiver_to_spec",
     "run",
     "solve_weight",
-    "sym_exchange",
-    "symbolic_sequence",
     "verify_laurent_run",
     "weight_exists",
     "weight_period",

@@ -4,9 +4,7 @@ Subcommands: mutate, weight, period, laurent, seq, decompose, scan,
 catalog.  Exit status 0 on success, 1 on a domain error (the structured
 error name is printed to stderr), 2 on a usage error.  Numeric output is
 always decimal strings so big integers stay bit-exact; sequence-style
-commands emit JSON lines by default with CSV and text mirrors.  The
-QUIVERSEQ_BUDGET environment variable overrides the symbolic term
-budget.
+commands emit JSON lines by default with CSV and text mirrors.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import laurent as laurent_mod
@@ -101,10 +98,6 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
-class _UsageError(Exception):
-    """Bad input found after argument parsing; exits 2 like argparse's errors."""
-
-
 def _parse_deform(text: str) -> tuple[str, tuple[int, ...]] | None:
     if text == "none":
         return None
@@ -169,17 +162,8 @@ def _cmd_period(args, out) -> int:
 
 def _cmd_laurent(args, out) -> int:
     wq = _weighted(args)
-    budget = laurent_mod.DEFAULT_TERM_BUDGET
-    env = os.environ.get("QUIVERSEQ_BUDGET")
-    if env:
-        try:
-            budget = _positive_int(env)
-        except argparse.ArgumentTypeError:
-            raise _UsageError(f"QUIVERSEQ_BUDGET must be a positive integer, got {env!r}") from None
-    if args.budget is not None:
-        budget = args.budget
     reports = laurent_mod.verify_laurent_run(
-        wq, args.steps, budget, evolve_weights=not args.hold_weights
+        wq, args.steps, args.budget, evolve_weights=not args.hold_weights
     )
     names = laurent_mod.var_names(wq.n)
     for rep in reports:
@@ -400,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the weight vector unchanged each cycle instead of mutating it",
     )
     p.add_argument("--emit", choices=("sexpr",), help="also dump expressions")
-    p.add_argument("--budget", type=_positive_int, help="term budget (default 10^6 or QUIVERSEQ_BUDGET)")
+    p.add_argument(
+        "--budget", type=_positive_int, default=laurent_mod.DEFAULT_TERM_BUDGET, help="term budget (default 10^6)"
+    )
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_laurent)
 
@@ -453,13 +439,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = out or sys.stdout
     try:
         return args.func(args, out)
-    except _UsageError as exc:
-        parser.error(str(exc))
     except QuiverSeqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ Scalar = int | Fraction
 
 
 class ZeroBodyError(QuiverSeqError, ArithmeticError):
-    """Inversion or division hit a dual scalar with zero body.
+    """Division by a dual scalar with zero body.
 
     Elements b·ε are nilpotent (their square is 0), so a dual scalar is
     invertible exactly when its body is nonzero.
@@ -81,14 +81,6 @@ class DualScalar:
             return NotImplemented
         return DualScalar(self.body + other.body, self.slope + other.slope)
 
-    def __sub__(self, other: "DualScalar") -> "DualScalar":
-        if not isinstance(other, DualScalar):
-            return NotImplemented
-        return DualScalar(self.body - other.body, self.slope - other.slope)
-
-    def __neg__(self) -> "DualScalar":
-        return DualScalar(-self.body, -self.slope)
-
     def __mul__(self, other: "DualScalar") -> "DualScalar":
         # (a + bε)(c + dε) = ac + (ad + bc)ε, the ε² term vanishes
         if not isinstance(other, DualScalar):
@@ -99,20 +91,10 @@ class DualScalar:
         )
 
     def __pow__(self, e: int) -> "DualScalar":
-        """(a + bε)^e = a^e + e·a^(e-1)·b·ε; negative e goes through inv()."""
-        if e < 0:
-            return self.inv() ** (-e)
-        if e == 0:
-            one = Fraction(1) if self.kind == "rational" else 1
-            return DualScalar(one, 0 * one)
+        """(a + bε)^e = a^e + e·a^(e-1)·b·ε for e ≥ 1."""
+        if e < 1:
+            raise ValueError(f"exponent must be at least 1, got {e}")
         return DualScalar(self.body**e, e * self.body ** (e - 1) * self.slope)
-
-    def inv(self) -> "DualScalar":
-        """Multiplicative inverse 1/a − (b/a²)·ε, always rational kind."""
-        if self.body == 0:
-            raise ZeroBodyError("dual scalar with zero body has no inverse")
-        a = Fraction(self.body)
-        return DualScalar(1 / a, -Fraction(self.slope) / (a * a))
 
     def __truediv__(self, other: "DualScalar") -> "DualScalar":
         """(a + bε)/(c + dε) = a/c + ((b − (a/c)·d)/c)·ε.
@@ -137,10 +119,6 @@ class DualScalar:
             (Fraction(self.slope) * c - Fraction(self.body) * Fraction(other.slope)) / (c * c),
         )
 
-    def __str__(self) -> str:
-        sign = "-" if self.slope < 0 else "+"
-        return f"{self.body} {sign} {abs(self.slope)}ε"
-
 
 def format_scalar(value: Scalar) -> str:
     """Decimal string; rationals render as "p/q" in lowest terms, q > 0.
@@ -153,11 +131,3 @@ def format_scalar(value: Scalar) -> str:
         raise DigitLimitError(
             f"a value of more than {sys.get_int_max_str_digits()} digits cannot be printed"
         ) from None
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar: "p/q" gives a Fraction, otherwise an int."""
-    text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    return int(text)

@@ -35,11 +35,11 @@ weights.  Only s_0 can fail.  So a value is stored as
 polynomial and only s_0 sits over den.  ``RationalDualExpr.div`` divides
 by the divisor's body β once, and the quotient q = body/β is the new
 body; a body that β does not divide raises ``NotLaurentError`` naming
-the reduced body denominator, which only ``sym_exchange`` on inputs that
-are not cluster variables can reach.  When X_k has denominator 1
-(whenever the previous steps were Laurent) s_0 is divided by β as well,
-so a Laurent result leaves nothing to reduce; otherwise s_0 stays over
-den times β.
+the reduced body denominator.  No run reaches that: along a run every
+body is a cluster variable, so the guard is for a value built by hand.
+When X_k has denominator 1 (whenever the previous steps were Laurent)
+s_0 is divided by β as well, so a Laurent result leaves nothing to
+reduce; otherwise s_0 stays over den times β.
 
 All cancellation goes through one reducer, ``_reduce``, on the s_0
 numerator alone: fold the monomial part of the denominator, try one
@@ -67,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd as int_gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dualnum import DualScalar
 from .errors import QuiverSeqError
@@ -90,8 +90,7 @@ class BudgetExceededError(QuiverSeqError, RuntimeError):
 
 
 class NotLaurentError(QuiverSeqError, ValueError):
-    """Raised by sym_exchange and symbolic_sequence on a non-Laurent result,
-    and by ``RationalDualExpr.div`` on a body that does not divide."""
+    """Raised by ``RationalDualExpr.div`` on a body that does not divide."""
 
     def __init__(self, failure: "NotLaurent"):
         super().__init__(f"non-Laurent {failure.part}: denominator {failure.denominator!r}")
@@ -358,7 +357,10 @@ def normalize(expr: RationalDualExpr) -> RationalDualExpr | NotLaurent:
 
 
 def _exchange_fraction(
-    wq: WeightedQuiver, state: Sequence[RationalDualExpr], k: int, check=lambda product: None
+    wq: WeightedQuiver,
+    state: Sequence[RationalDualExpr],
+    k: int,
+    check: Callable[[RationalDualExpr], object],
 ) -> RationalDualExpr:
     """The unreduced exchange fraction at vertex k (1-indexed).
 
@@ -395,24 +397,6 @@ def _check_shape(v: RationalDualExpr, n: int) -> None:
     """ValueError unless v's body, s_0 numerator and den are polynomials in n variables."""
     if not v.body.nvars == v.num_s0.nvars == v.den.nvars == n:
         raise ValueError(f"expected polynomials in {n} variables")
-
-
-def sym_exchange(wq: WeightedQuiver, vars: Sequence[RationalDualExpr], k: int) -> RationalDualExpr:
-    """One symbolic exchange at vertex k (1-indexed), normalized.
-
-    Raises NotLaurentError when the result does not reduce to a Laurent
-    value (which cannot happen along genuine mutation runs).
-    """
-    if not 1 <= k <= wq.n:
-        raise VertexIndexError(f"vertex {k} outside 1..{wq.n}")
-    if len(vars) != wq.n:
-        raise ValueError(f"expected {wq.n} variables, got {len(vars)}")
-    for v in vars:
-        _check_shape(v, wq.n)
-    result = normalize(_exchange_fraction(wq, vars, k))
-    if isinstance(result, NotLaurent):
-        raise NotLaurentError(result)
-    return result
 
 
 @dataclass(frozen=True)
@@ -486,18 +470,6 @@ def verify_laurent_run(
         else:
             current = WeightedQuiver(current.quiver.mutate(1).rotate(), current.weights)
     return reports
-
-
-def symbolic_sequence(
-    wq: WeightedQuiver, steps: int, budget: int = DEFAULT_TERM_BUDGET
-) -> list[RationalDualExpr]:
-    """The new variables X_{n+1} .. X_{n+steps}, each with den 1; raises
-    if any is non-Laurent."""
-    reports = verify_laurent_run(wq, steps, budget)
-    for rep in reports:
-        if not rep.is_laurent:
-            raise NotLaurentError(NotLaurent("slope", rep.denominator))
-    return [rep.variable for rep in reports]
 
 
 def evaluate(v: RationalDualExpr, assignment: Sequence[DualScalar]) -> DualScalar:

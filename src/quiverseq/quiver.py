@@ -111,14 +111,8 @@ class Quiver:
         """True when mutation at vertex 1 followed by rotation is the identity."""
         return self.mutate(1).rotate() == self
 
-    def scaled(self, c: int) -> "Quiver":
-        return Quiver(tuple(tuple(c * e for e in row) for row in self.b))
-
     def to_dict(self) -> dict:
         return {"n": self.n, "b": [list(row) for row in self.b]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Quiver":
@@ -181,9 +175,6 @@ class WeightedQuiver:
         d = self.quiver.to_dict()
         d["w"] = list(self.weights)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightedQuiver":

@@ -144,28 +144,24 @@ class RecurrenceSpec:
 
 @dataclass
 class SequenceRun:
-    """Computed terms of a dual recurrence plus per-term integrality data."""
+    """Computed terms of a dual recurrence, with the first non-integral
+    term as (index, offending part) or None."""
 
     spec: RecurrenceSpec
     terms: list[DualScalar]
-    integral: list[bool] = field(default_factory=list)
-    first_fraction: tuple[int, Scalar] | None = None
+    first_fraction: tuple[int, Scalar] | None = field(default=None, init=False)
     degenerate_steps: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.integral:
-            self.integral = [t.is_integral for t in self.terms]
-            for i, (term, ok) in enumerate(zip(self.terms, self.integral)):
-                if not ok and self.first_fraction is None:
-                    offender = term.slope if term.slope.denominator != 1 else term.body
-                    self.first_fraction = (i, offender)
+        for i, term in enumerate(self.terms):
+            if not term.is_integral:
+                offender = term.slope if term.slope.denominator != 1 else term.body
+                self.first_fraction = (i, offender)
+                break
 
     def paper_index(self, i: int) -> int:
         """Index in the family's own numbering (origin 0 or 1)."""
         return self.spec.index_origin + i
-
-    def bodies(self) -> list[Scalar]:
-        return [t.body for t in self.terms]
 
     def slopes(self) -> list[Scalar]:
         return [t.slope for t in self.terms]
@@ -455,12 +451,24 @@ def family_names() -> list[str]:
 
 
 def builtin(name: str, **params) -> RecurrenceSpec:
-    """Look up a built-in family; hyphens in names normalize to underscores."""
+    """Look up a built-in family; hyphens in names normalize to underscores.
+
+    Parameters are checked by name against the family's own before the
+    family is built, so a missing or unexpected one is named in the error.
+    """
     key = name.replace("-", "_").lower()
     factory = _FAMILIES.get(key)
     if factory is None:
         raise UnknownFamilyError(f"unknown family {name!r}; known: {', '.join(family_names())}")
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise BadParamsError(f"bad parameters for {key}: {exc}") from exc
+    code = factory.__code__  # every factory takes plain positional parameters
+    wanted = code.co_varnames[: code.co_argcount]
+    missing = [p for p in wanted if p not in params]
+    extra = [p for p in params if p not in wanted]
+    if missing or extra:
+        message = f"{key} takes {', '.join(wanted) or 'no parameters'}"
+        if missing:
+            message += f"; missing {', '.join(missing)}"
+        if extra:
+            message += f"; got {', '.join(extra)}"
+        raise BadParamsError(message)
+    return factory(**params)

@@ -105,7 +105,7 @@ def somos4_family(p: int, q: int) -> Quiver:
 def somos4_family_opposite(p: int, q: int) -> Quiver:
     from quiverseq.periodicity import combine
 
-    return combine(4, (p, -q), somos4_correction(p, q).scaled(-1))
+    return combine(4, (p, -q), somos4_correction(-p, q))
 
 
 def somos4_quiver_a() -> Quiver:
@@ -184,7 +184,7 @@ def run_linearized(
     Agrees exactly with the slopes of ``run`` on identical inputs.
     """
     N = spec.order
-    bodies = base_run.bodies()
+    bodies = [t.body for t in base_run.terms]
     if len(init_b) != N:
         raise BadParamsError("initial slopes must have length = order")
     slopes: list[Fraction] = [Fraction(x) for x in init_b]

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiverseq.dualnum import (
-    DualScalar,
-    ZeroBodyError,
-    format_scalar,
-    parse_scalar,
-)
+from quiverseq.dualnum import DualScalar, ZeroBodyError, format_scalar
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 rationals = st.builds(
@@ -33,10 +28,11 @@ class TestBasics:
         assert DualScalar(7, -3) * DualScalar(1, 0) == DualScalar(7, -3)
 
     def test_inv(self):
-        assert DualScalar(2, 3).inv() == DualScalar(Fraction(1, 2), Fraction(-3, 4))
-        assert DualScalar(1, 0).inv() == DualScalar(1, 0)
+        one = DualScalar(1)
+        assert one / DualScalar(2, 3) == DualScalar(Fraction(1, 2), Fraction(-3, 4))
+        assert one / DualScalar(1, 0) == DualScalar(1, 0)
         with pytest.raises(ZeroBodyError):
-            DualScalar(0, 5).inv()
+            one / DualScalar(0, 5)
 
     def test_kind_promotion(self):
         assert DualScalar(1, 2).kind == "integer"
@@ -47,10 +43,14 @@ class TestBasics:
 
     def test_pow(self):
         x = DualScalar(2, 3)
-        assert x**0 == DualScalar(1, 0)
         assert x**1 == x
         assert x**3 == x * x * x
-        assert x**-1 == x.inv()
+
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_pow_below_one_is_refused(self, e):
+        # x**0 would otherwise build the float slope 0·a**-1
+        with pytest.raises(ValueError, match=f"exponent must be at least 1, got {e}"):
+            DualScalar(2, 3) ** e
 
     def test_truediv(self):
         q = DualScalar(2, 3) / DualScalar(1, 5)
@@ -142,11 +142,12 @@ class TestProperties:
 
     @given(dual_rationals)
     def test_inverse(self, x):
+        one = DualScalar(1)
         if x.body == 0:
             with pytest.raises(ZeroBodyError):
-                x.inv()
+                one / x
         else:
-            assert x * x.inv() == DualScalar(Fraction(1), Fraction(0))
+            assert x * (one / x) == DualScalar(Fraction(1), Fraction(0))
 
     @given(dual_ints, dual_ints)
     def test_exact_div_round_trip(self, q, d):
@@ -177,10 +178,6 @@ class TestSerialization:
         assert format_scalar(Fraction(-3, 6)) == "-1/2"
         assert format_scalar(Fraction(4, 2)) == "2"
 
-    def test_parse(self):
-        assert parse_scalar("-42") == -42
-        assert parse_scalar("307/3") == Fraction(307, 3)
-
     @given(rationals)
     def test_round_trip(self, x):
-        assert parse_scalar(format_scalar(x)) == x
+        assert Fraction(format_scalar(x)) == x

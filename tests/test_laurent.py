@@ -21,14 +21,13 @@ from quiverseq.laurent import (
     RationalDualExpr,
     ZeroAtPoleError,
     ZeroBodyDivisionError,
+    _exchange_fraction,
     _FactorBase,
     _full_fraction,
     _reduce,
     evaluate,
     initial_variables,
     normalize,
-    sym_exchange,
-    symbolic_sequence,
     var_names,
     verify_laurent_run,
 )
@@ -91,6 +90,11 @@ def _add(u: RationalDualExpr, v: RationalDualExpr) -> RationalDualExpr:
     return normalize(u.add(v))
 
 
+def _exchange(wq: WeightedQuiver, state: list[RationalDualExpr]) -> RationalDualExpr:
+    """The exchange fraction at vertex 1 of any state, with no budget, unreduced."""
+    return _exchange_fraction(wq, state, 1, lambda product: None)
+
+
 def somos4_weighted() -> WeightedQuiver:
     q = somos4_quiver_a()
     return WeightedQuiver(q, solve_weight(q))
@@ -102,10 +106,10 @@ def neg_p31_weighted() -> WeightedQuiver:
 
 
 class TestSymExchange:
+    """One symbolic exchange: a run's first step, or a hand-built state."""
+
     def test_somos4_first_exchange(self):
-        wq = somos4_weighted()
-        X = initial_variables(4)
-        x5 = sym_exchange(wq, X, 1)
+        x5 = verify_laurent_run(somos4_weighted(), 1)[0].variable
         # X'_1 = (X2 X4 + (1+eps) X3^2) / X1
         nv = 8
         expected_body = Poly(
@@ -135,17 +139,14 @@ class TestSymExchange:
         # double arrow 1 -> 2: the incoming product at vertex 1 is empty
         q = Quiver([[0, 2], [-2, 0]])
         wq = WeightedQuiver(q, (1, 0))
-        X = initial_variables(2)
-        new = sym_exchange(wq, X, 1)
+        new = verify_laurent_run(wq, 1)[0].variable
         # X'_1 = (X2^2 + (1 + eps)) / X1
         assert evaluate(new, [DualScalar(1, 0), DualScalar(1, 0)]) == DualScalar(2, 1)
         at = [DualScalar(1, 0), DualScalar(3, 0)]
         assert evaluate(new, at) == DualScalar(10, 1)
 
     def test_all_ones_on_neg_p31(self):
-        wq = neg_p31_weighted()
-        X = initial_variables(3)
-        new = sym_exchange(wq, X, 1)
+        new = verify_laurent_run(neg_p31_weighted(), 1)[0].variable
         assert evaluate(new, [DualScalar(1, 0)] * 3) == DualScalar(2, 1)
 
     def test_zero_body_divisor(self):
@@ -153,22 +154,14 @@ class TestSymExchange:
         X = initial_variables(3)
         zero_body = _laurent(Poly.zero(3), Poly.one(3))
         with pytest.raises(ZeroBodyDivisionError):
-            sym_exchange(wq, [zero_body, X[1], X[2]], 1)
-
-    def test_part_in_the_wrong_number_of_variables_is_refused(self):
-        wq = neg_p31_weighted()
-        X = initial_variables(3)
-        for part in ("num_s0", "den"):
-            wide = replace(X[0], **{part: Poly.one(4)})
-            with pytest.raises(ValueError, match="in 3 variables"):
-                sym_exchange(wq, [wide, X[1], X[2]], 1)
+            _exchange(wq, [zero_body, X[1], X[2]])
 
     def test_non_monomial_divisor_is_a_body_offender(self):
         wq = neg_p31_weighted()
         X = initial_variables(3)
         x1, x2 = Poly.variable(3, 0), Poly.variable(3, 1)
         with pytest.raises(NotLaurentError) as err:
-            sym_exchange(wq, [_laurent(x1 + x2, X[0].num_s0), X[1], X[2]], 1)
+            _exchange(wq, [_laurent(x1 + x2, X[0].num_s0), X[1], X[2]])
         assert err.value.failure.part == "body"
         assert err.value.failure.denominator == x1 + x2
 
@@ -458,20 +451,7 @@ class TestVerifyRun:
         for r in bad:
             assert normalize(r.variable) == NotLaurent("slope", r.denominator)
 
-    def test_symbolic_sequence_names_the_offending_part(self, monkeypatch):
-        held = verify_laurent_run
-        monkeypatch.setattr(
-            laurent,
-            "verify_laurent_run",
-            lambda wq, steps, budget: held(wq, steps, budget, evolve_weights=False),
-        )
-        wq = WeightedQuiver(primitive(3, 1), (1, 0, -1))
-        with pytest.raises(NotLaurentError) as err:
-            symbolic_sequence(wq, 6)
-        assert err.value.failure.part == "slope"
-        assert err.value.failure.denominator.format(var_names(3)) == "x2*x3 + 1"
-
-    @pytest.mark.parametrize("build", [verify_laurent_run, symbolic_sequence])
+    @pytest.mark.parametrize("build", [verify_laurent_run])
     def test_quiver_without_vertices(self, build):
         wq = WeightedQuiver(Quiver([]), ())
         with pytest.raises(VertexIndexError, match=r"^vertex 1 outside 1\.\.0$"):
@@ -578,9 +558,10 @@ class TestVerifyRun:
     def test_matches_numeric_run(self):
         spec = builtin("somos4").with_deform("m2", (1,))
         numeric = run(spec, count=10)
-        symbolic = symbolic_sequence(somos4_weighted(), 6)
-        for k, v in enumerate(symbolic, start=1):
-            assert evaluate(v, ONES) == numeric.terms[3 + k]
+        reports = verify_laurent_run(somos4_weighted(), 6)
+        assert all(r.is_laurent for r in reports)
+        for k, rep in enumerate(reports, start=1):
+            assert evaluate(rep.variable, ONES) == numeric.terms[3 + k]
 
 
 def _body_numerator(rep) -> Poly:
@@ -843,9 +824,10 @@ class TestEvaluate:
             evaluate(v, [DualScalar(1, 0)] * 3)
 
     def test_somos_values(self):
-        symbolic = symbolic_sequence(somos4_weighted(), 2)
-        assert evaluate(symbolic[0], ONES) == DualScalar(2, 1)
-        assert evaluate(symbolic[1], ONES) == DualScalar(3, 2)
+        reports = verify_laurent_run(somos4_weighted(), 2)
+        assert all(r.is_laurent for r in reports)
+        assert evaluate(reports[0].variable, ONES) == DualScalar(2, 1)
+        assert evaluate(reports[1].variable, ONES) == DualScalar(3, 2)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -881,10 +863,11 @@ def _six_step_run(name: str) -> tuple[WeightedQuiver, list]:
 
 @cache
 def _iterated_exchanges(wq: WeightedQuiver, steps: int) -> list[RationalDualExpr]:
-    """sym_exchange along mutate-at-1-then-rotate, fed its own outputs."""
+    """Exchanges along mutate-at-1-then-rotate, fed their own outputs, each
+    reduced alone: no factor base, budget or report, unlike ``verify_laurent_run``."""
     state, new = initial_variables(wq.n), []
     for _ in range(steps):
-        state = state[1:] + [sym_exchange(wq, state, 1)]
+        state = state[1:] + [_exchange(wq, state).reduced()]
         new.append(state[-1])
         wq = wq.mutate(1).rotate()
     return new
@@ -917,8 +900,9 @@ class TestRandomPoints:
             assert evaluate(rep.variable, point) == term
 
     def test_iterated_sym_exchange_matches_the_sequence(self):
-        wq, _ = _six_step_run("somos4")
-        assert _iterated_exchanges(wq, 6) == symbolic_sequence(wq, 6)
+        wq, reports = _six_step_run("somos4")
+        assert all(r.is_laurent for r in reports)
+        assert _iterated_exchanges(wq, 6) == [r.variable for r in reports]
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)

@@ -62,13 +62,13 @@ class TestPrimitive:
 class TestCombine:
     def test_neg_p31_is_opposite_primitive(self):
         assert combine(3, (-1,)) == neg_p31()
-        assert combine(3, (-1,)) == primitive(3, 1).scaled(-1)
+        assert combine(3, (-1,)) == Quiver([[-e for e in row] for row in primitive(3, 1).b])
 
     def test_neg_p41(self):
         assert combine(4, (-1, 0)) == neg_p41()
 
     def test_scaled_two_vertex_gives_kronecker(self):
-        assert combine(2, (1,)).scaled(2) == kronecker2()
+        assert Quiver([[2 * e for e in row] for row in combine(2, (1,)).b]) == kronecker2()
 
     def test_correction_must_avoid_vertex_one(self):
         bad = Quiver([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])

@@ -47,7 +47,8 @@ def _assert_recurrence_residual(spec, result):
         def mono(m):
             value = DualScalar(Fraction(m.coeff), Fraction(0))
             for e, t in zip(m.exponents, window):
-                value = value * t**e
+                for _ in range(e):
+                    value = value * t
             return value
 
         m1 = mono(spec.monomial1)
@@ -63,8 +64,8 @@ def _assert_recurrence_residual(spec, result):
 class TestRun:
     def test_somos4_bodies(self):
         result = run(builtin("somos4"), count=15)
-        assert result.bodies() == golden.SOMOS4_BODIES
-        assert all(result.integral)
+        assert [t.body for t in result.terms] == golden.SOMOS4_BODIES
+        assert result.first_fraction is None
 
     def test_somos4_deformed_slopes(self):
         m2 = run(deformed_somos4("m2"), count=15)
@@ -74,7 +75,7 @@ class TestRun:
 
     def test_cassini_lucas_run(self):
         result = run(builtin("cassini_plus"), init_b=(-1, 1), count=8)
-        assert result.bodies() == golden.FIB_ODD_BODIES
+        assert [t.body for t in result.terms] == golden.FIB_ODD_BODIES
         assert result.slopes() == golden.LUCAS_ODD_SLOPES
 
     def test_residual_somos4(self):
@@ -184,7 +185,7 @@ class TestIntegerFirstRun:
         result = run(spec, init_a=init_a, init_b=init_b, count=N + 10)
         terms = result.terms
         assert result.slopes() == run_linearized(spec, result, init_b)
-        assert result.bodies() == bilinear_oracle(N, term1, term2, len(terms), init_a)
+        assert [t.body for t in result.terms] == bilinear_oracle(N, term1, term2, len(terms), init_a)
         k = len(terms) if result.first_fraction is None else result.first_fraction[0]
         assert [t.kind for t in terms] == ["integer"] * k + ["rational"] * (len(terms) - k)
 
@@ -261,7 +262,7 @@ class TestDecompose:
         base = run(spec, count=100)
         rows = decompose_basis(spec, 100)
         for n in range(100):
-            assert sum(row[n] for row in rows) == base.bodies()[n]
+            assert sum(row[n] for row in rows) == base.terms[n].body
 
     def test_initial_block_is_identity(self):
         spec = builtin("somos5")
@@ -355,13 +356,13 @@ class TestQuiverToSpec:
 class TestBuiltins:
     def test_somos5_against_oracle(self):
         oracle = somos5_oracle(13)
-        assert run(builtin("somos5"), count=13).bodies() == oracle
+        assert [t.body for t in run(builtin("somos5"), count=13).terms] == oracle
         assert [int(v) for v in oracle] == golden.SOMOS5_BODIES
 
     def test_gale_robinson_against_oracle(self):
         for N, r, s in ((6, 1, 2), (7, 1, 3), (8, 2, 3)):
             spec = builtin("gale_robinson", N=N, r=r, s=s)
-            mine = run(spec, count=25).bodies()
+            mine = [t.body for t in run(spec, count=25).terms]
             assert mine == gale_robinson_oracle(N, r, s, 25)
 
     def test_gale_robinson_params_validated(self):
@@ -373,7 +374,7 @@ class TestBuiltins:
     def test_limping_fibonacci(self):
         result = run(builtin("limping_fibonacci"), count=8)
         assert result.slopes() == golden.LIMPING_SLOPES
-        assert result.bodies() == golden.FIB_ODD_BODIES
+        assert [t.body for t in result.terms] == golden.FIB_ODD_BODIES
 
     def test_limping_closed_form(self):
         F, _ = fib_lucas(90)
@@ -383,17 +384,17 @@ class TestBuiltins:
             assert b == expected, n
 
     def test_order3(self):
-        assert run(builtin("order3"), count=14).bodies() == golden.ORDER3_BODIES
+        assert [t.body for t in run(builtin("order3"), count=14).terms] == golden.ORDER3_BODIES
         assert run(builtin("order3_alt"), count=11).slopes() == golden.ORDER3_ALT_SLOPES
 
     def test_order3_satisfies_short_linear_recurrence(self):
-        bodies = run(builtin("order3"), count=104).bodies()
+        bodies = [t.body for t in run(builtin("order3"), count=104).terms]
         for n in range(100):
             assert bodies[n + 4] == 4 * bodies[n + 2] - bodies[n]
 
     def test_cassini_minus_lucas(self):
         result = run(builtin("cassini_minus"), init_b=(3, 7), count=7)
-        assert result.bodies() == golden.FIB_EVEN_BODIES
+        assert [t.body for t in result.terms] == golden.FIB_EVEN_BODIES
         assert result.slopes() == golden.LUCAS_EVEN_SLOPES
 
     def test_cassini_minus_row_zero_consistent(self):
@@ -401,7 +402,7 @@ class TestBuiltins:
         result = run(builtin("cassini_minus"), init_b=(3, 7), count=4)
         A0 = DualScalar(Fraction(0), Fraction(2))
         A1, A2 = result.terms[0], result.terms[1]
-        assert A2 * A0 == A1 * A1 - DualScalar(Fraction(1), Fraction(0))
+        assert A2 * A0 + DualScalar(Fraction(1), Fraction(0)) == A1 * A1
 
     def test_cassini_tilde_coefficient_rows(self):
         spec = builtin("cassini_minus")
@@ -413,11 +414,11 @@ class TestBuiltins:
         F, L = fib_lucas(110)
         plus = run(builtin("cassini_plus"), init_b=(-1, 1), count=51)
         for n in range(1, 51):
-            assert plus.bodies()[n] == F[2 * n - 1]
+            assert plus.terms[n].body == F[2 * n - 1]
             assert plus.slopes()[n] == L[2 * n - 1]
         minus = run(builtin("cassini_minus"), init_b=(3, 7), count=50)
         for i, n in enumerate(range(1, 51)):
-            assert minus.bodies()[i] == F[2 * n]
+            assert minus.terms[i].body == F[2 * n]
             assert minus.slopes()[i] == L[2 * n]
 
     def test_unknown_family(self):
@@ -458,7 +459,7 @@ class TestScan:
             "fordy_marsh_s4", {"p": [1], "q": [0]}, 10, deform=("m1", (1,))
         )
         run0 = cells[0].run
-        assert run0.bodies() == golden.FM_Q0_BODY_PREFIX
+        assert [t.body for t in run0.terms] == golden.FM_Q0_BODY_PREFIX
         assert run0.slopes()[:9] == golden.FM_Q0_SLOPE_PREFIX
 
     def test_clean_cell(self):
