@@ -42,13 +42,14 @@ s_0 is divided by β as well, so a Laurent result leaves nothing to
 reduce; otherwise s_0 stays over den times β.
 
 All cancellation goes through one reducer, ``_reduce``, on the s_0
-numerator alone: fold the monomial part of the denominator, try one
-trial division, then split the denominator over a factor base and cancel
-it factor by factor, and only when that fails take the GCD of the
-expanded denominator with the numerator.  ``verify_laurent_run`` keeps
-the factor base: the bodies of the run's variables.  In every run tried
-with the weights held off their mutation rule, each denominator is a
-product of such bodies' numerators, which are cluster variables and so
+numerator alone: fold the monomial part of the denominator, then split
+the denominator over the run's bodies and cancel it factor by factor,
+and only when that fails take the GCD of the expanded denominator with
+the numerator.  ``verify_laurent_run`` keeps the list of its bodies; the
+reducer takes their primitive parts only on a step whose denominator is
+not a monomial, so a genuine run never computes them.  In every run
+tried with the weights held off their mutation rule, each denominator is
+a product of such primitive parts, which are cluster variables and so
 irreducible (Geiss, Leclerc & Schröer, "Factorial cluster algebras",
 Doc. Math. 18, 2013), times a monomial and a constant.  Exactness does
 not rest on that: a factor that stops dividing the numerator is kept
@@ -193,14 +194,14 @@ class RationalDualExpr:
                 return RationalDualExpr(q, quotient, d)
         return RationalDualExpr(q, s0, d * od * beta)
 
-    def reduced(self, base: "_FactorBase | None" = None) -> "RationalDualExpr":
+    def reduced(self, bodies: Sequence[Poly] = ()) -> "RationalDualExpr":
         """Cancel the denominator of s_0 as far as possible.
 
-        One pass of the reducer, with the factor base of a run when one
-        is given; the result records the path the reducer took in
+        One pass of the reducer, over the bodies of a run when they are
+        given; the result records the path the reducer took in
         ``reduction``.
         """
-        s0, den, path = _reduce(self.num_s0, self.den, base)
+        s0, den, path = _reduce(self.num_s0, self.den, bodies)
         return RationalDualExpr(self.body, s0, den, path)
 
     def sexpr(self) -> str:
@@ -246,14 +247,13 @@ def _fold_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num.shift(back), den.shift(back)
 
 
-def _reduce(num: Poly, den: Poly, base: "_FactorBase | None" = None) -> tuple[Poly, Poly, str]:
+def _reduce(num: Poly, den: Poly, bodies: Sequence[Poly] = ()) -> tuple[Poly, Poly, str]:
     """Cancel a denominator against one numerator.
 
     The monomial part of den folds into (possibly negative) numerator
     exponents; if nothing else is left the path is "monomial".  Otherwise
-    one trial division of the numerator by den is tried ("trial").
-    Failing that, den is split over the run's factor base when one is
-    given ("factor", see ``_reduce_over``), and as a last resort it is
+    den is split over the primitive parts of the run's bodies when any
+    are given ("factor", see ``_reduce_over``), and failing that it is
     cancelled by its GCD with the numerator ("gcd").  The reduced
     denominator comes back expanded, free of monomial factors and with a
     positive lex-leading coefficient, together with the path.
@@ -261,11 +261,8 @@ def _reduce(num: Poly, den: Poly, base: "_FactorBase | None" = None) -> tuple[Po
     num, den = _fold_monomial(num, den)
     if den.is_one():
         return num, den, "monomial"
-    q = num.exact_div(den)
-    if q is not None:
-        return q, Poly.one(den.nvars), "trial"
-    if base is not None:
-        reduced = _reduce_over(base.factors(), num, den)
+    if bodies:
+        reduced = _reduce_over(_primitive_parts(bodies), num, den)
         if reduced is not None:
             return (*reduced, "factor")
     g = poly_gcd(den, num)
@@ -276,21 +273,36 @@ def _reduce(num: Poly, den: Poly, base: "_FactorBase | None" = None) -> tuple[Po
     return num, den, "gcd"
 
 
+def _primitive_parts(bodies: Sequence[Poly]) -> list[Poly]:
+    """The bodies' distinct non-constant primitive parts: each body without
+    its monomial factor and content, signed to a positive lex-leading
+    coefficient."""
+    parts: list[Poly] = []
+    for body in bodies:
+        content = body.content() if body.lex_lead()[1] > 0 else -body.content()
+        b = _strip(body, body.min_exponents(), content)
+        if not b.is_constant() and b not in parts:
+            parts.append(b)
+    return parts
+
+
 def _reduce_over(factors: list[Poly], num: Poly, den: Poly) -> tuple[Poly, Poly] | None:
     """Reduce num/den through den = c·∏ B^e over the given factors, or None.
 
     den must be free of monomial factors and the factors primitive, free
-    of monomial factors and with positive leads.  Each B is cancelled from
-    the numerator as often as it divides it.  Where it stops,
-    gcd(B, num) = 1 certifies that no factor of B is left in common, and
-    then neither is any factor of the B^k that stays in the denominator.
-    With every remaining B so certified and the integer c made prime to
-    the numerator's content, the gcd is 1; no factor needs to be
+    of monomial factors and with positive leads.  In one pass over the
+    factors, each B is split out of den as often as it divides it and
+    then cancelled from the numerator as often as it divides that, at
+    most as often as den had it.  Where it stops, gcd(B, num) = 1
+    certifies that no factor of B is left in common, and then neither is
+    any factor of the B^k that stays in the denominator.  With every
+    remaining B so certified and the integer c made prime to the
+    numerator's content, the gcd is 1; no factor needs to be
     irreducible.  None when den does not split into the factors or a
     certificate finds a proper common factor; the caller then takes the
     GCD route.
     """
-    rest, split = den, []
+    rest, left = den, Poly.const(den.nvars, 1)
     for b in factors:
         e = 0
         while not rest.is_constant():
@@ -298,13 +310,6 @@ def _reduce_over(factors: list[Poly], num: Poly, den: Poly) -> tuple[Poly, Poly]
             if q is None:
                 break
             rest, e = q, e + 1
-        if e:
-            split.append((b, e))
-    if not rest.is_constant():
-        return None
-    (c,) = rest.terms.values()
-    left = Poly.const(den.nvars, 1)
-    for b, e in split:
         while e:
             q = num.exact_div(b)
             if q is None:
@@ -314,39 +319,15 @@ def _reduce_over(factors: list[Poly], num: Poly, den: Poly) -> tuple[Poly, Poly]
             if not poly_gcd(b, num).is_one():
                 return None
             left = left * b**e
+    if not rest.is_constant():
+        return None
+    (c,) = rest.terms.values()
     if c < 0:
         num, c = -num, -c
     g = int_gcd(c, num.content()) if c > 1 else 1
     if g > 1:
         num, c = num.exact_div(Poly.const(den.nvars, g)), c // g
     return num, left if c == 1 else left * c
-
-
-class _FactorBase:
-    """Denominator factors of a run: the body numerators of its variables.
-
-    Each factor is primitive, free of monomial factors, non-constant and
-    has a positive lex-leading coefficient.  Bodies are only recorded by
-    ``add``; they are normalized the first time ``factors`` is asked for,
-    so a run whose denominators all cancel by trial division never pays
-    for the base.
-    """
-
-    def __init__(self) -> None:
-        self._pending: list[Poly] = []
-        self._factors: list[Poly] = []
-
-    def add(self, body: Poly) -> None:
-        self._pending.append(body)
-
-    def factors(self) -> list[Poly]:
-        for body in self._pending:
-            content = body.content() if body.lex_lead()[1] > 0 else -body.content()
-            b = _strip(body, body.min_exponents(), content)
-            if not b.is_constant() and b not in self._factors:
-                self._factors.append(b)
-        self._pending.clear()
-        return self._factors
 
 
 def normalize(expr: RationalDualExpr) -> RationalDualExpr | NotLaurent:
@@ -409,7 +390,7 @@ class StepReport:
     slope_terms: int
     denominator: Poly  # monomial denominator when Laurent, offender otherwise
     variable: RationalDualExpr  # the reduced fraction; den is 1 exactly when Laurent
-    reduction: str  # the path of _reduce: "monomial", "trial", "factor" or "gcd"
+    reduction: str  # the path of _reduce: "monomial", "factor" or "gcd"
 
 
 def _check_budget(terms: int, budget: int, step: int, what: str) -> None:
@@ -430,8 +411,8 @@ def verify_laurent_run(
     fraction with every slope part, its denominator (the monomial one
     when Laurent, the offending part's otherwise) and the reducer's
     path.  The run continues through non-Laurent steps with reduced
-    fractions (reported as such), and reduces over a factor base made of
-    the bodies of its variables.  The term budget is checked on every
+    fractions (reported as such), and reduces over the bodies of its
+    variables.  The term budget is checked on every
     product the exchange builds, so none much larger is built, on the
     exchange fraction before it is reduced, and on the reported variable;
     BudgetExceededError names the step and "exchange product", "exchange
@@ -447,14 +428,14 @@ def verify_laurent_run(
         raise VertexIndexError(f"vertex 1 outside 1..{n}")
     state = initial_variables(n)
     current = wq
-    base = _FactorBase()
+    bodies: list[Poly] = []
     reports: list[StepReport] = []
     for step in range(1, steps + 1):
         frac = _exchange_fraction(
             current, state, 1, lambda p: _check_budget(p.term_count, budget, step, "exchange product")
         )
         _check_budget(frac.term_count, budget, step, "exchange fraction")
-        frac = frac.reduced(base)
+        frac = frac.reduced(bodies)
         nb, slope, den = _full_fraction(frac)
         body_terms, slope_terms = nb.term_count, sum(part.term_count for part in slope)
         _check_budget(body_terms + slope_terms, budget, step, "reduced fraction")
@@ -463,7 +444,7 @@ def verify_laurent_run(
             mins = zip(*(part.min_exponents() for part in (nb, *slope)))
             den = Poly.monomial(n, tuple(max(0, -min(col)) for col in mins))
         reports.append(StepReport(step, laurent, body_terms, slope_terms, den, frac, frac.reduction))
-        base.add(frac.body)
+        bodies.append(frac.body)
         state = state[1:] + [frac]
         if evolve_weights:
             current = current.mutate(1).rotate()

@@ -3,12 +3,12 @@
 Terms are a dict from exponent tuples to nonzero integer coefficients;
 exponents may be negative.  Besides ring arithmetic the module provides
 exact division and a multivariate GCD, which back the fraction reduction
-in the symbolic exchange engine.  The expected case there is a monomial
-denominator, so reduction tries content extraction and a single trial
-division first.  On a held run it then splits the denominator over the
-run's factor base, earlier body numerators, and cancels it factor by
-factor, using a GCD only to certify that what is left is coprime; only
-a denominator that does not split that way falls back to the full GCD.
+in the symbolic exchange engine.  On a genuine run every denominator
+there is a monomial, which reduction folds away.  On a held run the
+reduction splits the denominator over the primitive parts of the run's
+earlier bodies and cancels it factor by factor, using a GCD only to
+certify that what is left is coprime; only a denominator that does not
+split that way falls back to the full GCD.
 
 The GCD is the heuristic GCDHEU of Char, Geddes & Gonnet (JSC 1989):
 evaluate one variable at a large integer, recurse down to integer gcds,

@@ -60,13 +60,13 @@ class Monomial:
         if any(e < 0 for e in self.exponents):
             raise BadParamsError("monomial exponents must be nonnegative")
 
-    def render(self, symbol: str = "a") -> str:
+    def render(self) -> str:
         factors = []
         for i, e in enumerate(self.exponents, start=1):
             if e == 1:
-                factors.append(f"{symbol}[n+{i}]")
+                factors.append(f"A[n+{i}]")
             elif e:
-                factors.append(f"{symbol}[n+{i}]^{e}")
+                factors.append(f"A[n+{i}]^{e}")
         if not factors:
             return str(self.coeff)
         body = "*".join(factors)
@@ -81,7 +81,6 @@ class Monomial:
 class RecurrenceSpec:
     """Order-N two-monomial recurrence with an optional deformation schedule."""
 
-    name: str
     order: int
     monomial1: Monomial
     monomial2: Monomial
@@ -115,17 +114,15 @@ class RecurrenceSpec:
         """Deformation weight used when computing the (step+1)-th new term."""
         return self.schedule[step % len(self.schedule)]
 
-    def with_deform(self, placement: str, schedule: Sequence[int], label: str = "") -> "RecurrenceSpec":
-        schedule = tuple(schedule)
-        label = label or f"w cycles {','.join(map(str, schedule))}"
-        return replace(self, deform=placement, schedule=schedule, schedule_label=label)
+    def with_deform(self, placement: str, schedule: Sequence[int]) -> "RecurrenceSpec":
+        return replace(self, deform=placement, schedule=tuple(schedule), schedule_label="")
 
     def without_deform(self) -> "RecurrenceSpec":
         return replace(self, deform="none", schedule=(0,), schedule_label="")
 
     def formula(self) -> str:
-        m1 = self.monomial1.render("A")
-        m2 = self.monomial2.render("A")
+        m1 = self.monomial1.render()
+        m2 = self.monomial2.render()
         if self.deform == "m1":
             m1 = f"({m1})*(1+w*eps)"
         elif self.deform == "m2":
@@ -241,8 +238,13 @@ def decompose_basis(
 
     Row i is the slope sequence of ``run`` with initial slopes e_i.  The
     slope solution space of an undeformed recurrence is linear, so every
-    slope sequence is the unique combination of these N rows; the
-    all-ones combination reproduces the bodies themselves.
+    slope sequence is the unique combination of these N rows.  Dual
+    numbers differentiate, so row i is ∂A_n/∂a_i at the initial bodies
+    a = ``spec.init_a``.  When both monomials have total degree 2, scaling
+    a by λ scales every term by λ, and by Euler's relation the rows
+    combined with coefficients a give the bodies themselves.  Otherwise
+    they need not: for fordy_marsh_s4(p=2, q=3) the all-ones combination
+    is 5 at term 4, where the body is 2.
 
     ``each(row, i, slope)``, when given, is passed to each row's ``run``
     with the row's index, so rows arrive one after another, each value
@@ -275,15 +277,12 @@ def quiver_to_spec(wq: WeightedQuiver) -> RecurrenceSpec:
     out_exps = tuple(pos_part(c) for c in row[1:])
     in_exps = tuple(-neg_part(c) for c in row[1:])
     deform = "m2" if any(schedule) else "none"
-    label = f"w_1 trace over weight period {len(schedule)}" if deform != "none" else ""
     return RecurrenceSpec(
-        name=f"quiver-n{q.n}",
         order=q.n,
         monomial1=Monomial(1, out_exps),
         monomial2=Monomial(1, in_exps),
         deform=deform,
         schedule=schedule if deform != "none" else (0,),
-        schedule_label=label,
         init_a=(1,) * q.n,
         index_origin=1,
     )
@@ -343,15 +342,11 @@ def integrality_scan(
 
 
 def _somos4() -> RecurrenceSpec:
-    return RecurrenceSpec(
-        "somos4", 4, Monomial(1, (1, 0, 1)), Monomial(1, (0, 2, 0)), index_origin=1
-    )
+    return RecurrenceSpec(4, Monomial(1, (1, 0, 1)), Monomial(1, (0, 2, 0)), index_origin=1)
 
 
 def _somos5() -> RecurrenceSpec:
-    return RecurrenceSpec(
-        "somos5", 5, Monomial(1, (1, 0, 0, 1)), Monomial(1, (0, 1, 1, 0)), index_origin=1
-    )
+    return RecurrenceSpec(5, Monomial(1, (1, 0, 0, 1)), Monomial(1, (0, 1, 1, 0)), index_origin=1)
 
 
 def _gale_robinson(N: int, r: int, s: int) -> RecurrenceSpec:
@@ -365,45 +360,27 @@ def _gale_robinson(N: int, r: int, s: int) -> RecurrenceSpec:
     e2 = [0] * (N - 1)
     e2[s - 1] += 1
     e2[N - s - 1] += 1
-    return RecurrenceSpec(
-        f"gale_robinson({N},{r},{s})", N, Monomial(1, e1), Monomial(1, e2), index_origin=1
-    )
+    return RecurrenceSpec(N, Monomial(1, e1), Monomial(1, e2), index_origin=1)
 
 
 def _fordy_marsh_s4(p: int, q: int) -> RecurrenceSpec:
     if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 0:
         raise BadParamsError(f"need p >= 1 and q >= 0, got p={p} q={q}")
-    return RecurrenceSpec(
-        f"fordy_marsh_s4(p={p},q={q})",
-        4,
-        Monomial(1, (p, 0, p)),
-        Monomial(1, (0, q, 0)),
-        index_origin=0,
-    )
+    return RecurrenceSpec(4, Monomial(1, (p, 0, p)), Monomial(1, (0, q, 0)), index_origin=0)
 
 
 def _cassini_plus() -> RecurrenceSpec:
-    return RecurrenceSpec(
-        "cassini_plus", 2, Monomial(1, (2,)), Monomial(1, (0,)), index_origin=0
-    )
+    return RecurrenceSpec(2, Monomial(1, (2,)), Monomial(1, (0,)), index_origin=0)
 
 
 def _cassini_minus() -> RecurrenceSpec:
     # Starts at n=1 with bodies (1, 3): the even-index bisection's n=0 term
     # is 0 and cannot serve as a divisor.
-    return RecurrenceSpec(
-        "cassini_minus",
-        2,
-        Monomial(1, (2,)),
-        Monomial(-1, (0,)),
-        init_a=(1, 3),
-        index_origin=1,
-    )
+    return RecurrenceSpec(2, Monomial(1, (2,)), Monomial(-1, (0,)), init_a=(1, 3), index_origin=1)
 
 
 def _limping_fibonacci() -> RecurrenceSpec:
     return RecurrenceSpec(
-        "limping_fibonacci",
         2,
         Monomial(1, (2,)),
         Monomial(1, (0,)),
@@ -415,14 +392,11 @@ def _limping_fibonacci() -> RecurrenceSpec:
 
 
 def _order3() -> RecurrenceSpec:
-    return RecurrenceSpec(
-        "order3", 3, Monomial(1, (1, 1)), Monomial(1, (0, 0)), index_origin=0
-    )
+    return RecurrenceSpec(3, Monomial(1, (1, 1)), Monomial(1, (0, 0)), index_origin=0)
 
 
 def _order3_alt() -> RecurrenceSpec:
     return RecurrenceSpec(
-        "order3_alt",
         3,
         Monomial(1, (1, 1)),
         Monomial(1, (0, 0)),

@@ -12,7 +12,7 @@ kernels, kept as oracles for the packed kernels, the direct route, the
 single classifier and GCDHEU; PRS and SymPy are the two GCD oracles.  The
 reducer that cancels the expanded denominator by its GCD with the
 numerators, and a held run built from it and the P² division, are the
-oracles of the factor-base reducer and the one division route.  That
+oracles of the reducer's factor route and the one division route.  That
 run, with the weights held or evolved, works on full fractions that
 carry every slope part (s_0, s_1, …, s_n) through their own product,
 sum, deformation and division, with nothing derived, so it is also the

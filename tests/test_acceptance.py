@@ -6,7 +6,6 @@ the per-criterion lines.
 """
 
 import random
-from fractions import Fraction
 
 from quiverseq.dualnum import DualScalar
 from quiverseq.laurent import _full_fraction, evaluate, verify_laurent_run

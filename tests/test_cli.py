@@ -20,7 +20,7 @@ from quiverseq.dualnum import DualScalar
 from quiverseq.periodicity import solve_weight
 from quiverseq.quiver import Quiver, WeightedQuiver
 
-from golden import neg_p31, somos4_quiver_a
+from golden import somos4_quiver_a
 
 
 def run_cli(argv):
@@ -599,6 +599,95 @@ class TestLaurentContract:
         assert err.getvalue() == "" or re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
         # Every body is a cluster variable, so the division never refuses one.
         assert not err.getvalue().startswith("error: NotLaurentError")
+
+
+ORDERS = {
+    "somos4": 4, "somos5": 5, "gale-robinson": None, "fordy-marsh-s4": 4, "cassini-minus": 2,
+    "limping-fibonacci": 2, "order3": 3, "order3_alt": 3, "nope": None,
+}
+OWN_PARAMS = {"gale-robinson": ("N", "r", "s"), "fordy-marsh-s4": ("p", "q")}
+PARAM_VALUES = {"N": (3, 8), "r": (0, 3), "s": (1, 4), "p": (0, 3), "q": (-1, 3)}
+VALID_VALUES = {"N": (6, 8), "r": (1, 1), "s": (2, 3), "p": (1, 3), "q": (0, 3)}
+DEFORMS = [None, "none", "m1:1", "m2:1,-1", "m2:0", "m3:1", "m1:", "m1:1,,1", "x"]
+
+
+@st.composite
+def numeric_argvs(draw):
+    """argv for ``seq``, ``decompose`` or ``scan``.
+
+    Half the cases are drawn to be well formed: a known family with its
+    own parameters in range, a deformation the command takes, enough
+    terms and initial vectors of the family's order.  The rest mix in an
+    unknown family, missing, extra or out-of-range parameters, empty
+    ranges, a malformed ``--deform``, too few terms and initial vectors
+    of any length.  Zero initial bodies and every format come in both.
+    Grids have at most 4 cells, runs at most 40 terms and a horizon of at
+    most 12: fractional runs grow exponentially."""
+    valid = draw(st.booleans())
+    command = draw(st.sampled_from(["seq", "decompose", "scan"]))
+    families = [f for f in ORDERS if f in OWN_PARAMS or command != "scan"] if valid else sorted(ORDERS)
+    family = draw(st.sampled_from(families))
+    argv = [command, "--family", family]
+    if valid or draw(st.booleans()):
+        keys = OWN_PARAMS.get(family, ())
+    else:
+        keys = [key for key in PARAM_VALUES if draw(st.booleans())]
+    cells, order = 1, ORDERS[family]
+    for key in keys:
+        lo = draw(st.integers(*(VALID_VALUES if valid else PARAM_VALUES)[key]))
+        if key == "N":
+            order = lo
+        shapes = ["single", "range", "list"] + ["empty"] * (not valid) if command == "scan" else ["single"]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "range":
+            width = draw(st.integers(min_value=1, max_value=3))
+            value, cells = f"{lo}..{lo + width}", cells * (width + 1)
+        elif shape == "list":
+            value, cells = f"{lo},{lo + 1}", cells * 2
+        elif shape == "empty":
+            value = f"{lo}..{lo - 1}"
+        else:
+            value = str(lo)
+        argv.append(f"--{key}={value}")
+    assume(cells <= 4)
+    deforms = ([None, "none"] if command == "decompose" else DEFORMS[:4]) if valid else DEFORMS
+    deform = draw(st.sampled_from(deforms))
+    if deform is not None:
+        argv.append(f"--deform={deform}")
+    least = 8 if valid else -1
+    if command == "scan":
+        argv.append(f"--horizon={draw(st.integers(min_value=least, max_value=12))}")
+    else:
+        argv.append(f"--terms={draw(st.integers(min_value=least, max_value=40))}")
+    if command == "seq":
+        for option in ("--init-a", "--init-b"):
+            if draw(st.booleans()):
+                size = order if order and (valid or draw(st.booleans())) else draw(st.integers(1, 7))
+                values = draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+                argv.append(f"{option}={','.join(map(str, values))}")
+    argv += ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+    return argv
+
+
+class TestNumericContract:
+    @given(numeric_argvs())
+    @settings(max_examples=60, deadline=None)
+    def test_exits_0_1_or_2_with_one_error_line_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                status = main(argv, out=out)
+            except SystemExit as exc:
+                status = exc.code
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if status == 1:
+            assert re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
+        if status == 0:
+            assert err.getvalue() == ""
+            if "json" in argv:
+                for line in out.getvalue().splitlines():
+                    json.loads(line)
 
 
 class TestCatalog:

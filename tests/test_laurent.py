@@ -22,8 +22,8 @@ from quiverseq.laurent import (
     ZeroAtPoleError,
     ZeroBodyDivisionError,
     _exchange_fraction,
-    _FactorBase,
     _full_fraction,
+    _primitive_parts,
     _reduce,
     evaluate,
     initial_variables,
@@ -260,14 +260,14 @@ class TestReduced:
         assert expr.reduced() == RationalDualExpr(x1, x2, x2 + 1)
         assert expr.reduced().reduction == "gcd"
 
-    def test_trial_division_cancels_jointly(self):
-        # The monomial x1² folds first; trial division then cancels x2 + 1,
-        # and the body is left as it is.
+    def test_gcd_cancels_a_dividing_denominator(self):
+        # The monomial x1² folds first; the gcd, which is then the whole
+        # of x2 + 1, cancels it, and the body is left as it is.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         expr = RationalDualExpr(x2, (x2 + 1) * x1, x1 * x1 * (x2 + 1))
         reduced = expr.reduced()
         assert reduced == RationalDualExpr(x2, x1.shift((-2, 0)), Poly.one(2))
-        assert reduced.reduction == "trial"
+        assert reduced.reduction == "gcd"
 
     def test_negative_leading_denominator_is_flipped(self):
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
@@ -510,7 +510,7 @@ class TestVerifyRun:
     def test_a_non_laurent_body_is_divided_once(self, monkeypatch):
         # A held step's body is the quotient of div, found by one exact
         # division; the reducer, _full_fraction, the printer and the
-        # factor base take it as it is.
+        # primitive parts the reducer splits over take it as it is.
         quotients = []
         exact_div = Poly.exact_div
         monkeypatch.setattr(Poly, "exact_div", lambda p, q: quotients.append(r := exact_div(p, q)) or r)
@@ -518,13 +518,11 @@ class TestVerifyRun:
         assert len(fracs) == 4
         assert [sum(q == frac.body for q in quotients) for frac in fracs] == [1] * 4
         quotients.clear()
-        base = _FactorBase()
         for frac in fracs:
             full = _full_fraction(frac)
             assert full[0] == frac.body * frac.den
             assert frac.sexpr().startswith("(fraction ")
-            base.add(frac.body)
-        assert len(base.factors()) == 4
+        assert len(_primitive_parts([frac.body for frac in fracs])) == 4
         assert quotients == []
 
     def test_y_parts_are_built_once_per_step(self, monkeypatch):
@@ -547,8 +545,8 @@ class TestVerifyRun:
         # 50-term factor keeps the value but not the size.
         pad = Poly(4, {(i, 0, 0, 0): 1 for i in range(50)})
 
-        def padded(num, den, base=None):
-            num, den, path = _reduce(num, den, base)
+        def padded(num, den, bodies=()):
+            num, den, path = _reduce(num, den, bodies)
             return num * pad, den * pad, path
 
         monkeypatch.setattr(laurent, "_reduce", padded)
@@ -586,7 +584,7 @@ def _held_p31_factors() -> tuple[Poly, Poly]:
 
 
 def _factor_case(name: str):
-    """(factors put in the base, numerator, denominator, expected path)."""
+    """(bodies the run has made, numerator, denominator, expected path)."""
     b1, b2 = _held_p31_factors()
     x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
     if name == "reducible factor cancels":
@@ -627,14 +625,14 @@ def small_x_polys(draw):
 
 @st.composite
 def factor_reductions(draw):
-    """(base factors, numerator, denominator, route) for the factor-base reducer.
+    """(bodies, numerator, denominator, route) for the factor route of the reducer.
 
-    den is a constant of either sign times a monomial times powers of base
-    factors.  On the "split" route the numerator carries powers of the
-    factors, so the base cancels them; "unsplit" multiplies den by
-    x1 + 2, which is not in the base; "shared" uses the reducible base
-    factor B1·B2 and a numerator sharing B1 with it, so a certificate
-    finds that common factor.  The GCD route must answer the last two.
+    den is a constant of either sign times a monomial times powers of the
+    bodies.  On the "split" route the numerator carries powers of the
+    bodies, so the factor route cancels them; "unsplit" multiplies den by
+    x1 + 2, which is no body; "shared" uses the reducible body B1·B2 and
+    a numerator sharing B1 with it, so a certificate finds that common
+    factor.  The GCD route must answer the last two.
     """
     b1, b2 = _held_p31_factors()
     route = draw(st.sampled_from(["split", "unsplit", "shared"]))
@@ -659,17 +657,14 @@ def factor_reductions(draw):
 
 
 class TestFactorBase:
-    """The factor-base reducer and the one division route against the
-    expanded-denominator GCD route and the P² division of tests/golden.py."""
+    """The factor route of the reducer and the one division route against
+    the expanded-denominator GCD route and the P² division of tests/golden.py."""
 
     @pytest.mark.parametrize("name", FACTOR_CASES)
     def test_matches_the_gcd_route(self, name):
         factors, num, den, path = _factor_case(name)
-        base = _FactorBase()
-        for f in factors:
-            base.add(f)
-        assert base.factors() == factors
-        got_num, got_den, got_path = _reduce(num, den, base)
+        assert _primitive_parts(factors) == factors
+        got_num, got_den, got_path = _reduce(num, den, factors)
         assert ([got_num], got_den) == reduce_by_gcd([num], den)
         assert got_path == path
         plain_num, plain_den, plain_path = _reduce(num, den)
@@ -701,18 +696,14 @@ class TestFactorBase:
     @settings(max_examples=60, deadline=None)
     def test_random_reduction_matches_the_gcd_route(self, case):
         factors, num, den, route = case
-        base = _FactorBase()
-        for f in factors:
-            base.add(f)
-        got_num, got_den, path = _reduce(num, den, base)
+        got_num, got_den, path = _reduce(num, den, factors)
         assert ([got_num], got_den) == reduce_by_gcd([num], den)
-        paths = {"split": {"trial", "factor"}, "unsplit": {"trial", "gcd"}, "shared": {"gcd"}}
-        assert path in paths[route]
+        assert path == {"split": "factor", "unsplit": "gcd", "shared": "gcd"}[route]
 
-    @pytest.mark.parametrize("steps, divisions, gcds", [(7, 51, 10), (8, 77, 15)])
+    @pytest.mark.parametrize("steps, divisions, gcds", [(7, 47, 10), (8, 72, 15)])
     def test_held_steps_divide_the_body_once(self, monkeypatch, steps, divisions, gcds):
         # div finds each held body as its quotient, and s_0 alone is reduced
-        # over the base.
+        # over the run's bodies.
         calls = []
         exact_div, gcd = Poly.exact_div, laurent.poly_gcd
         monkeypatch.setattr(Poly, "exact_div", lambda p, q: calls.append("div") or exact_div(p, q))
@@ -729,11 +720,12 @@ class TestFactorBase:
         assert 0 < len(calls) <= 15
         assert all(p in factors or q in factors for p, q in calls)
 
-    def test_laurent_runs_never_build_the_base(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("factor base built")
+    def test_laurent_runs_never_enter_the_factor_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factor route entered")
 
-        monkeypatch.setattr(_FactorBase, "factors", refuse)
+        monkeypatch.setattr(laurent, "_reduce_over", refuse)
+        monkeypatch.setattr(laurent, "_primitive_parts", refuse)
         assert all(r.is_laurent for r in verify_laurent_run(somos4_weighted(), 8))
 
     def test_reduction_paths(self):
@@ -864,7 +856,7 @@ def _six_step_run(name: str) -> tuple[WeightedQuiver, list]:
 @cache
 def _iterated_exchanges(wq: WeightedQuiver, steps: int) -> list[RationalDualExpr]:
     """Exchanges along mutate-at-1-then-rotate, fed their own outputs, each
-    reduced alone: no factor base, budget or report, unlike ``verify_laurent_run``."""
+    reduced alone: no run bodies, budget or report, unlike ``verify_laurent_run``."""
     state, new = initial_variables(wq.n), []
     for _ in range(steps):
         state = state[1:] + [_exchange(wq, state).reduced()]

@@ -6,8 +6,11 @@ error paths, runs under ``sys.setprofile``.  The functions that none of
 them calls must be exactly ``KEPT``.  A function that the CLI stops
 reaching fails the test until it is deleted or listed with its reason; a
 listed function that the CLI starts to reach fails it too.
+
+No module of the package or of the tests imports a name it never reads.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -35,6 +38,8 @@ KEPT = {
     "laurent.NotLaurentError.__init__",
     "poly.Poly.__repr__",
 }
+
+TESTS = Path(__file__).resolve().parent
 
 SOMOS4 = [[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]]
 P31 = [[0, -1, -1], [1, 0, -1], [1, 1, 0]]
@@ -118,3 +123,36 @@ def test_functions_the_cli_never_calls_are_the_kept_ones(tmp_path):
     assert statuses == [status for _, status in commands]
     functions = _src_functions()
     assert {name for key, name in functions.items() if key not in called} == KEPT
+
+
+def _unread_imports(source: str) -> set[str]:
+    """Names bound by the module's imports that no expression reads.
+
+    ``import a.b`` binds ``a``; names listed in ``__all__`` count as read,
+    and ``__future__`` imports bind nothing.
+    """
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_unread_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nimport re\nfrom x import a, b as c\n"
+    assert _unread_imports(source + "__all__ = ['a']\nre.compile\n") == {"os", "c"}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(Path(quiverseq.__file__).parent.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unread = {path.name: _unread_imports(path.read_text(encoding="utf-8")) for path in paths}
+    assert {name: names for name, names in unread.items() if names} == {}

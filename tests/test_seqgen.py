@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -203,7 +204,7 @@ _EACH_CASES = [
     (builtin("limping-fibonacci"), None),
     # skips the newest term, so the term after the fraction at n = 6 is
     # computed in integers and promoted to rational
-    (RecurrenceSpec("skip", 3, Monomial(1, (1, 0)), Monomial(1, (0, 0))), None),
+    (RecurrenceSpec(3, Monomial(1, (1, 0)), Monomial(1, (0, 0))), None),
 ]
 
 
@@ -264,6 +265,40 @@ class TestDecompose:
         for n in range(100):
             assert sum(row[n] for row in rows) == base.terms[n].body
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            replace(builtin("somos4"), init_a=(1, 2, 3, 4)),
+            builtin("gale_robinson", N=7, r=1, s=3),
+            replace(builtin("gale_robinson", N=7, r=1, s=3), init_a=(2, 1, 3, 1, 1, 2, 1)),
+        ],
+        ids=["somos4-1234", "gale_robinson(7,1,3)", "gale_robinson(7,1,3)-2131121"],
+    )
+    def test_degree_2_rows_weighted_by_init_a_give_the_bodies(self, spec):
+        # Both monomials have total degree 2, so every term is homogeneous of
+        # degree 1 in the initial bodies a, and row i is its a_i-derivative.
+        count = 20
+        bodies = [t.body for t in run(spec, count=count).terms]
+        rows = decompose_basis(spec, count)
+        assert [sum(a * row[n] for a, row in zip(spec.init_a, rows)) for n in range(count)] == bodies
+        if spec.init_a != (1,) * spec.order:
+            assert [sum(row[n] for row in rows) for n in range(count)] != bodies
+
+    @pytest.mark.parametrize(
+        "spec, n, combined, body",
+        [
+            (builtin("fordy_marsh_s4", p=2, q=3), 4, 5, 2),
+            (builtin("cassini_minus"), 1, 1, 3),
+            (builtin("order3"), 3, 0, 2),
+        ],
+        ids=["fordy_marsh_s4(p=2,q=3)", "cassini_minus", "order3"],
+    )
+    def test_other_degrees_need_not_give_the_bodies(self, spec, n, combined, body):
+        rows = decompose_basis(spec, 8)
+        bodies = [t.body for t in run(spec, count=8).terms]
+        assert (sum(row[n] for row in rows), bodies[n]) == (combined, body)
+        assert [sum(a * row[k] for a, row in zip(spec.init_a, rows)) for k in range(8)] != bodies
+
     def test_initial_block_is_identity(self):
         spec = builtin("somos5")
         rows = decompose_basis(spec, 12)
@@ -292,9 +327,11 @@ class TestAffineStructure:
 
 class TestDeformSwap:
     def test_with_deform_default_label(self):
+        # A new schedule drops the label that described the family's own.
         spec = builtin("somos4").with_deform("m1", [1, -1])
-        assert (spec.deform, spec.schedule, spec.schedule_label) == ("m1", (1, -1), "w cycles 1,-1")
-        assert spec.with_deform("m2", (2,), "custom").schedule_label == "custom"
+        assert (spec.deform, spec.schedule, spec.schedule_label) == ("m1", (1, -1), "")
+        limping = builtin("limping_fibonacci").with_deform("m1", (1,))
+        assert limping.formula() == "A[n+2]*A[n] = (A[n+1]^2)*(1+w*eps) + 1   with w = 1"
 
     def test_without_deform_restores_the_plain_family(self):
         plain = builtin("somos4")
@@ -500,7 +537,7 @@ class TestScan:
 class TestSpecValidation:
     def test_monomial_length_checked(self):
         with pytest.raises(BadParamsError):
-            RecurrenceSpec("bad", 4, Monomial(1, (1, 0)), Monomial(1, (0, 2, 0)))
+            RecurrenceSpec(4, Monomial(1, (1, 0)), Monomial(1, (0, 2, 0)))
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(BadParamsError):
