@@ -783,6 +783,15 @@ _PINNED = [
         ("90b62b137e4c50dd", "78e650fb45471e57", "e0eb42883a879eda"),
     ),
     (
+        # the window A[n+2]..A[n+5] skips the fraction 10/3 at n = 7, so
+        # the term at n = 8 (body 6) divides to an integer after it
+        [
+            "seq", "--family", "gale-robinson", "--N", "7", "--r", "2", "--s", "3",
+            "--init-a=3,1,1,3,3,1,1", "--init-b=1,0,-1,2,0,0,1", "--terms", "14",
+        ],
+        ("f9c91d204b9c0f07", "0f2cb6f5a7e8583a", "fd39d782fbb0d4a1"),
+    ),
+    (
         ["decompose", "--family", "somos4", "--terms", "30"],
         ("c4b5af2fbfaa0637", "612db4dd0217f2fc", "1a2e9654a76b9b48"),
     ),
@@ -814,8 +823,9 @@ class TestNumericPins:
 
     The cases cover deformed runs with non-zero initial slopes, runs and
     basis rows that go fractional (``fordy-marsh-s4`` with ``m1:1``, and
-    ``cassini-minus``, whose bodies start at 1, 3), ``m1`` schedules, and
-    a deformed scan grid.
+    ``cassini-minus``, whose bodies start at 1, 3), a Gale-Robinson run
+    whose window skips a fraction, ``m1`` schedules, and a deformed scan
+    grid.
     """
 
     @pytest.mark.parametrize(
