@@ -1,16 +1,13 @@
 """Exact dual-number scalars: values of the form a + b·ε with ε² = 0.
 
-Two scalar kinds are supported and tracked: integer (Python ``int``) and
-rational (``fractions.Fraction``).  Mixed operands promote to rational.
-Division of integer-kind operands is integer-exact: it stays integer kind
-when the quotient is integral and only otherwise gives the exact rational
-quotient, so a fractional term is a reportable value, never a runtime
-fault.
-
-``DualScalar`` is a slotted, frozen value type.  Its constructor skips
-the promotion check when both parts are exactly ``int``, the common case
-of an integer run; any other pair goes through the promotion rule, which
-is unchanged: both parts become ``Fraction`` when either one is.
+``DualScalar`` is a slotted, frozen value type whose parts are whatever
+exact arithmetic returns: ``int`` or ``fractions.Fraction``.  Every
+``int`` is a rational with denominator 1, so a term is integral exactly
+when both parts have denominator 1, whatever their types.  Division of
+operands with four ``int`` parts is integer-exact and keeps ``int`` parts
+when the quotient is integral; every other division gives the exact
+rational quotient, so a fractional term is a reportable value, never a
+runtime fault.
 """
 
 from __future__ import annotations
@@ -41,37 +38,16 @@ class DigitLimitError(QuiverSeqError, ValueError):
     """
 
 
-def _promote(body: Scalar, slope: Scalar) -> tuple[Scalar, Scalar]:
-    if isinstance(body, Fraction) or isinstance(slope, Fraction):
-        return Fraction(body), Fraction(slope)
-    return body, slope
-
-
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class DualScalar:
     """An exact dual number ``body + slope·ε``."""
 
     body: Scalar
     slope: Scalar = 0
 
-    def __init__(self, body: Scalar, slope: Scalar = 0) -> None:
-        if type(body) is not int or type(slope) is not int:
-            body, slope = _promote(body, slope)
-        _setattr(self, "body", body)
-        _setattr(self, "slope", slope)
-
-    @property
-    def kind(self) -> str:
-        return "rational" if type(self.body) is Fraction else "integer"
-
     @property
     def is_integral(self) -> bool:
-        """True when both components are integers (denominator 1)."""
-        if self.kind == "integer":
-            return True
+        """True when both parts have denominator 1."""
         return self.body.denominator == 1 and self.slope.denominator == 1
 
     # -- ring structure -------------------------------------------------
@@ -97,27 +73,25 @@ class DualScalar:
         return DualScalar(self.body**e, e * self.body ** (e - 1) * self.slope)
 
     def __truediv__(self, other: "DualScalar") -> "DualScalar":
-        """(a + bε)/(c + dε) = a/c + ((b − (a/c)·d)/c)·ε.
+        """(a + bε)/(c + dε) = q + ((b − q·d)/c)·ε with q = a/c.
 
-        Integer-kind operands give an integer-kind quotient when c divides
-        both a and b − (a/c)·d; otherwise the quotient is the exact
-        rational one.
+        When all four parts are ``int`` the division is integer-exact: the
+        quotient has ``int`` parts when c divides both a and b − q·d.
+        Otherwise it is the exact rational quotient, with ``Fraction`` parts.
         """
         if not isinstance(other, DualScalar):
             return NotImplemented
-        if other.body == 0:
+        a, b, c, d = self.body, self.slope, other.body, other.slope
+        if c == 0:
             raise ZeroBodyError("division by dual scalar with zero body")
-        if self.kind == other.kind == "integer":
-            q, r = divmod(self.body, other.body)
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            q, r = divmod(a, c)
             if not r:
-                s, r = divmod(self.slope - q * other.slope, other.body)
+                s, r = divmod(b - q * d, c)
                 if not r:
                     return DualScalar(q, s)
-        c = Fraction(other.body)
-        return DualScalar(
-            Fraction(self.body) / c,
-            (Fraction(self.slope) * c - Fraction(self.body) * Fraction(other.slope)) / (c * c),
-        )
+        q = Fraction(a) / c
+        return DualScalar(q, (b - q * d) / c)
 
 
 def format_scalar(value: Scalar) -> str:

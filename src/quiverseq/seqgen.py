@@ -7,9 +7,10 @@ A recurrence of order N computes
 where M1, M2 are monomials in A_{n+1} .. A_{n+N-1} with integer
 coefficients, one of which may carry the deformation factor (1 + w·ε)
 with w drawn cycle-by-cycle from a repeating integer schedule.  Runs are
-carried out in exact dual scalars, integer kind up to the first
-non-integral term and rational from it on; a fractional term is recorded
-and the run keeps going (only an exact zero divisor body truncates it).
+carried out in exact dual scalars, whose parts are ``int`` while the
+arithmetic stays integral and ``Fraction`` where it does not; a
+fractional term is recorded and the run keeps going (only an exact zero
+divisor body truncates it).
 A caller that wants each term as soon as it is made, such as the CLI,
 which prints it then, passes a callback; whatever the callback raises
 ends the run before the next division.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dualnum import DualScalar, Scalar
@@ -184,8 +184,10 @@ def run(
 ) -> SequenceRun:
     """Run the recurrence to ``count`` total terms (initial block included).
 
-    Each new term is RHS / A_n computed in exact dual arithmetic on plain
-    ints; from the first non-integral term on, every term is rational.
+    Each new term is RHS / A_n computed in exact dual arithmetic: a
+    division of ``int`` parts stays in ``int`` when it is exact, and any
+    other gives ``Fraction`` parts, so a term after a fraction whose
+    window skips it can be integral again.
     A divisor with zero body is recorded in ``degenerate_steps`` and
     truncates the run; fractional terms are recorded but do not stop it.
 
@@ -220,9 +222,6 @@ def run(
         elif spec.deform == "m2":
             m2 = m2 * DualScalar(1, w)
         term = (m1 + m2) / divisor
-        if term.kind == "integer" and terms[-1].kind == "rational":
-            # stay rational from the first fraction on, even where the window skips it
-            term = DualScalar(Fraction(term.body), term.slope)
         terms.append(term)
         if each is not None:
             each(N + step, term)

@@ -34,12 +34,12 @@ class TestBasics:
         with pytest.raises(ZeroBodyError):
             one / DualScalar(0, 5)
 
-    def test_kind_promotion(self):
-        assert DualScalar(1, 2).kind == "integer"
-        assert DualScalar(Fraction(1, 2), 0).kind == "rational"
+    def test_parts_keep_their_types(self):
+        x = DualScalar(1, 2)
+        assert type(x.body) is int and type(x.slope) is int
+        assert DualScalar(Fraction(1, 2), 0) == DualScalar(Fraction(1, 2), Fraction(0))
         mixed = DualScalar(1, Fraction(1, 3))
-        assert mixed.kind == "rational"
-        assert isinstance(mixed.body, Fraction)
+        assert (type(mixed.body), type(mixed.slope)) == (int, Fraction)
 
     def test_pow(self):
         x = DualScalar(2, 3)
@@ -82,40 +82,38 @@ class TestValueType:
         assert {x: 1}[DualScalar(a, b)] == 1
 
     @given(st.one_of(ints, rationals), st.one_of(ints, rationals))
-    def test_kind_is_rational_exactly_when_a_part_is_a_fraction(self, body, slope):
+    def test_integral_exactly_when_both_denominators_are_1(self, body, slope):
         x = DualScalar(body, slope)
-        rational = isinstance(body, Fraction) or isinstance(slope, Fraction)
-        assert x.kind == ("rational" if rational else "integer")
-        part_type = Fraction if rational else int
-        assert (type(x.body), type(x.slope)) == (part_type, part_type)
+        assert (type(x.body), type(x.slope)) == (type(body), type(slope))
         assert (x.body, x.slope) == (body, slope)
+        assert x.is_integral == (Fraction(body).denominator == Fraction(slope).denominator == 1)
 
 
 class TestExactDiv:
-    """``/`` is integer-exact on integer-kind operands."""
+    """``/`` is integer-exact when all four parts are ``int``."""
 
     def test_scalar_denominator(self):
         q = DualScalar(6, 4) / DualScalar(2, 0)
         assert q == DualScalar(3, 2)
-        assert q.kind == "integer"
+        assert type(q.body) is int and type(q.slope) is int
 
     def test_dual_denominator(self):
         q = DualScalar(2, 3) / DualScalar(1, 5)
         assert q == DualScalar(2, -7)
-        assert q.kind == "integer"
+        assert type(q.body) is int and type(q.slope) is int
         assert q * DualScalar(1, 5) == DualScalar(2, 3)
 
     def test_not_divisible_carries_quotient(self):
         q = DualScalar(3, 0) / DualScalar(2, 0)
         assert q == DualScalar(Fraction(3, 2), Fraction(0))
-        assert q.kind == "rational" and not q.is_integral
+        assert not q.is_integral
 
     def test_body_divisible_slope_not(self):
         q = DualScalar(6, 1) / DualScalar(2, 0)
-        assert (q.body, q.slope, q.kind) == (3, Fraction(1, 2), "rational")
+        assert (q.body, q.slope) == (3, Fraction(1, 2))
         # adjusted slope (1 - 2·1)/2 is not an integer either
         q = DualScalar(4, 1) / DualScalar(2, 1)
-        assert (q.body, q.slope, q.kind) == (2, Fraction(-1, 2), "rational")
+        assert (q.body, q.slope) == (2, Fraction(-1, 2))
 
     def test_rational_operands_stay_rational(self):
         for num, den in (
@@ -124,7 +122,7 @@ class TestExactDiv:
         ):
             q = num / den
             assert q == DualScalar(3, 2)
-            assert q.kind == "rational" and q.is_integral
+            assert q.is_integral
 
     def test_zero_body(self):
         with pytest.raises(ZeroBodyError):
@@ -155,7 +153,7 @@ class TestProperties:
             return
         recovered = (q * d) / d
         assert recovered == q
-        assert recovered.kind == "integer"
+        assert type(recovered.body) is int and type(recovered.slope) is int
 
     @given(dual_ints, dual_ints)
     def test_integer_quotient_is_the_rational_one(self, x, d):
@@ -163,7 +161,22 @@ class TestProperties:
             return
         q = x / d
         assert q == DualScalar(Fraction(x.body), Fraction(x.slope)) / d
-        assert q.kind == ("integer" if q.is_integral else "rational")
+        if q.is_integral:
+            assert type(q.body) is int and type(q.slope) is int
+
+    @given(st.data())
+    def test_mixed_parts_match_the_all_fraction_computation(self, data):
+        """``int`` and ``Fraction`` parts in any mix give the values of
+        the same operation on ``Fraction`` parts."""
+        part = st.one_of(ints, rationals)
+        x, y = (DualScalar(data.draw(part), data.draw(part)) for _ in range(2))
+        fx, fy = (DualScalar(Fraction(v.body), Fraction(v.slope)) for v in (x, y))
+        e = data.draw(st.integers(min_value=1, max_value=4))
+        assert x + y == fx + fy
+        assert x * y == fx * fy
+        assert x**e == fx**e
+        if y.body != 0:
+            assert x / y == fx / fy
 
     @given(ints)
     def test_nilpotency(self, s):

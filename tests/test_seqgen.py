@@ -188,7 +188,7 @@ class TestIntegerFirstRun:
         assert result.slopes() == run_linearized(spec, result, init_b)
         assert [t.body for t in result.terms] == bilinear_oracle(N, term1, term2, len(terms), init_a)
         k = len(terms) if result.first_fraction is None else result.first_fraction[0]
-        assert [t.kind for t in terms] == ["integer"] * k + ["rational"] * (len(terms) - k)
+        assert all(type(t.body) is int and type(t.slope) is int for t in terms[:k])
 
 
 class _Stop(Exception):
@@ -202,8 +202,8 @@ _EACH_CASES = [
     (builtin("fordy-marsh-s4", p=1, q=1).with_deform("m1", (1,)), None),
     (builtin("cassini-minus"), None),
     (builtin("limping-fibonacci"), None),
-    # skips the newest term, so the term after the fraction at n = 6 is
-    # computed in integers and promoted to rational
+    # skips the newest term, so the term after the fraction at n = 6
+    # divides to an integer
     (RecurrenceSpec(3, Monomial(1, (1, 0)), Monomial(1, (0, 0))), None),
 ]
 
@@ -220,7 +220,10 @@ class TestEachCallback:
         count = data.draw(st.integers(N, N + 12), label="count")
         seen = []
         result = run(spec, init_a, init_b, count, each=lambda i, term: seen.append((i, term)))
-        assert [(i, t, t.kind) for i, t in seen] == [(i, t, t.kind) for i, t in enumerate(result.terms)]
+        def typed(pairs):
+            return [(i, t, type(t.body), type(t.slope)) for i, t in pairs]
+
+        assert typed(seen) == typed(enumerate(result.terms))
 
         k = data.draw(st.integers(0, len(result.terms) - 1), label="k")
         divisions, at_call = [], []
