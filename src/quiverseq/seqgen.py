@@ -339,6 +339,10 @@ def integrality_scan(
 
 # -- built-in families -------------------------------------------------------
 
+# Largest Gale-Robinson order: the family builds lists of N entries before
+# any run compares N with its length, so a larger N is refused up front.
+MAX_GALE_ROBINSON_ORDER = 10_000
+
 
 def _somos4() -> RecurrenceSpec:
     return RecurrenceSpec(4, Monomial(1, (1, 0, 1)), Monomial(1, (0, 2, 0)), index_origin=1)
@@ -351,6 +355,8 @@ def _somos5() -> RecurrenceSpec:
 def _gale_robinson(N: int, r: int, s: int) -> RecurrenceSpec:
     if not (isinstance(N, int) and isinstance(r, int) and isinstance(s, int)):
         raise BadParamsError("N, r, s must be integers")
+    if N > MAX_GALE_ROBINSON_ORDER:
+        raise BadParamsError(f"need N <= {MAX_GALE_ROBINSON_ORDER}, got N={N}")
     if not (1 <= r < s <= N / 2):
         raise BadParamsError(f"need 1 <= r < s <= N/2, got N={N} r={r} s={s}")
     e1 = [0] * (N - 1)

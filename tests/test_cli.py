@@ -169,6 +169,15 @@ class TestSeq:
         status, _ = run_cli(["seq", "--family", "gale_robinson", "--N", "6", "--r", "2", "--s", "2"])
         assert status == 1
 
+    def test_gale_robinson_order_past_the_cap_is_a_domain_error(self, capsys):
+        argv = ["seq", "--family", "gale-robinson", "--N", "4000000", "--r", "1", "--s", "2", "--terms", "20"]
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == "error: BadParamsError: need N <= 10000, got N=4000000\n"
+        scan = ["scan", "--family", "gale-robinson", "--N", "6,4000000", "--r", "1", "--s", "2", "--format", "text"]
+        status, output = run_cli(scan)
+        assert status == 0
+        assert output.splitlines()[1] == "N=4000000 r=1 s=2: invalid: need N <= 10000, got N=4000000"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

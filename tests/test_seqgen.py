@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from quiverseq.dualnum import DualScalar
 from quiverseq.periodicity import NotPeriodOneError, primitive, solve_weight
 from quiverseq.quiver import Quiver, WeightedQuiver
 from quiverseq.seqgen import (
+    MAX_GALE_ROBINSON_ORDER,
     BadParamsError,
     Monomial,
     RecurrenceSpec,
@@ -410,6 +412,17 @@ class TestBuiltins:
             builtin("gale_robinson", N=6, r=2, s=2)
         with pytest.raises(BadParamsError):
             builtin("gale_robinson", N=6, r=1, s=4)
+
+    def test_gale_robinson_order_is_refused_before_anything_is_built(self):
+        assert builtin("gale_robinson", N=MAX_GALE_ROBINSON_ORDER, r=1, s=2).order == 10_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParamsError, match="need N <= 10000, got N=4000000"):
+                builtin("gale_robinson", N=4_000_000, r=1, s=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_limping_fibonacci(self):
         result = run(builtin("limping_fibonacci"), count=8)
