@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ import quiverseq
 from quiverseq import cli
 from quiverseq.cli import MAX_RANGE_VALUES, main
 from quiverseq.dualnum import DualScalar
-from quiverseq.periodicity import solve_weight
+from quiverseq.periodicity import primitive, solve_weight
 from quiverseq.quiver import Quiver, WeightedQuiver
 
 from golden import somos4_quiver_a
@@ -47,8 +48,6 @@ def somos4a_weighted_path(tmp_path):
 
 @pytest.fixture
 def p31_path(tmp_path):
-    from quiverseq.periodicity import primitive
-
     path = tmp_path / "p31.json"
     path.write_text(json.dumps(primitive(3, 1).to_dict()))
     return str(path)
@@ -697,6 +696,38 @@ class TestNumericContract:
             if "json" in argv:
                 for line in out.getvalue().splitlines():
                     json.loads(line)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading, language):
+    """The first ``language`` code block after ``heading`` in README.md."""
+    text = README.read_text(encoding="utf-8")
+    after = text[text.index(f"\n{heading}\n"):]
+    start = after.index(f"```{language}\n") + len(language) + 4
+    return after[start:after.index("```", start)]
+
+
+class TestReadme:
+    def test_every_cli_example_exits_0(self, tmp_path, monkeypatch):
+        weighted = json.loads(_readme_block("### Quiver JSON", "json"))
+        files = {
+            "q.json": {key: value for key, value in weighted.items() if key != "w"},
+            "wq.json": weighted,
+            "p31.json": primitive(3, 1).to_dict(),
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        monkeypatch.chdir(tmp_path)
+        lines = _readme_block("## CLI", "sh").splitlines()
+        assert len(lines) == 10
+        for line in lines:
+            command, *argv = shlex.split(line, comments=True)
+            assert command == "quiverseq"
+            status, output = run_cli(argv)
+            assert status == 0, line
+            assert output
 
 
 class TestCatalog:
