@@ -730,6 +730,101 @@ class TestReadme:
             assert output
 
 
+# A JSON value that no quiver field accepts; "HUGE" stands for an integer
+# past the int/str digit limit, which json.dumps cannot write.
+HOSTILE = st.one_of(
+    st.booleans(), st.floats(), st.just(10**40), st.just(-(10**40)), st.just("HUGE"),
+    st.text(max_size=3), st.none(), st.lists(st.integers(-1, 1), max_size=2), st.just({}),
+)
+HUGE_TEXT = "9" * 5000
+
+
+QUIVER_DAMAGE = ["entry", "skew", "ragged", "b", "no b", "n", "w length", "w entry", "w", "not an object"]
+
+
+@st.composite
+def quiver_files(draw):
+    """(file text, vertex count) of a quiver file, broken in at most one way.
+
+    The matrix is skew-symmetric with |b| <= 3, so that the runs stay
+    small; ``"n"`` and ``"w"`` are each present or not.  Then one thing
+    may be damaged: an entry replaced by a bool, a float, a huge int, a
+    string or null; a skew or diagonal violation; a ragged or empty
+    matrix; ``"b"`` replaced or missing; a wrong or non-integer ``"n"``;
+    a ``"w"`` of the wrong length, with a bad entry or not a list; or a
+    file that is not a JSON object."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = draw(st.integers(min_value=-3, max_value=3))
+            b[j][i] = -b[i][j]
+    data = {"b": b}
+    if draw(st.booleans()):
+        data["n"] = n
+    if draw(st.booleans()):
+        data["w"] = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    damage = draw(st.sampled_from([None] * 6 + QUIVER_DAMAGE))
+    w = data.setdefault("w", []) if damage in ("w length", "w entry") else None
+    if damage == "entry" and n:
+        b[draw(vertex)][draw(vertex)] = draw(HOSTILE)
+    elif damage == "skew" and n:
+        b[draw(vertex)][draw(vertex)] += draw(st.integers(min_value=1, max_value=3))
+    elif damage == "ragged" and n:
+        row = b[draw(vertex)]
+        row.append(0) if draw(st.booleans()) else row.pop()
+    elif damage == "b":
+        data["b"] = draw(HOSTILE)
+    elif damage == "no b":
+        del data["b"]
+    elif damage == "n":
+        data["n"] = draw(st.one_of(HOSTILE, st.sampled_from([n - 1, n + 1])))
+    elif damage == "w length":
+        w.append(0) if draw(st.booleans()) or not w else w.pop()
+    elif damage == "w entry" and w:
+        w[draw(st.integers(min_value=0, max_value=len(w) - 1))] = draw(HOSTILE)
+    elif damage == "w":
+        data["w"] = draw(HOSTILE)
+    elif damage == "not an object":
+        data = [data]
+    return json.dumps(data).replace('"HUGE"', HUGE_TEXT), n
+
+
+def quiver_commands(n):
+    weights = st.sampled_from([",".join(["1"] + ["0"] * max(n - 1, 0)), ",".join(["1"] * (n + 1)), "1,,1", "x"])
+    return st.one_of(
+        st.tuples(st.just("mutate"), st.integers(0, n + 1)).map(lambda c: ["mutate", "--at", str(c[1])]),
+        st.just(["weight"]),
+        st.just(["period", "--max", "8"]),
+        weights.map(lambda w: ["period", "--max", "8", f"--weights={w}"]),
+        st.just(["laurent", "--steps", "3"]),
+        weights.map(lambda w: ["laurent", "--steps", "3", "--hold-weights", f"--weights={w}"]),
+        st.sampled_from([["seq", "--terms", "8"], ["decompose", "--terms", "8"]]),
+    )
+
+
+class TestQuiverContract:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_exits_0_1_or_2_with_one_error_line_and_no_traceback(self, data):
+        text, n = data.draw(quiver_files(), label="file")
+        command, *flags = data.draw(quiver_commands(n), label="command")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "quiver.json"
+            path.write_text(text)
+            with contextlib.redirect_stderr(err):
+                try:
+                    status = main([command, "--quiver", str(path), *flags], out=io.StringIO())
+                except SystemExit as exc:
+                    status = exc.code
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if status == 1:
+            assert re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
+
+
 class TestCatalog:
     def test_lists_families(self):
         status, output = run_cli(["catalog"])
