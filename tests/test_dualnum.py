@@ -177,6 +177,7 @@ class TestProperties:
         assert x**e == fx**e
         if y.body != 0:
             assert x / y == fx / fy
+            assert (x / y) * y == x
 
     @given(ints)
     def test_nilpotency(self, s):
