@@ -37,6 +37,16 @@ add in Z[x]; so a quotient term outside 0..deg_i(num) - deg_i(den) proves
 the division inexact, and while every quotient term stays inside, every
 remainder key stays inside the numerator's radix.
 
+A product of at least ``KRONECKER_MIN_PAIRS`` term pairs first tries
+``kronecker.kron_mul``: Kronecker substitution on the operands' exponent
+hull, with one int product for the whole product.  Its result is exact:
+every term is checked to lie on the hull, no two product exponents share
+a slot, and each slot's width exceeds twice a bound on its balanced
+digit.  It declines, and the sparse kernel runs, when the hull has full
+rank, when the lift from the hull's coordinates is not integral, when
+the coefficients would pass a 64-bit slot, or when the hull's box is
+large against the operands (see that module).
+
 An operand with one term c·x^f has nothing to pack: the unit, a
 constant, an ``int`` coerced to one, or a monomial.  ``__mul__`` then
 returns {e + f: c·d} directly, or the other operand itself when this one
@@ -60,6 +70,12 @@ from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from math import isqrt
 from operator import add, mul, sub
+
+from . import kronecker
+from .dualnum import format_scalar
+
+# Products of fewer term pairs take the sparse kernel.
+KRONECKER_MIN_PAIRS = 500
 
 
 class Poly:
@@ -183,7 +199,11 @@ class Poly:
                 return Poly._wrap(self.nvars, {tuple(map(add, e, f)): c * d for e, c in b.items()})
             return Poly._wrap(self.nvars, {e: c * d for e, c in b.items()})
         lo, hi = _bounds(a)
-        blo, bhi = _bounds(b)
+        blo, bhi = (lo, hi) if b is a else _bounds(b)
+        if len(a) * len(b) >= KRONECKER_MIN_PAIRS:
+            terms = kronecker.kron_mul(self.nvars, a, b, (lo, hi), (blo, bhi))
+            if terms is not None:
+                return Poly._wrap(self.nvars, terms)
         lo = [x + y for x, y in zip(lo, blo)]
         hi = [x + y for x, y in zip(hi, bhi)]
         weights = _radix(lo, hi)
@@ -341,6 +361,8 @@ class Poly:
         return total
 
     def format(self, names) -> str:
+        """Infix form, terms in decreasing lex order; DigitLimitError for a
+        coefficient past the int/str conversion limit."""
         if not self.terms:
             return "0"
         pieces = []
@@ -353,11 +375,11 @@ class Poly:
                 elif e:
                     factors.append(f"{names[i]}^{e}")
             if not factors:
-                body = str(abs(c))
+                body = format_scalar(abs(c))
             elif abs(c) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
+                body = "*".join([format_scalar(abs(c))] + factors)
             pieces.append(("-" if c < 0 else "+", body))
         sign, first = pieces[0]
         out = ("-" if sign == "-" else "") + first
@@ -366,7 +388,8 @@ class Poly:
         return out
 
     def sexpr(self, names) -> str:
-        """Deterministic parenthesized form: (+ (* c (^ v e) ...) ...)."""
+        """Deterministic parenthesized form: (+ (* c (^ v e) ...) ...);
+        DigitLimitError for a coefficient past the int/str conversion limit."""
         if not self.terms:
             return "0"
         parts = []
@@ -379,9 +402,9 @@ class Poly:
                 elif e:
                     factors.append(f"(^ {names[i]} {e})")
             if factors:
-                parts.append(f"(* {c} " + " ".join(factors) + ")")
+                parts.append(f"(* {format_scalar(c)} " + " ".join(factors) + ")")
             else:
-                parts.append(str(c))
+                parts.append(format_scalar(c))
         if len(parts) == 1:
             return parts[0]
         return "(+ " + " ".join(parts) + ")"

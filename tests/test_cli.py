@@ -600,6 +600,14 @@ class TestLaurentContract:
         # Every body is a cluster variable, so the division never refuses one.
         assert not err.getvalue().startswith("error: NotLaurentError")
 
+    def test_sexpr_past_the_digit_limit_is_one_error_line(self, somos4a_path, capsys):
+        # w_1·c passes 4300 digits in the slope of step 3.
+        nines = "9" * 4300
+        argv = ["laurent", "--quiver", somos4a_path, f"--weights={nines},0,0,-{nines}", "--steps", "6"]
+        status, output = run_cli([*argv, "--format", "json", "--emit", "sexpr"])
+        assert (status, len(output.splitlines())) == (1, 2)
+        assert capsys.readouterr().err == "error: DigitLimitError: a value of more than 4300 digits cannot be printed\n"
+
 
 ORDERS = {
     "somos4": 4, "somos5": 5, "gale-robinson": None, "fordy-marsh-s4": 4, "cassini-minus": 2,

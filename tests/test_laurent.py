@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quiverseq import laurent
+import quiverseq.poly as poly_module
+from quiverseq import kronecker, laurent
 from quiverseq.cli import main
 from quiverseq.dualnum import DualScalar
 from quiverseq.laurent import (
@@ -941,6 +943,16 @@ class TestLongRuns:
             point = [DualScalar(x, y) for x, y in zip(a, b)]
             terms = run(spec, init_a=a, init_b=b, count=wq.n + len(reports)).terms[wq.n :]
             assert [evaluate(r.variable, point) for r in reports] == terms
+
+    @pytest.mark.parametrize("name", LONG_RUNS)
+    def test_reports_do_not_depend_on_the_kronecker_kernel(self, name, monkeypatch):
+        # The kernel runs on both long runs' large products; with the
+        # term-pair threshold out of reach every product is sparse.
+        q, weights, steps, evolve, _ = LONG_RUNS[name]
+        reports = _long_run(name)[2]
+        monkeypatch.setattr(poly_module, "KRONECKER_MIN_PAIRS", math.inf)
+        monkeypatch.setattr(kronecker, "kron_mul", None)
+        assert verify_laurent_run(WeightedQuiver(q, weights), steps, evolve_weights=evolve) == reports
 
     @pytest.mark.parametrize("name", LONG_RUNS)
     def test_parts_are_homogeneous(self, name):

@@ -1,3 +1,6 @@
+import io
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quiverseq.poly as poly_module
+from quiverseq import kronecker
+from quiverseq.cli import main
+from quiverseq.dualnum import DigitLimitError
 from quiverseq.poly import Poly, poly_gcd
 
 from golden import prs_gcd, tuple_exact_div, tuple_mul
@@ -179,6 +185,148 @@ class TestPackedKernels:
     def test_inexact_cases_match_oracle(self, num, den):
         assert tuple_exact_div(num, den) is None
         assert num.exact_div(den) is None
+
+
+@st.composite
+def hull_pairs(draw):
+    """Two polynomials in 2 to 5 variables whose supports lie in translates
+    of one rank-r lattice, 1 <= r < n.  The lattice rows are in reduced
+    echelon form with unit pivots, so the kernel's lift is integral unless
+    the points span a sublattice.  Exponents may be negative.  Each
+    operand draws its coefficients from ±1 (products cancel), up to 3, up
+    to 2^20 or up to 2^70 (past every slot)."""
+    nvars = draw(st.integers(min_value=2, max_value=5))
+    rank = draw(st.integers(min_value=1, max_value=nvars - 1))
+    pivots = sorted(draw(st.lists(st.integers(0, nvars - 1), min_size=rank, max_size=rank, unique=True)))
+    rows = []
+    for p in pivots:
+        free = [j for j in range(p + 1, nvars) if j not in pivots]
+        entries = draw(st.lists(st.integers(-2, 2), min_size=len(free), max_size=len(free)))
+        row = [0] * nvars
+        row[p] = 1
+        for j, v in zip(free, entries):
+            row[j] = v
+        rows.append(row)
+    span = draw(st.integers(min_value=1, max_value=3))
+    coeffs = st.sampled_from([
+        st.sampled_from([-1, 1]),
+        st.integers(-3, 3),
+        st.integers(-(2**20), 2**20),
+        st.integers(-(2**70), 2**70),
+    ])
+
+    def poly():
+        origin = draw(st.tuples(*[st.integers(-6, 3)] * nvars))
+        scale = draw(coeffs)
+        points = draw(st.lists(st.tuples(*[st.integers(0, span)] * rank), min_size=2, max_size=14))
+        terms = {}
+        for lam in points:
+            e = list(origin)
+            for k, row in zip(lam, rows):
+                e = [s + k * t for s, t in zip(e, row)]
+            terms[tuple(e)] = draw(scale)
+        return Poly(nvars, terms)
+
+    return poly(), poly()
+
+
+def sparse_product(a, b):
+    """a·b by the sparse packed kernel alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "KRONECKER_MIN_PAIRS", math.inf)
+        return a * b
+
+
+def kron(a, b):
+    """The Kronecker kernel's terms of a·b, or None where it declines."""
+    return kronecker.kron_mul(a.nvars, a.terms, b.terms, poly_module._bounds(a.terms), poly_module._bounds(b.terms))
+
+
+def product_with_the_kernel_on(a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "KRONECKER_MIN_PAIRS", 0)
+        return a * b
+
+
+def s4_poly(pairs):
+    """A polynomial in 4 variables whose support lies in the plane through
+    (-2, 1, 3, -1) spanned by the Somos-4 quiver's rows (1,0,-3,2) and
+    (0,1,-2,1): one term per (i, j, c)."""
+    return make(4, [((-2 + i, 1 + j, 3 - 3 * i - 2 * j, -1 + 2 * i + j), c) for i, j, c in pairs])
+
+
+class TestKroneckerKernel:
+    """Kronecker products on the operands' exponent hull, checked against
+    the tuple-keyed oracle with the term-pair threshold lowered to 0."""
+
+    @given(hull_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_oracle(self, pair):
+        a, b = pair
+        for p, q in ((a, b), (b, a), (a, a), (a, -a)):
+            expected = tuple_mul(p, q)
+            if p.term_count > 1 and q.term_count > 1:
+                terms = kron(p, q)
+                assert terms is None or Poly(p.nvars, terms) == expected
+            assert product_with_the_kernel_on(p, q) == expected
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # rank 1 in two variables, negative exponents, 16-bit slots
+            (make(2, [((0, 0), 1), ((1, -1), -2), ((2, -2), 3)]), make(2, [((-3, 0), 1), ((-2, -1), 1)])),
+            # rank 2 in four variables, mixed signs that cancel: (p + q)(p − q)
+            (s4_poly([(0, 0, 1), (1, 0, 1), (0, 1, -1)]), s4_poly([(0, 0, 1), (1, 0, 1), (0, 1, 1)])),
+            # a square, packed once, with 32-bit slots
+            (s4_poly([(i, j, 3**i - 2**j * 997) for i in range(4) for j in range(3)]),) * 2,
+            # 64-bit slots
+            (s4_poly([(0, 0, 2**40), (2, 1, -(2**39))]), s4_poly([(1, 1, 2**20), (0, 3, 5)])),
+            # rank 3 in four variables: the lattice of (1,0,0,1), (0,1,0,-1), (0,0,1,2)
+            (make(4, [((i, j, k, i - j + 2 * k), i + 2 * j - k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]),
+             make(4, [((i, j - 1, k, i - j + 1 + 2 * k), 1 - 2 * k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])),
+        ],
+    )
+    def test_the_kernel_answers_on_low_rank_hulls(self, a, b):
+        terms = kron(a, b)
+        assert terms is not None
+        assert Poly(a.nvars, terms) == tuple_mul(a, b) == a * b
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # the hull has full rank
+            (x + y + 1, x * y + x + 1),
+            # along (2, 1) the pivot entry is 2: the lift is not integral
+            (make(2, [((0, 0), 1), ((2, 1), 1), ((4, 2), 1)]), make(2, [((0, 0), 1), ((2, 1), -1)])),
+            # the coefficient bound 2·2^40·2^40 is past the widest slot
+            (make(2, [((0, 0), 2**40), ((1, 1), 1)]), make(2, [((0, 0), 2**40), ((1, 1), 3)])),
+            # a box of 2001 slots for 4 operand terms
+            (make(2, [((0, 0), 1), ((1000, 1000), 1)]), make(2, [((0, 0), 1), ((1000, 1000), -2)])),
+        ],
+    )
+    def test_fallbacks_give_the_sparse_kernels_poly(self, a, b):
+        assert kron(a, b) is None
+        got, sparse = product_with_the_kernel_on(a, b), sparse_product(a, b)
+        assert list(got.terms.items()) == list(sparse.terms.items())
+        assert got == tuple_mul(a, b)
+
+    def test_the_laurent_somos4_request_takes_the_kernel(self, tmp_path, monkeypatch):
+        # The laurent-somos4 benchmark request.  A threshold or hull change
+        # that sent all its products back to the sparse kernel fails here.
+        answered = []
+        kron_mul = kronecker.kron_mul
+
+        def counting(*args):
+            terms = kron_mul(*args)
+            answered.append(terms is not None)
+            return terms
+
+        monkeypatch.setattr(kronecker, "kron_mul", counting)
+        path = tmp_path / "somos4.json"
+        path.write_text(json.dumps({"b": [[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]]}))
+        argv = ["laurent", "--quiver", str(path), "--weights=1,0,0,-1", "--steps", "11", "--format", "json"]
+        assert main(argv, out=io.StringIO()) == 0
+        assert sum(answered) > 0
 
 
 @st.composite
@@ -474,3 +622,9 @@ class TestFormat:
         names = ["x1", "x2"]
         p = x * y - 2
         assert p.sexpr(names) == "(+ (* 1 x1 x2) -2)"
+
+    @pytest.mark.parametrize("method", ["format", "sexpr"])
+    def test_a_coefficient_past_the_digit_limit_is_a_digit_limit_error(self, method):
+        p = Poly(2, {(1, 0): 10**4400, (0, 0): 1})
+        with pytest.raises(DigitLimitError, match="more than 4300 digits"):
+            getattr(p, method)(["x1", "x2"])
