@@ -66,20 +66,14 @@ def _span_add(rows: list, v: list[int]) -> None:
     p = next((j for j, x in enumerate(v) if x), None)
     if p is None:
         return
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if v[p] < 0:
-        g = -g
+    g = gcd(*v) if v[p] > 0 else -gcd(*v)
     v = [x // g for x in v]
     y = v[p]
     for i, (q, row) in enumerate(rows):
         x = row[p]
         if x:
             row = [y * t - x * s for t, s in zip(row, v)]
-            g = 0
-            for t in row:
-                g = gcd(g, t)
+            g = gcd(*row)
             rows[i] = (q, [t // g for t in row])
     rows.append((p, v))
     rows.sort()
