@@ -110,7 +110,10 @@ def _parse_deform(text: str) -> tuple[str, tuple[int, ...]] | None:
 
 
 def _jline(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    except ValueError:  # an int past the int/str conversion limit
+        raise DigitLimitError() from None
 
 
 def _cmd_mutate(args, out) -> int:
@@ -122,9 +125,9 @@ def _cmd_mutate(args, out) -> int:
     payload["unchanged_by_rotation"] = unchanged
     if args.format == "text":
         for row in payload["b"]:
-            print(" ".join(f"{e:3d}" for e in row), file=out)
+            print(" ".join(format_scalar(e).rjust(3) for e in row), file=out)
         if "w" in payload:
-            print("w = " + ",".join(map(str, payload["w"])), file=out)
+            print("w = " + ",".join(map(format_scalar, payload["w"])), file=out)
         print(f"unchanged by rotation: {str(unchanged).lower()}", file=out)
     else:
         print(_jline(payload), file=out)
@@ -142,8 +145,8 @@ def _cmd_weight(args, out) -> int:
     else:
         print(f"exists: {str(exists).lower()}", file=out)
         if weights is not None:
-            print("w = (" + ", ".join(map(str, weights)) + ")", file=out)
-        print(f"closing residual: {residual}", file=out)
+            print("w = (" + ", ".join(map(format_scalar, weights)) + ")", file=out)
+        print(f"closing residual: {format_scalar(residual)}", file=out)
     return 0
 
 
@@ -320,16 +323,10 @@ def _cmd_scan(args, out) -> int:
 
 
 def _cmd_catalog(args, out) -> int:
+    examples = {"gale_robinson": {"N": 6, "r": 1, "s": 2}, "fordy_marsh_s4": {"p": 2, "q": 3}}
     for name in seqgen.family_names():
-        if name == "gale_robinson":
-            spec = seqgen.builtin(name, N=6, r=1, s=2)
-            shown = "gale_robinson(N,r,s)   e.g. " + spec.formula()
-        elif name == "fordy_marsh_s4":
-            spec = seqgen.builtin(name, p=2, q=3)
-            shown = "fordy_marsh_s4(p,q)    e.g. " + spec.formula()
-        else:
-            spec = seqgen.builtin(name)
-            shown = spec.formula()
+        params = examples.get(name, {})
+        spec = seqgen.builtin(name, **params)
         if args.format == "json":
             print(
                 _jline(
@@ -343,8 +340,11 @@ def _cmd_catalog(args, out) -> int:
                 ),
                 file=out,
             )
+        elif params:
+            label = f"{name}({','.join(params)})"
+            print(f"{name}: {label:<23}e.g. {spec.formula()}", file=out)
         else:
-            print(f"{name}: {shown}", file=out)
+            print(f"{name}: {spec.formula()}", file=out)
     return 0
 
 

@@ -34,8 +34,13 @@ class DigitLimitError(QuiverSeqError, ValueError):
 
     CPython refuses to convert an integer of more than
     ``sys.get_int_max_str_digits()`` decimal digits (4300 by default) to
-    or from a string.
+    or from a string.  With no message, the error says that a value
+    could not be printed.
     """
+
+    def __init__(self, message: str | None = None):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(message or f"a value of more than {limit} digits cannot be printed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,6 +107,4 @@ def format_scalar(value: Scalar) -> str:
     try:
         return str(value)
     except ValueError:
-        raise DigitLimitError(
-            f"a value of more than {sys.get_int_max_str_digits()} digits cannot be printed"
-        ) from None
+        raise DigitLimitError() from None

@@ -11,9 +11,9 @@ s_i = ∂_i body for i ≥ 1.  A value is therefore stored as body and s_0
 alone: the seed X_j is (x_j, 0); ``mul``, ``add`` and ``div`` follow
 the Leibniz, sum and quotient rules, and ``deform`` touches only s_0.
 One function, ``_full_fraction``, rebuilds s_1..s_n with
-``Poly.derivative`` for printing, evaluation and the reported term
-counts; printing joins the parts into one polynomial over x_1..x_n,
-y_1..y_n.
+``Poly.derivative`` for printing and the reported term counts; printing
+joins the parts into one polynomial over x_1..x_n, y_1..y_n.
+``evaluate`` evaluates each ∂_i body as it is taken.
 
 An exchange step at vertex k computes
 
@@ -340,14 +340,14 @@ def normalize(expr: RationalDualExpr) -> RationalDualExpr | NotLaurent:
 def _exchange_fraction(
     wq: WeightedQuiver,
     state: Sequence[RationalDualExpr],
-    k: int,
     check: Callable[[RationalDualExpr], object],
 ) -> RationalDualExpr:
-    """The unreduced exchange fraction at vertex k (1-indexed).
+    """The unreduced exchange fraction at vertex 1.
 
     ``check`` sees every product as soon as it is built and may raise, so
     a run can stop before it builds a larger one.  Powers are taken by
-    repeated squaring and products start from their first factor.
+    left-to-right binary powering, one loop pass per bit of the exponent,
+    and products start from their first factor.
     """
 
     def mul(a: RationalDualExpr, b: RationalDualExpr) -> RationalDualExpr:
@@ -356,28 +356,23 @@ def _exchange_fraction(
         return product
 
     def power(x: RationalDualExpr, e: int) -> RationalDualExpr:
-        if e == 1:
-            return x
-        half = power(x, e // 2)
-        square = mul(half, half)
-        return mul(square, x) if e & 1 else square
+        result = x
+        for bit in bin(e)[3:]:
+            result = mul(result, result)
+            if bit == "1":
+                result = mul(result, x)
+        return result
 
     def product(powers) -> RationalDualExpr:
         factors = [power(state[j], e) for j, e in powers]
         return reduce(mul, factors) if factors else RationalDualExpr.one(wq.n)
 
-    row = wq.quiver.b[k - 1]
+    row = wq.quiver.b[0]
     out = product((j, c) for j, c in enumerate(row) if c > 0)
     into = product((j, -c) for j, c in enumerate(row) if c < 0)
-    numerator = out.add(into.deform(wq.weights[k - 1]))
+    numerator = out.add(into.deform(wq.weights[0]))
     check(numerator)
-    return numerator.div(state[k - 1])
-
-
-def _check_shape(v: RationalDualExpr, n: int) -> None:
-    """ValueError unless v's body, s_0 numerator and den are polynomials in n variables."""
-    if not v.body.nvars == v.num_s0.nvars == v.den.nvars == n:
-        raise ValueError(f"expected polynomials in {n} variables")
+    return numerator.div(state[0])
 
 
 @dataclass(frozen=True)
@@ -432,7 +427,7 @@ def verify_laurent_run(
     reports: list[StepReport] = []
     for step in range(1, steps + 1):
         frac = _exchange_fraction(
-            current, state, 1, lambda p: _check_budget(p.term_count, budget, step, "exchange product")
+            current, state, lambda p: _check_budget(p.term_count, budget, step, "exchange product")
         )
         _check_budget(frac.term_count, budget, step, "exchange fraction")
         frac = frac.reduced(bodies)
@@ -457,8 +452,7 @@ def evaluate(v: RationalDualExpr, assignment: Sequence[DualScalar]) -> DualScala
     """Substitute x_i ← body, y_i ← slope of each assigned dual scalar.
 
     Exact rational evaluation of the body b, of s_0 = N_0/D and of the
-    y-parts ∂_i b, which ``_full_fraction`` of the value over D = 1 gives
-    with no product: the slope is N_0(x)/D(x) + Σ y_i·∂_i b(x).  ε² = 0 is
+    y-parts ∂_i b: the slope is N_0(x)/D(x) + Σ y_i·∂_i b(x).  ε² = 0 is
     what keeps slopes linear in the y's, so this is the full dual value of
     the symbolic expression.  A zero coordinate under a negative exponent,
     or a point where D vanishes, raises ZeroAtPoleError.
@@ -466,14 +460,14 @@ def evaluate(v: RationalDualExpr, assignment: Sequence[DualScalar]) -> DualScala
     n = v.body.nvars
     if len(assignment) != n:
         raise ValueError(f"expected {n} assignments, got {len(assignment)}")
-    _check_shape(v, n)
+    if not v.num_s0.nvars == v.den.nvars == n:
+        raise ValueError(f"expected polynomials in {n} variables")
     x = [s.body for s in assignment]
-    body, (s0, *parts), _ = _full_fraction(RationalDualExpr(v.body, v.num_s0, Poly.one(n)))
     try:
         d = v.den.evaluate(x)
-        value = body.evaluate(x)
-        s0_value = s0.evaluate(x)
-        y_slope = sum(s.slope * p.evaluate(x) for s, p in zip(assignment, parts))
+        value = v.body.evaluate(x)
+        s0_value = v.num_s0.evaluate(x)
+        y_slope = sum(s.slope * v.body.derivative(i).evaluate(x) for i, s in enumerate(assignment))
     except ZeroDivisionError as exc:
         raise ZeroAtPoleError("zero assigned where a negative exponent occurs") from exc
     if not d:

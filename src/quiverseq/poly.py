@@ -12,8 +12,8 @@ split that way falls back to the full GCD.
 
 The GCD is the heuristic GCDHEU of Char, Geddes & Gonnet (JSC 1989):
 evaluate one variable at a large integer, recurse down to integer gcds,
-rebuild the gcd or a cofactor from symmetric base-xi digits and accept
-the result only if it divides both inputs exactly.  The evaluation point
+rebuild the gcd from symmetric base-xi digits and accept its primitive
+part only if it divides both inputs exactly.  The evaluation point
 grows until that happens, which it always does, so GCDHEU is the only
 GCD algorithm; primitive PRS (pseudo-remainder sequences) lives in the
 tests as their reference.
@@ -360,54 +360,36 @@ class Poly:
             total += term
         return total
 
+    def _factored(self, names, power):
+        """(coefficient, factors) of each term in decreasing lex order; a
+        factor is the name of a variable with a nonzero exponent e, bare
+        when e is 1 and power(name, e) otherwise."""
+        for exps in sorted(self.terms, reverse=True):
+            yield self.terms[exps], [n if e == 1 else power(n, e) for n, e in zip(names, exps) if e]
+
     def format(self, names) -> str:
         """Infix form, terms in decreasing lex order; DigitLimitError for a
         coefficient past the int/str conversion limit."""
         if not self.terms:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[i])
-                elif e:
-                    factors.append(f"{names[i]}^{e}")
-            if not factors:
-                body = format_scalar(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([format_scalar(abs(c))] + factors)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, first = pieces[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        for c, factors in self._factored(names, "{}^{}".format):
+            if abs(c) != 1 or not factors:
+                factors.insert(0, format_scalar(abs(c)))
+            pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
+        out = " ".join(pieces)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def sexpr(self, names) -> str:
         """Deterministic parenthesized form: (+ (* c (^ v e) ...) ...);
         DigitLimitError for a coefficient past the int/str conversion limit."""
         if not self.terms:
             return "0"
-        parts = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[i])
-                elif e:
-                    factors.append(f"(^ {names[i]} {e})")
-            if factors:
-                parts.append(f"(* {format_scalar(c)} " + " ".join(factors) + ")")
-            else:
-                parts.append(format_scalar(c))
-        if len(parts) == 1:
-            return parts[0]
-        return "(+ " + " ".join(parts) + ")"
+        parts = [
+            f"(* {format_scalar(c)} {' '.join(factors)})" if factors else format_scalar(c)
+            for c, factors in self._factored(names, "(^ {} {})".format)
+        ]
+        return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
 
 
 # -- packed exponents ----------------------------------------------------------
@@ -487,18 +469,15 @@ def _interpolate(gamma: Poly, slot: int, xi: int) -> Poly:
     return Poly(gamma.nvars, out)
 
 
-def _heu_candidate(
-    f: Poly, g: Poly, ff: Poly, gg: Poly, gamma: Poly, slot: int, xi: int
-) -> Poly | None:
-    """The gcd of f and g read off gamma = gcd(ff, gg) at xi, or None.
+def _heu_candidate(f: Poly, g: Poly, gamma: Poly, slot: int, xi: int) -> Poly | None:
+    """The gcd of f and g read off gamma = gcd(f(xi), g(xi)), or None.
 
-    f and g are primitive and free of monomial factors; ff and gg are
-    their images at xi, and the caller made sure xi divides no
-    coefficient of f or none of g.  The candidates are the primitive part
-    of gamma's digits, and f or g divided by the cofactor whose digits
-    are ff/gamma or gg/gamma; the first that divides both inputs exactly
-    is returned with a positive lex-leading coefficient.  A constant
-    candidate is 1, which divides everything, so it is returned at once.
+    f and g are primitive and free of monomial factors, and the caller
+    made sure xi divides no coefficient of f or none of g.  The candidate
+    h is the primitive part of gamma's symmetric base-xi digits, signed to
+    a positive lex-leading coefficient; it is returned when it divides
+    both inputs exactly.  A constant candidate is 1, which divides
+    everything, so it is returned at once.
 
     Any such h is the gcd G.  Its image divides gamma up to an integer of
     size at most xi/2, so the factor G/h takes a value that small at xi.
@@ -506,8 +485,7 @@ def _heu_candidate(
     the Cauchy root bound of f or g.  A factor involving other variables
     would make xi a root of a nonzero polynomial whose coefficients are
     coefficients of f, and likewise of g, so xi would divide one of each.
-    The same divisibility rules out a monomial factor in gamma's digits;
-    a cofactor's digits can still carry one, so that is checked.
+    The same divisibility rules out a monomial factor in gamma's digits.
     """
     h = _interpolate(gamma, slot, xi)
     if h.is_constant():
@@ -516,12 +494,6 @@ def _heu_candidate(
     h = Poly(h.nvars, {e: c // scale for e, c in h.terms.items()})
     if f.exact_div(h) is not None and g.exact_div(h) is not None:
         return h
-    for p, image, other in ((f, ff, g), (g, gg, f)):
-        cofactor = _interpolate(image.exact_div(gamma), slot, xi)
-        if not any(cofactor.min_exponents()):
-            h = p.exact_div(cofactor)
-            if h is not None and other.exact_div(h) is not None:
-                return h if h.lex_lead()[1] > 0 else -h
     return None
 
 
@@ -532,7 +504,7 @@ def _heu_gcd(f: Poly, g: Poly) -> Poly:
     off first.  For the rest, the first variable present (the most
     significant one in lex order) is evaluated at xi, the gcd of the
     images is found recursively and _heu_candidate lifts it back; xi
-    grows until a candidate divides both inputs.
+    grows until the lifted candidate divides both inputs.
 
     The loop ends.  Let G = gcd(f, g) with cofactors F' and G'.  They are
     coprime, so A·F' + B·G' = R for some polynomials A, B and a fixed
@@ -541,9 +513,9 @@ def _heu_gcd(f: Poly, g: Poly) -> Poly:
     the roots that make an image zero) the gcd of the images is G(xi)
     times an integer c dividing the content of R.  Each step multiplies
     xi by at least 2.7, from at least 31, so xi soon also divides no
-    coefficient and exceeds 2·|c|·‖G‖∞; then gamma's digits are c·G, whose
-    primitive part G divides both inputs.  The recursion answers too, by
-    induction on the number of variables.
+    coefficient and exceeds 2·|c|·‖G‖∞; then gamma's digits are c·G, and
+    the candidate, their primitive part, is G and divides both inputs.
+    The recursion answers too, by induction on the number of variables.
     """
     nvars = f.nvars
     fmin, gmin = f.min_exponents(), g.min_exponents()
@@ -568,7 +540,7 @@ def _heu_gcd(f: Poly, g: Poly) -> Poly:
         ):
             ff, gg = _evaluate_at(f, slot, xi), _evaluate_at(g, slot, xi)
             if not (ff.is_zero() or gg.is_zero()):
-                h = _heu_candidate(f, g, ff, gg, _heu_gcd(ff, gg), slot, xi)
+                h = _heu_candidate(f, g, _heu_gcd(ff, gg), slot, xi)
                 if h is not None:
                     return Poly(nvars, {e: c * content for e, c in h.terms.items()}).shift(mono)
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011

@@ -9,7 +9,9 @@ mutation rule.  The polynomial product and exact division keyed by
 exponent tuples, dual division through P², normalization by one
 reduction per part and the primitive PRS gcd are the library's former
 kernels, kept as oracles for the packed kernels, the direct route, the
-single classifier and GCDHEU; PRS and SymPy are the two GCD oracles.  The
+single classifier and GCDHEU; PRS and SymPy are the two GCD oracles.
+The library's former printers, each with its own walk over the terms,
+are the reference of ``Poly.format`` and ``Poly.sexpr``.  The
 reducer that cancels the expanded denominator by its GCD with the
 numerators, and a held run built from it and the P² division, are the
 oracles of the reducer's factor route and the one division route.  That
@@ -25,6 +27,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Sequence
 
+from quiverseq.dualnum import format_scalar
 from quiverseq.laurent import NotLaurent, RationalDualExpr, ZeroBodyDivisionError, var_names
 from quiverseq.poly import Poly, poly_gcd
 from quiverseq.quiver import Quiver, WeightedQuiver
@@ -307,6 +310,57 @@ def weight_mutation_oracle(b_rows, weights, k):
     return tuple(out)
 
 
+def poly_format(p: Poly, names) -> str:
+    """Infix form, terms in decreasing lex order: the library's former
+    ``Poly.format``, which walked the terms on its own."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for exps in sorted(p.terms, reverse=True):
+        c = p.terms[exps]
+        factors = []
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append(names[i])
+            elif e:
+                factors.append(f"{names[i]}^{e}")
+        if not factors:
+            body = format_scalar(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([format_scalar(abs(c))] + factors)
+        pieces.append(("-" if c < 0 else "+", body))
+    sign, first = pieces[0]
+    out = ("-" if sign == "-" else "") + first
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def poly_sexpr(p: Poly, names) -> str:
+    """Parenthesized form (+ (* c (^ v e) ...) ...): the library's former
+    ``Poly.sexpr``, which walked the terms on its own."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for exps in sorted(p.terms, reverse=True):
+        c = p.terms[exps]
+        factors = []
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append(names[i])
+            elif e:
+                factors.append(f"(^ {names[i]} {e})")
+        if factors:
+            parts.append(f"(* {format_scalar(c)} " + " ".join(factors) + ")")
+        else:
+            parts.append(format_scalar(c))
+    if len(parts) == 1:
+        return parts[0]
+    return "(+ " + " ".join(parts) + ")"
+
+
 def tuple_mul(self: Poly, other: Poly) -> Poly:
     """Sparse product with one exponent tuple built per pair of terms."""
     out: dict[tuple[int, ...], int] = {}
@@ -544,15 +598,15 @@ def _joined(slope: tuple) -> Poly:
 
 def dual_sexpr(body: Poly, slope: tuple) -> str:
     names = var_names(body.nvars)
-    return f"(dual (body {body.sexpr(names)}) (slope {_joined(slope).sexpr(names)}))"
+    return f"(dual (body {poly_sexpr(body, names)}) (slope {poly_sexpr(_joined(slope), names)}))"
 
 
 def fraction_sexpr(frac: tuple) -> str:
     nb, ns, den = frac
     names = var_names(nb.nvars)
     return (
-        f"(fraction (body-num {nb.sexpr(names)}) (slope-num {_joined(ns).sexpr(names)}) "
-        f"(den {den.sexpr(names)}))"
+        f"(fraction (body-num {poly_sexpr(nb, names)}) (slope-num {poly_sexpr(_joined(ns), names)}) "
+        f"(den {poly_sexpr(den, names)}))"
     )
 
 

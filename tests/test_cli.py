@@ -471,6 +471,17 @@ class TestFamilyOnlyOptions:
         assert capsys.readouterr().err == "error: QuiverSeqError: --weights applies only with --quiver\n"
 
 
+_NINES = int("9" * 4300)  # the largest integer that a quiver file may hold
+
+
+def _scaled_p31(c):
+    """The quiver file data of c·P(3,1), which is period-1 for every c."""
+    return {"b": [[c * e for e in row] for row in primitive(3, 1).b]}
+
+
+_TWO_VERTEX = {"b": [[0, 10**2200], [-(10**2200), 0]], "w": [10**2200] * 2}
+
+
 class TestDigitLimit:
     """Values past Python's 4300-digit int/str limit end in one error line."""
 
@@ -515,6 +526,27 @@ class TestDigitLimit:
         assert (status, output) == (1, "")
         err = capsys.readouterr().err
         assert err == "error: DigitLimitError: an integer of 4400 digits is past the 4300-digit limit\n"
+
+    @pytest.mark.parametrize(
+        "data, argv, fmt, rows",
+        [
+            # a·P(3,1) mutated at 2 has entries a^2 of 4401 digits
+            pytest.param(_scaled_p31(10**2200), ["mutate", "--at", "2"], "json", 0, id="mutate-p31-json"),
+            pytest.param(_scaled_p31(10**2200), ["mutate", "--at", "2"], "text", 0, id="mutate-p31-text"),
+            # the matrix prints; the new weight a + a·a has 4401 digits
+            pytest.param(_TWO_VERTEX, ["mutate", "--at", "1"], "json", 0, id="mutate-weights-json"),
+            pytest.param(_TWO_VERTEX, ["mutate", "--at", "1"], "text", 2, id="mutate-weights-text"),
+            # -c·P(3,1) is period-1, and its closing residual 2 - 2c has 4301 digits
+            pytest.param(_scaled_p31(-_NINES), ["weight"], "json", 0, id="weight-json"),
+            pytest.param(_scaled_p31(-_NINES), ["weight"], "text", 1, id="weight-text"),
+        ],
+    )
+    def test_quiver_command_past_the_limit(self, data, argv, fmt, rows, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        status, output = run_cli([*argv, "--quiver", str(path), "--format", fmt])
+        assert (status, len(output.splitlines())) == (1, rows)
+        assert capsys.readouterr().err == self.ERROR
 
     def test_long_garbage_is_not_called_an_integer(self, capsys):
         status, _ = run_cli(["seq", "--family", "somos4", f"--init-a=1,1,1,{'x' * 4400}"])
@@ -599,6 +631,16 @@ class TestLaurentContract:
         assert err.getvalue() == "" or re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
         # Every body is a cluster variable, so the division never refuses one.
         assert not err.getvalue().startswith("error: NotLaurentError")
+
+    @pytest.mark.parametrize("a", [pytest.param(2**1100, id="2^1100"), pytest.param(_NINES, id="4300-digits")])
+    def test_one_step_on_huge_entries(self, a, tmp_path):
+        # X_2^a takes one squaring per bit of a, about 14 000 for 4300
+        # digits, far past Python's recursion limit.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"b": [[0, a, -a], [-a, 0, a], [a, -a, 0]], "w": [1, 0, -1]}))
+        status, output = run_cli(["laurent", "--quiver", str(path), "--steps", "1", "--format", "json"])
+        assert status == 0
+        assert output == '{"body_terms": 2, "denominator": "x1^2", "laurent": true, "slope_terms": 5, "step": 1}\n'
 
     def test_sexpr_past_the_digit_limit_is_one_error_line(self, somos4a_path, capsys):
         # w_1·c passes 4300 digits in the slope of step 3.
@@ -791,6 +833,19 @@ def quiver_files(draw):
     return json.dumps(data).replace('"HUGE"', HUGE_TEXT), n
 
 
+@st.composite
+def scaled_quiver_files(draw):
+    """(file text, vertex count) of a valid quiver file whose entries are
+    scaled by an integer c of up to 4300 digits: c·P(3,1), -c·P(3,1) or
+    [[0, c], [-c, 0]], with or without small weights ``"w"``."""
+    c = draw(st.integers(min_value=1, max_value=_NINES))
+    data = draw(st.sampled_from([_scaled_p31(c), _scaled_p31(-c), {"b": [[0, c], [-c, 0]]}]))
+    n = len(data["b"])
+    if draw(st.booleans()):
+        data["w"] = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return json.dumps(data), n
+
+
 def quiver_commands(n):
     """A quiver subcommand and its flags, for a file of ``n`` vertices;
     ``--weights`` is of length n, of length n + 1 or malformed."""
@@ -806,25 +861,44 @@ def quiver_commands(n):
     )
 
 
+def _check_quiver_command(text, command, flags):
+    """Run one quiver command on a file with this text: it exits 0, 1 or 2,
+    with no traceback and, on exit 1, one error line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "quiver.json"
+        path.write_text(text)
+        with contextlib.redirect_stderr(err):
+            try:
+                status = main([command, "--quiver", str(path), *flags], out=io.StringIO())
+            except SystemExit as exc:
+                status = exc.code
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if status == 1:
+        assert re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
+
+
 class TestQuiverContract:
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_exits_0_1_or_2_with_one_error_line_and_no_traceback(self, data):
         text, n = data.draw(quiver_files(), label="file")
         command, *flags = data.draw(quiver_commands(n), label="command")
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "quiver.json"
-            path.write_text(text)
-            with contextlib.redirect_stderr(err):
-                try:
-                    status = main([command, "--quiver", str(path), *flags], out=io.StringIO())
-                except SystemExit as exc:
-                    status = exc.code
-        assert status in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if status == 1:
-            assert re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
+        _check_quiver_command(text, command, flags)
+
+    @pytest.mark.parametrize("command", ["mutate", "weight", "period", "laurent"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_valid_files_with_huge_entries(self, command, data):
+        text, n = data.draw(scaled_quiver_files(), label="file")
+        flags = {
+            "mutate": ["--at", str(data.draw(st.integers(1, n), label="vertex"))],
+            "weight": [],
+            "period": ["--max", "8"],
+            "laurent": ["--steps", "1"],
+        }[command]
+        _check_quiver_command(text, command, [*flags, "--format", data.draw(st.sampled_from(["json", "text"]))])
 
 
 class TestCatalog:

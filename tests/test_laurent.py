@@ -94,7 +94,7 @@ def _add(u: RationalDualExpr, v: RationalDualExpr) -> RationalDualExpr:
 
 def _exchange(wq: WeightedQuiver, state: list[RationalDualExpr]) -> RationalDualExpr:
     """The exchange fraction at vertex 1 of any state, with no budget, unreduced."""
-    return _exchange_fraction(wq, state, 1, lambda product: None)
+    return _exchange_fraction(wq, state, lambda product: None)
 
 
 def somos4_weighted() -> WeightedQuiver:

@@ -12,9 +12,10 @@ import quiverseq.poly as poly_module
 from quiverseq import kronecker
 from quiverseq.cli import main
 from quiverseq.dualnum import DigitLimitError
+from quiverseq.laurent import _slope_sexpr, var_names
 from quiverseq.poly import Poly, poly_gcd
 
-from golden import prs_gcd, tuple_exact_div, tuple_mul
+from golden import _joined, poly_format, poly_sexpr, prs_gcd, tuple_exact_div, tuple_mul
 
 
 def P(nvars=2, **terms):
@@ -471,16 +472,17 @@ class TestGcd:
         assert poly_gcd(a, b).terms == want
 
     def test_large_gcd_small_cofactors(self):
-        # The gcd's coefficient 10^7 does not fit a digit at the first point,
-        # so it is found by dividing out the cofactor read off f(xi)/gamma;
-        # that quotient comes out with a negative lex-leading coefficient.
+        # The gcd's coefficient 10^7 does not fit a digit at the first
+        # point, so the digits there are refused and xi grows until it
+        # exceeds twice 10^7; the primitive part of gamma's digits then has
+        # a negative lex-leading coefficient and is signed positive.
         common = 10**7 * x - y
         assert poly_gcd(common * (x + 1), common * (x + 2)) == common
 
     @given(triple=gcd_triples(), k=st.integers(min_value=-2, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_symmetric_and_unit_invariant(self, triple, k):
-        # GCDHEU tries the cofactor of the first input before the second's.
+        # Neither the order of the inputs nor a unit factor changes the gcd.
         a, b, g = triple
         a, b = a * g, b * g
         unit = Poly.monomial(a.nvars, (k,) + (0,) * (a.nvars - 1), -1)
@@ -489,9 +491,9 @@ class TestGcd:
     @pytest.mark.parametrize("swap", [False, True])
     def test_cofactor_candidate_must_divide_the_other_input(self, swap):
         # At x = 35 the images are -3675·y - 1 and 2·y + 3, whose values at
-        # y = 35 share the factor 73.  The cofactor of 2·y + 3 read off
-        # gamma = 73 makes 2·y + 3 a candidate that divides one image but
-        # not the other; it must be refused and the next point tried.
+        # y = 35 share the factor 73.  The digits of gamma = 73 at y = 35 are
+        # 2·y + 3, a candidate that divides one image but not the other; it
+        # must be refused and the next point tried.
         f, g = -y * y - 3 * x * x * y**3, 2 * y * y + 3 * y
         assert poly_gcd(*((g, f) if swap else (f, g))) == one
 
@@ -513,12 +515,12 @@ class TestGcd:
         top_points = []
         candidate = poly_module._heu_candidate
 
-        def refuse_first_six(f, g, ff, gg, gamma, slot, xi):
+        def refuse_first_six(f, g, gamma, slot, xi):
             if slot == 0:
                 top_points.append(xi)
                 if len(top_points) <= 6:
                     return None
-            return candidate(f, g, ff, gg, gamma, slot, xi)
+            return candidate(f, g, gamma, slot, xi)
 
         monkeypatch.setattr(poly_module, "_heu_candidate", refuse_first_six)
         common = x * y + 1
@@ -559,8 +561,8 @@ class TestGcdFastPaths:
             raise AssertionError("exact_div called")
 
         monkeypatch.setattr(Poly, "exact_div", refuse)
-        assert poly_module._heu_candidate(f, g, ff, gg, gamma, 0, 10) == one
-        assert poly_module._heu_candidate(f, g, ff, gg, Poly.const(2, -3), 0, 10) == one
+        assert poly_module._heu_candidate(f, g, gamma, 0, 10) == one
+        assert poly_module._heu_candidate(f, g, Poly.const(2, -3), 0, 10) == one
 
     def test_strip_returns_its_input_when_nothing_to_strip(self):
         p = 2 * x * x + 3 * y
@@ -608,7 +610,39 @@ class TestEvaluate:
             p.evaluate([Fraction(0), Fraction(1)])
 
 
+@st.composite
+def printable_polys(draw, nvars=None):
+    """Zero, a constant, one term or up to 8 terms in 1 to 6 variables, with
+    exponents in -3..3 and coefficients that are ±1, small or past 10^30."""
+    nvars = nvars or draw(st.integers(min_value=1, max_value=6))
+    exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * nvars)
+    huge = st.integers(min_value=10**30 + 1, max_value=10**45)
+    coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(min_value=-9, max_value=9), huge, huge.map(lambda c: -c))
+    shape = draw(st.sampled_from(["zero", "constant", "single", "many"]))
+    if shape == "zero":
+        return Poly.zero(nvars)
+    if shape == "constant":
+        return Poly.const(nvars, draw(coeffs))
+    count = 1 if shape == "single" else draw(st.integers(min_value=2, max_value=8))
+    return Poly(nvars, {draw(exps): draw(coeffs) for _ in range(count)})
+
+
 class TestFormat:
+    @given(printable_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_printers_match_the_reference(self, p):
+        names = [f"x{i + 1}" for i in range(p.nvars)]
+        assert p.format(names) == poly_format(p, names)
+        assert p.sexpr(names) == poly_sexpr(p, names)
+
+    @given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(*[printable_polys(n)] * (n + 1))))
+    @settings(max_examples=100, deadline=None)
+    def test_slope_join_matches_the_reference(self, slope):
+        # s_0 + Σ y_i·s_i over x_1..x_n, y_1..y_n, as _slope_sexpr prints it
+        names = var_names(slope[0].nvars)
+        assert _slope_sexpr(slope) == poly_sexpr(_joined(slope), names)
+        assert _joined(slope).format(names) == poly_format(_joined(slope), names)
+
     def test_plain(self):
         names = ["x1", "x2"]
         assert (x * x - y + 3).format(names) == "x1^2 - x2 + 3"

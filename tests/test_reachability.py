@@ -29,7 +29,6 @@ KEPT = {
     "periodicity.weight_exists",
     # The cross-engine oracle: symbolic values evaluated at numeric points.
     "laurent.evaluate",
-    "laurent._check_shape",
     "poly.Poly.evaluate",
     # The paper's Fordy-Marsh construction of period-1 quivers; README API.
     "periodicity.primitive",
@@ -57,6 +56,8 @@ def _commands(tmp_path):
     s4w = write("s4w.json", json.dumps({"b": SOMOS4, "w": [1, 0, 0, -1]}))
     p31 = write("p31.json", json.dumps({"b": P31}))
     broken = write("broken.json", "[1")
+    # -c·P(3,1) with c of 4300 digits: the closing residual 2 - 2c cannot be printed
+    huge = write("huge.json", json.dumps({"b": [[-int("9" * 4300) * e for e in row] for row in P31]}))
     return [
         (["catalog"], 0),
         (["catalog", "--format", "json"], 0),
@@ -65,6 +66,7 @@ def _commands(tmp_path):
         (["mutate", "--quiver", broken, "--at", "1"], 1),
         (["weight", "--quiver", s4], 0),
         (["weight", "--quiver", p31, "--format", "json"], 0),
+        (["weight", "--quiver", huge, "--format", "json"], 1),
         (["period", "--quiver", s4], 0),
         (["period", "--quiver", p31, "--weights", "1,0,-1", "--max", "3", "--format", "json"], 0),
         (["laurent", "--quiver", s4, "--steps", "3", "--emit", "sexpr", "--format", "json"], 0),
