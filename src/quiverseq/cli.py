@@ -20,6 +20,8 @@ from .dualnum import DigitLimitError, format_scalar
 from .errors import QuiverSeqError
 from .quiver import Quiver, WeightedQuiver, load_quiver
 
+FAMILY_PARAMS = ("N", "r", "s", "p", "q")  # the built-in families' parameter names
+
 
 def _read_quiver(path: str) -> Quiver | WeightedQuiver:
     try:
@@ -204,7 +206,7 @@ def _family_spec(args) -> seqgen.RecurrenceSpec:
         if getattr(args, "weights", None) is not None:
             raise QuiverSeqError("--weights applies only with --quiver")
         params = {}
-        for key in ("N", "r", "s", "p", "q"):
+        for key in FAMILY_PARAMS:
             values = getattr(args, key, None)
             if values is not None:
                 if len(values) != 1:
@@ -278,7 +280,7 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _cmd_scan(args, out) -> int:
-    grid = {key: getattr(args, key) for key in ("N", "r", "s", "p", "q") if getattr(args, key) is not None}
+    grid = {key: getattr(args, key) for key in FAMILY_PARAMS if getattr(args, key) is not None}
     if not grid:
         raise QuiverSeqError("scan needs at least one parameter range (e.g. --q 0..5)")
     deform = None if args.deform is None else _parse_deform(args.deform)
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--family", help="built-in family name (see catalog)")
         source.add_argument("--quiver", help="compile the recurrence from a weighted quiver")
-        for key in ("N", "r", "s", "p", "q"):
+        for key in FAMILY_PARAMS:
             p.add_argument(f"--{key}", type=_parse_range, help=f"family parameter {key} (single value)")
 
     p = sub.add_parser("seq", help="run a dual recurrence")
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="integrality scan over a parameter grid")
     p.add_argument("--family", required=True)
-    for key in ("N", "r", "s", "p", "q"):
+    for key in FAMILY_PARAMS:
         p.add_argument(f"--{key}", type=_parse_range, help=f"family parameter {key} (range like 1..3)")
     p.add_argument("--deform", help='deformation applied to every cell, e.g. "m1:1"')
     p.add_argument("--horizon", type=int, default=30, help="total terms per cell")

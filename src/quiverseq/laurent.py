@@ -42,25 +42,28 @@ s_0 is divided by β as well, so a Laurent result leaves nothing to
 reduce; otherwise s_0 stays over den times β.
 
 All cancellation goes through one reducer, ``_reduce``, on the s_0
-numerator alone: fold the monomial part of the denominator, then split
-the denominator over the run's bodies and cancel it factor by factor,
-and only when that fails take the GCD of the expanded denominator with
-the numerator.  ``verify_laurent_run`` keeps the list of its bodies; the
-reducer takes their primitive parts only on a step whose denominator is
-not a monomial, so a genuine run never computes them.  In every run
-tried with the weights held off their mutation rule, each denominator is
-a product of such primitive parts, which are cluster variables and so
+numerator alone, and it has one route: fold the monomial part of the
+denominator ("monomial"), then split what is left over the primitive
+parts of the run's bodies and cancel it factor by factor ("factor").
+``verify_laurent_run`` keeps the list of its bodies; the reducer takes
+their primitive parts only on a step whose denominator is not a
+monomial, so a genuine run never computes them.  In every run tried
+with the weights held off their mutation rule, each denominator is a
+product of such primitive parts, which are cluster variables and so
 irreducible (Geiss, Leclerc & Schröer, "Factorial cluster algebras",
 Doc. Math. 18, 2013), times a monomial and a constant.  Exactness does
 not rest on that: a factor that stops dividing the numerator is kept
-only with the certificate gcd(factor, numerator) = 1, computed on the
-small factor.  ``RationalDualExpr.reduced`` runs the reducer and records
-its path.  A reduced value is Laurent exactly when its denominator is 1:
-the body is a Laurent polynomial and monomial factors are folded, so a
-denominator left over is s_0's own.  ``RationalDualExpr`` is the only
-value type, Laurent or not; its ``sexpr`` prints the ``(dual …)`` form
-when den is 1 and the ``(fraction …)`` form otherwise, and ``evaluate``
-takes either.
+only with a unit certificate gcd(factor, numerator), computed on the
+small factor; a certificate that is no unit refines the factors, and a
+denominator that does not split over them (a value built by hand, or no
+bodies at all) adds its own primitive part as a factor.  No GCD of an
+expanded denominator is ever taken.  ``RationalDualExpr.reduced`` runs
+the reducer and records its path.  A reduced value is Laurent exactly
+when its denominator is 1: the body is a Laurent polynomial and monomial
+factors are folded, so a denominator left over is s_0's own.
+``RationalDualExpr`` is the only value type, Laurent or not; its
+``sexpr`` prints the ``(dual …)`` form when den is 1 and the
+``(fraction …)`` form otherwise, and ``evaluate`` takes either.
 """
 
 from __future__ import annotations
@@ -238,39 +241,60 @@ def _full_fraction(frac: RationalDualExpr) -> tuple[Poly, tuple[Poly, ...], Poly
     return nb, (frac.num_s0, *slope), d
 
 
-def _fold_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Divide den and the numerator by den's monomial factor, a unit."""
-    mins = den.min_exponents()
-    if not any(mins):
-        return num, den
-    back = tuple(-m for m in mins)
-    return num.shift(back), den.shift(back)
-
-
 def _reduce(num: Poly, den: Poly, bodies: Sequence[Poly] = ()) -> tuple[Poly, Poly, str]:
     """Cancel a denominator against one numerator.
 
-    The monomial part of den folds into (possibly negative) numerator
-    exponents; if nothing else is left the path is "monomial".  Otherwise
-    den is split over the primitive parts of the run's bodies when any
-    are given ("factor", see ``_reduce_over``), and failing that it is
-    cancelled by its GCD with the numerator ("gcd").  The reduced
+    The monomial part of den, a unit, folds into (possibly negative)
+    numerator exponents; if nothing else is left the path is "monomial".
+    Otherwise the path is "factor": den = c·∏ B^e is split over a list of
+    primitive factors B, free of monomial factors and with positive
+    leads, that starts as the primitive parts of the run's bodies.  Each
+    B in turn is split out of den as often as it divides it and then
+    cancelled from the numerator as often as it divides that, at most as
+    often as den had it.  Where it stops, a certificate g = gcd(B, num)
+    that is a unit (one term) shows that no factor of B is left in
+    common, and then neither is any factor of the B^e that stays in the
+    denominator.  A g that is no unit refines the list (Bach, Driscoll &
+    Shallit, "Factor refinement", J. Algorithms 15, 1993): B^e goes back
+    to the undivided rest of den, and the primitive parts of g and B/g
+    are appended.  Once the list runs out, the primitive part of a rest
+    that is still not constant is appended too.  With every remaining
+    factor so certified and the integer c made prime to the numerator's
+    content, the gcd is 1; no factor needs to be irreducible.
+
+    The loop ends: each refinement splits B into two factors of lower
+    degree, since g ≠ B because B does not divide num, and a rest is
+    appended only once the list runs out, each time a proper divisor of
+    the rest appended before it.  The reduced
     denominator comes back expanded, free of monomial factors and with a
     positive lex-leading coefficient, together with the path.
     """
-    num, den = _fold_monomial(num, den)
+    back = tuple(-m for m in den.min_exponents())
+    num, den = num.shift(back), den.shift(back)
     if den.is_one():
         return num, den, "monomial"
-    if bodies:
-        reduced = _reduce_over(_primitive_parts(bodies), num, den)
-        if reduced is not None:
-            return (*reduced, "factor")
-    g = poly_gcd(den, num)
-    if not g.is_one():
-        num, den = _fold_monomial(num.exact_div(g), den.exact_div(g))
-    if den.lex_lead()[1] < 0:
-        num, den = -num, -den
-    return num, den, "gcd"
+    factors, rest, left = _primitive_parts(bodies), den, Poly.one(den.nvars)
+    while not rest.is_constant():
+        b = factors.pop(0) if factors else _primitive_parts([rest])[0]
+        e = 0
+        while not rest.is_constant() and (q := rest.exact_div(b)) is not None:
+            rest, e = q, e + 1
+        while e and (q := num.exact_div(b)) is not None:
+            num, e = q, e - 1
+        if e:
+            g = poly_gcd(b, num)
+            if g.term_count == 1:
+                left = left * b**e
+            else:
+                rest = rest * b**e
+                factors += _primitive_parts([g, b.exact_div(g)])
+    (c,) = rest.terms.values()
+    if c < 0:
+        num, c = -num, -c
+    g = int_gcd(c, num.content()) if c > 1 else 1
+    if g > 1:
+        num, c = num.exact_div(Poly.const(den.nvars, g)), c // g
+    return num, left if c == 1 else left * c, "factor"
 
 
 def _primitive_parts(bodies: Sequence[Poly]) -> list[Poly]:
@@ -286,50 +310,6 @@ def _primitive_parts(bodies: Sequence[Poly]) -> list[Poly]:
     return parts
 
 
-def _reduce_over(factors: list[Poly], num: Poly, den: Poly) -> tuple[Poly, Poly] | None:
-    """Reduce num/den through den = c·∏ B^e over the given factors, or None.
-
-    den must be free of monomial factors and the factors primitive, free
-    of monomial factors and with positive leads.  In one pass over the
-    factors, each B is split out of den as often as it divides it and
-    then cancelled from the numerator as often as it divides that, at
-    most as often as den had it.  Where it stops, gcd(B, num) = 1
-    certifies that no factor of B is left in common, and then neither is
-    any factor of the B^k that stays in the denominator.  With every
-    remaining B so certified and the integer c made prime to the
-    numerator's content, the gcd is 1; no factor needs to be
-    irreducible.  None when den does not split into the factors or a
-    certificate finds a proper common factor; the caller then takes the
-    GCD route.
-    """
-    rest, left = den, Poly.const(den.nvars, 1)
-    for b in factors:
-        e = 0
-        while not rest.is_constant():
-            q = rest.exact_div(b)
-            if q is None:
-                break
-            rest, e = q, e + 1
-        while e:
-            q = num.exact_div(b)
-            if q is None:
-                break
-            num, e = q, e - 1
-        if e:
-            if not poly_gcd(b, num).is_one():
-                return None
-            left = left * b**e
-    if not rest.is_constant():
-        return None
-    (c,) = rest.terms.values()
-    if c < 0:
-        num, c = -num, -c
-    g = int_gcd(c, num.content()) if c > 1 else 1
-    if g > 1:
-        num, c = num.exact_div(Poly.const(den.nvars, g)), c // g
-    return num, left if c == 1 else left * c
-
-
 def normalize(expr: RationalDualExpr) -> RationalDualExpr | NotLaurent:
     """Reduce expr: the reduced fraction when its denominator is 1 (a
     Laurent value), else the slope's offending denominator."""
@@ -340,22 +320,27 @@ def normalize(expr: RationalDualExpr) -> RationalDualExpr | NotLaurent:
 def _exchange_fraction(
     wq: WeightedQuiver,
     state: Sequence[RationalDualExpr],
-    check: Callable[[RationalDualExpr], object],
+    check: Callable[[int], object],
 ) -> RationalDualExpr:
     """The unreduced exchange fraction at vertex 1.
 
-    ``check`` sees every product as soon as it is built and may raise, so
-    a run can stop before it builds a larger one.  Powers are taken by
-    left-to-right binary powering, one loop pass per bit of the exponent,
-    and products start from their first factor.
+    ``check`` sees the term count of every product as soon as it is built
+    and may raise, so a run can stop before it builds a larger one.  A
+    power of a two-term body to e has exactly e + 1 body terms, since no
+    binomial coefficient is 0, so ``check`` sees that count before the
+    power is built.  Powers are taken by left-to-right binary powering,
+    one loop pass per bit of the exponent, and products start from their
+    first factor.
     """
 
     def mul(a: RationalDualExpr, b: RationalDualExpr) -> RationalDualExpr:
         product = a.mul(b)
-        check(product)
+        check(product.term_count)
         return product
 
     def power(x: RationalDualExpr, e: int) -> RationalDualExpr:
+        if x.body.term_count == 2:
+            check(e + 1)
         result = x
         for bit in bin(e)[3:]:
             result = mul(result, result)
@@ -371,7 +356,7 @@ def _exchange_fraction(
     out = product((j, c) for j, c in enumerate(row) if c > 0)
     into = product((j, -c) for j, c in enumerate(row) if c < 0)
     numerator = out.add(into.deform(wq.weights[0]))
-    check(numerator)
+    check(numerator.term_count)
     return numerator.div(state[0])
 
 
@@ -385,7 +370,7 @@ class StepReport:
     slope_terms: int
     denominator: Poly  # monomial denominator when Laurent, offender otherwise
     variable: RationalDualExpr  # the reduced fraction; den is 1 exactly when Laurent
-    reduction: str  # the path of _reduce: "monomial", "factor" or "gcd"
+    reduction: str  # the path of _reduce: "monomial" or "factor"
 
 
 def _check_budget(terms: int, budget: int, step: int, what: str) -> None:
@@ -408,7 +393,8 @@ def verify_laurent_run(
     path.  The run continues through non-Laurent steps with reduced
     fractions (reported as such), and reduces over the bodies of its
     variables.  The term budget is checked on every
-    product the exchange builds, so none much larger is built, on the
+    product the exchange builds, so none much larger is built (on a
+    power of a two-term body, before it is built), on the
     exchange fraction before it is reduced, and on the reported variable;
     BudgetExceededError names the step and "exchange product", "exchange
     fraction" or "reduced fraction".
@@ -427,7 +413,7 @@ def verify_laurent_run(
     reports: list[StepReport] = []
     for step in range(1, steps + 1):
         frac = _exchange_fraction(
-            current, state, lambda p: _check_budget(p.term_count, budget, step, "exchange product")
+            current, state, lambda terms: _check_budget(terms, budget, step, "exchange product")
         )
         _check_budget(frac.term_count, budget, step, "exchange fraction")
         frac = frac.reduced(bodies)

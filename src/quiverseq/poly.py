@@ -6,9 +6,9 @@ exact division and a multivariate GCD, which back the fraction reduction
 in the symbolic exchange engine.  On a genuine run every denominator
 there is a monomial, which reduction folds away.  On a held run the
 reduction splits the denominator over the primitive parts of the run's
-earlier bodies and cancels it factor by factor, using a GCD only to
-certify that what is left is coprime; only a denominator that does not
-split that way falls back to the full GCD.
+earlier bodies and cancels it factor by factor, using a GCD of one small
+factor with the numerator only to certify that what is left is coprime,
+or to refine the factors when it is not.
 
 The GCD is the heuristic GCDHEU of Char, Geddes & Gonnet (JSC 1989):
 evaluate one variable at a large integer, recurse down to integer gcds,

@@ -642,6 +642,17 @@ class TestLaurentContract:
         assert status == 0
         assert output == '{"body_terms": 2, "denominator": "x1^2", "laurent": true, "slope_terms": 5, "step": 1}\n'
 
+    def test_two_term_power_past_the_budget_is_refused(self, tmp_path, capsys):
+        # Step 2 raises a two-term body to the 10^6-th power, which has
+        # 10^6 + 1 terms; the run stops before the first square.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"b": [[0, 10**6], [-(10**6), 0]]}))
+        status, output = run_cli(["laurent", "--quiver", str(path), "--weights", "0,0", "--steps", "2"])
+        assert (status, output) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: BudgetExceededError: step 2: 1000001 terms of the exchange product exceed budget 1000000\n"
+        )
+
     def test_sexpr_past_the_digit_limit_is_one_error_line(self, somos4a_path, capsys):
         # w_1·c passes 4300 digits in the slope of step 3.
         nines = "9" * 4300

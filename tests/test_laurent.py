@@ -260,16 +260,16 @@ class TestReduced:
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         expr = RationalDualExpr(x1, (x1 + 1) * x2, (x1 + 1) * (x2 + 1))
         assert expr.reduced() == RationalDualExpr(x1, x2, x2 + 1)
-        assert expr.reduced().reduction == "gcd"
+        assert expr.reduced().reduction == "factor"
 
     def test_gcd_cancels_a_dividing_denominator(self):
-        # The monomial x1² folds first; the gcd, which is then the whole
-        # of x2 + 1, cancels it, and the body is left as it is.
+        # The monomial x1² folds first; the primitive part of what is left,
+        # the whole of x2 + 1, cancels it, and the body is left as it is.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         expr = RationalDualExpr(x2, (x2 + 1) * x1, x1 * x1 * (x2 + 1))
         reduced = expr.reduced()
         assert reduced == RationalDualExpr(x2, x1.shift((-2, 0)), Poly.one(2))
-        assert reduced.reduction == "gcd"
+        assert reduced.reduction == "factor"
 
     def test_negative_leading_denominator_is_flipped(self):
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
@@ -278,9 +278,9 @@ class TestReduced:
         assert normalize(expr) == NotLaurent("slope", x1 + x2)
 
     def test_monomial_left_by_the_gcd_is_folded(self, monkeypatch):
-        # In the Laurent ring a gcd is fixed only up to a unit; one that
-        # carries a monomial leaves that monomial in the quotient of the
-        # denominator, and the reducer folds it into the numerators.
+        # In the Laurent ring a gcd is fixed only up to a unit; a certificate
+        # that carries a monomial still refines the factors, and one that
+        # is a monomial alone certifies what is left.
         x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
         gcd = laurent.poly_gcd
         monkeypatch.setattr(laurent, "poly_gcd", lambda p, q: x1 * gcd(p, q))
@@ -592,9 +592,15 @@ def _factor_case(name: str):
     if name == "reducible factor cancels":
         return [b1 * b2], b1 * b2 * (x2 + 3), (b1 * b2) ** 2, "factor"
     if name == "reducible factor shares a part":
-        return [b1 * b2], b1 * (x2 + 3), b1 * b2, "gcd"
+        return [b1 * b2], b1 * (x2 + 3), b1 * b2, "factor"
+    if name == "repeated shared factor":
+        return [b1 * b2], b1**2 * (x2 + 3), (b1 * b2) ** 2, "factor"
     if name == "denominator does not split":
-        return [b1, b2], b1 * x2, b1 * (x1 + 2), "gcd"
+        return [b1, b2], b1 * x2, b1 * (x1 + 2), "factor"
+    if name == "leftover refined twice":
+        # A certificate splits x1 + 1 off the reducible leftover, and what
+        # is left of it, x2 + 1, is appended once more.
+        return [b1], (x1 + 1) * x2, b1 * (x1 + 1) ** 2 * (x2 + 1), "factor"
     if name == "integer left over":
         return [b1], 2 * b1 * x2 + 4 * b1 * x3, 6 * b1, "factor"
     if name == "negative lex lead":
@@ -605,7 +611,9 @@ def _factor_case(name: str):
 FACTOR_CASES = [
     "reducible factor cancels",
     "reducible factor shares a part",
+    "repeated shared factor",
     "denominator does not split",
+    "leftover refined twice",
     "integer left over",
     "negative lex lead",
 ]
@@ -634,7 +642,7 @@ def factor_reductions(draw):
     bodies, so the factor route cancels them; "unsplit" multiplies den by
     x1 + 2, which is no body; "shared" uses the reducible body B1·B2 and
     a numerator sharing B1 with it, so a certificate finds that common
-    factor.  The GCD route must answer the last two.
+    factor.  The last two refine the factors.
     """
     b1, b2 = _held_p31_factors()
     route = draw(st.sampled_from(["split", "unsplit", "shared"]))
@@ -659,18 +667,18 @@ def factor_reductions(draw):
 
 
 class TestFactorBase:
-    """The factor route of the reducer and the one division route against
-    the expanded-denominator GCD route and the P² division of tests/golden.py."""
+    """The reducer's one factor route and the one division route against the
+    GCD of the expanded denominator and the P² division of tests/golden.py."""
 
     @pytest.mark.parametrize("name", FACTOR_CASES)
-    def test_matches_the_gcd_route(self, name):
+    def test_matches_the_gcd_oracle(self, name):
         factors, num, den, path = _factor_case(name)
         assert _primitive_parts(factors) == factors
         got_num, got_den, got_path = _reduce(num, den, factors)
         assert ([got_num], got_den) == reduce_by_gcd([num], den)
         assert got_path == path
         plain_num, plain_den, plain_path = _reduce(num, den)
-        assert ([plain_num], plain_den, plain_path) == (*reduce_by_gcd([num], den), "gcd")
+        assert ([plain_num], plain_den, plain_path) == (*reduce_by_gcd([num], den), "factor")
 
     @pytest.mark.parametrize(
         "n, weights, steps",
@@ -696,11 +704,11 @@ class TestFactorBase:
 
     @given(factor_reductions())
     @settings(max_examples=60, deadline=None)
-    def test_random_reduction_matches_the_gcd_route(self, case):
-        factors, num, den, route = case
+    def test_random_reduction_matches_the_gcd_oracle(self, case):
+        factors, num, den, _ = case
         got_num, got_den, path = _reduce(num, den, factors)
         assert ([got_num], got_den) == reduce_by_gcd([num], den)
-        assert path == {"split": "factor", "unsplit": "gcd", "shared": "gcd"}[route]
+        assert path == "factor"
 
     @pytest.mark.parametrize("steps, divisions, gcds", [(7, 47, 10), (8, 72, 15)])
     def test_held_steps_divide_the_body_once(self, monkeypatch, steps, divisions, gcds):
@@ -726,8 +734,8 @@ class TestFactorBase:
         def refuse(*args):
             raise AssertionError("factor route entered")
 
-        monkeypatch.setattr(laurent, "_reduce_over", refuse)
         monkeypatch.setattr(laurent, "_primitive_parts", refuse)
+        monkeypatch.setattr(laurent, "poly_gcd", refuse)
         assert all(r.is_laurent for r in verify_laurent_run(somos4_weighted(), 8))
 
     def test_reduction_paths(self):
