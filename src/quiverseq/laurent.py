@@ -26,6 +26,16 @@ exponents.  ``verify_laurent_run`` iterates the cycle "mutate at vertex
 1, shift labels" and reports Laurent-or-not per step, continuing with
 reduced fractions either way.
 
+A step takes one of two routes.  When every value it uses has
+denominator 1, as on every step of a genuine run, and X_k's body has at
+least ``PACKED_MIN_TERMS`` terms, ``kronecker.kron_exchange`` evaluates
+the whole exchange as integers on one exponent hull and reads back only
+the new body and s_0.  It declines on any doubt, and when twice its box
+passes the term budget.  Every other step, and every declined one,
+builds each power and product as a ``RationalDualExpr`` and divides with
+``div``: on the first steps X_k is a seed, and on a held run the state
+soon holds fractions.  Both routes give the same value.
+
 The bodies are the classical sequences: the exchange matrix is
 skew-symmetric (``Quiver`` accepts nothing else), so every body of a run
 is a cluster variable, a Laurent polynomial by the Laurent phenomenon
@@ -71,14 +81,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd as int_gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
+from . import kronecker
 from .dualnum import DualScalar
 from .errors import QuiverSeqError
 from .poly import Poly, _strip, poly_gcd
 from .quiver import VertexIndexError, WeightedQuiver
 
 DEFAULT_TERM_BUDGET = 10**6
+# The least divisor body, in terms, whose exchange tries the packed route.
+# At two terms it saved less on Somos-4 step 5 than it cost on held P(3,1)
+# step 4, where it declines.
+PACKED_MIN_TERMS = 3
 
 
 class ZeroBodyDivisionError(QuiverSeqError, ArithmeticError):
@@ -318,20 +333,42 @@ def normalize(expr: RationalDualExpr) -> RationalDualExpr | NotLaurent:
 
 
 def _exchange_fraction(
-    wq: WeightedQuiver,
-    state: Sequence[RationalDualExpr],
-    check: Callable[[int], object],
+    wq: WeightedQuiver, state: Sequence[RationalDualExpr], budget: int, step: int
 ) -> RationalDualExpr:
     """The unreduced exchange fraction at vertex 1.
 
-    ``check`` sees the term count of every product as soon as it is built
-    and may raise, so a run can stop before it builds a larger one.  A
-    power of a two-term body to e has exactly e + 1 body terms, since no
-    binomial coefficient is 0, so ``check`` sees that count before the
-    power is built.  Powers are taken by left-to-right binary powering,
-    one loop pass per bit of the exponent, and products start from their
-    first factor.
+    When every value the step uses has denominator 1 and the divisor's
+    body has at least ``PACKED_MIN_TERMS`` terms, ``kronecker.kron_exchange``
+    tries the whole exchange on one hull and returns q and s_0; it builds
+    none of the products below, and runs only while twice its box, which
+    bounds every part of them, stays within the budget.  Otherwise, or
+    where it declines, the products below are built, and the budget sees
+    the term count of every product as soon as it is built and may raise,
+    so a run can stop before it builds a larger one.  A power of a
+    two-term body to e has exactly e + 1 body terms, since no binomial
+    coefficient is 0, so the budget sees that count before the power is
+    built.  Powers are taken by left-to-right binary powering, one loop
+    pass per bit of the exponent, and products start from their first
+    factor.
     """
+    row = wq.quiver.b[0]
+    divisor = state[0]
+    used = [(state[j], c) for j, c in enumerate(row) if c]
+    values = [divisor, *(v for v, _ in used)]
+    if divisor.body.term_count >= PACKED_MIN_TERMS and all(v.den.is_one() for v in values):
+        terms = kronecker.kron_exchange(
+            wq.n,
+            [((v.body.terms, v.num_s0.terms), c) for v, c in used],
+            (divisor.body.terms, divisor.num_s0.terms),
+            wq.weights[0],
+            budget,
+        )
+        if terms is not None:
+            q, s = terms
+            return RationalDualExpr(Poly._wrap(wq.n, q), Poly._wrap(wq.n, s), divisor.den)
+
+    def check(terms: int) -> None:
+        _check_budget(terms, budget, step, "exchange product")
 
     def mul(a: RationalDualExpr, b: RationalDualExpr) -> RationalDualExpr:
         product = a.mul(b)
@@ -352,12 +389,11 @@ def _exchange_fraction(
         factors = [power(state[j], e) for j, e in powers]
         return reduce(mul, factors) if factors else RationalDualExpr.one(wq.n)
 
-    row = wq.quiver.b[0]
     out = product((j, c) for j, c in enumerate(row) if c > 0)
     into = product((j, -c) for j, c in enumerate(row) if c < 0)
     numerator = out.add(into.deform(wq.weights[0]))
     check(numerator.term_count)
-    return numerator.div(state[0])
+    return numerator.div(divisor)
 
 
 @dataclass(frozen=True)
@@ -397,7 +433,10 @@ def verify_laurent_run(
     power of a two-term body, before it is built), on the
     exchange fraction before it is reduced, and on the reported variable;
     BudgetExceededError names the step and "exchange product", "exchange
-    fraction" or "reduced fraction".
+    fraction" or "reduced fraction".  An exchange on the packed route
+    builds no products; it runs only while twice its box, which bounds
+    each of them, stays within the budget, so it never skips one that
+    the budget would stop.
 
     With ``evolve_weights=False`` the given weight vector is forced
     unchanged on every cycle instead of following the weight mutation
@@ -412,9 +451,7 @@ def verify_laurent_run(
     bodies: list[Poly] = []
     reports: list[StepReport] = []
     for step in range(1, steps + 1):
-        frac = _exchange_fraction(
-            current, state, lambda terms: _check_budget(terms, budget, step, "exchange product")
-        )
+        frac = _exchange_fraction(current, state, budget, step)
         _check_budget(frac.term_count, budget, step, "exchange fraction")
         frac = frac.reduced(bodies)
         nb, slope, den = _full_fraction(frac)

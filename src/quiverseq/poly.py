@@ -73,6 +73,7 @@ from operator import add, mul, sub
 
 from . import kronecker
 from .dualnum import format_scalar
+from .kronecker import _bounds
 
 # Products of fewer term pairs take the sparse kernel.
 KRONECKER_MIN_PAIRS = 500
@@ -393,12 +394,6 @@ class Poly:
 
 
 # -- packed exponents ----------------------------------------------------------
-
-
-def _bounds(terms) -> tuple[list[int], list[int]]:
-    """Per-variable minimum and maximum exponents of a nonempty term dict."""
-    cols = list(zip(*terms))
-    return [min(c) for c in cols], [max(c) for c in cols]
 
 
 def _radix(lo, hi) -> list[int]:

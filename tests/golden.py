@@ -18,7 +18,9 @@ oracles of the reducer's factor route and the one division route.  That
 run, with the weights held or evolved, works on full fractions that
 carry every slope part (s_0, s_1, …, s_n) through their own product,
 sum, deformation and division, with nothing derived, so it is also the
-oracle of the library's values, which carry body and s_0 alone.
+oracle of the library's values, which carry body and s_0 alone.  The
+period-1 quivers filled from palindromic first rows are the paper's
+weighted class as a test domain.
 """
 
 from __future__ import annotations
@@ -124,6 +126,34 @@ def somos4_quiver_b() -> Quiver:
 def kronecker2() -> Quiver:
     """Two vertices joined by a double arrow into vertex 1."""
     return Quiver([[0, -2], [2, 0]])
+
+
+def period_one_quiver(first: Sequence[int]) -> Quiver:
+    """The quiver filled from the first row (0, *first) by the period-1 rule.
+
+    rotate(mutate(q, 1)) = q reads B[i+1][j+1] = B[i][j] −
+    ([B[i+1][0]]₊[B[0][j+1]]₊ − [B[i+1][0]]₋[B[0][j+1]]₋), so B fills row
+    by row from its first row and first column (Fordy & Marsh, "Cluster
+    mutation-periodic quivers and associated Laurent sequences",
+    J. Algebraic Combin. 34, 2011).  Row (1, -2, 1) gives the Somos-4
+    quiver.  Over rows with entries in −2..2 and n = 4..7 the result is
+    period-1 exactly when the row is a palindrome.
+    """
+    n = len(first) + 1
+    b = [[0, *first]] + [[-a] + [0] * (n - 1) for a in first]
+    for i in range(n - 1):
+        for j in range(n - 1):
+            x, y = b[i + 1][0], b[0][j + 1]
+            b[i + 1][j + 1] = b[i][j] - (max(x, 0) * max(y, 0) - max(-x, 0) * max(-y, 0))
+    return Quiver(b)
+
+
+def palindromic_rows(n: int, entries: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every palindromic first row (B[0][1], …, B[0][n−1]) with entries drawn from entries."""
+    rows = [()]
+    for _ in range(n // 2):
+        rows = [row + (a,) for row in rows for a in entries]
+    return [row + row[: (n - 1) // 2][::-1] for row in rows]
 
 
 # -- independent oracles ------------------------------------------------------

@@ -17,6 +17,7 @@ from quiverseq import kronecker, laurent
 from quiverseq.cli import main
 from quiverseq.dualnum import DualScalar
 from quiverseq.laurent import (
+    DEFAULT_TERM_BUDGET,
     BudgetExceededError,
     NotLaurent,
     NotLaurentError,
@@ -47,6 +48,8 @@ from golden import (
     held_run_oracle,
     neg_p31,
     normalize_per_part,
+    palindromic_rows,
+    period_one_quiver,
     reduce_by_gcd,
     reduce_full,
     somos4_quiver_a,
@@ -94,7 +97,7 @@ def _add(u: RationalDualExpr, v: RationalDualExpr) -> RationalDualExpr:
 
 def _exchange(wq: WeightedQuiver, state: list[RationalDualExpr]) -> RationalDualExpr:
     """The exchange fraction at vertex 1 of any state, with no budget, unreduced."""
-    return _exchange_fraction(wq, state, lambda product: None)
+    return _exchange_fraction(wq, state, math.inf, 1)
 
 
 def somos4_weighted() -> WeightedQuiver:
@@ -954,12 +957,16 @@ class TestLongRuns:
 
     @pytest.mark.parametrize("name", LONG_RUNS)
     def test_reports_do_not_depend_on_the_kronecker_kernel(self, name, monkeypatch):
-        # The kernel runs on both long runs' large products; with the
-        # term-pair threshold out of reach every product is sparse.
+        # The packed route runs on the Somos-4 run's exchanges from step 6
+        # and the product kernel on both runs' other large products; with
+        # both thresholds out of reach every exchange builds its products
+        # and every product is sparse.
         q, weights, steps, evolve, _ = LONG_RUNS[name]
         reports = _long_run(name)[2]
         monkeypatch.setattr(poly_module, "KRONECKER_MIN_PAIRS", math.inf)
         monkeypatch.setattr(kronecker, "kron_mul", None)
+        monkeypatch.setattr(laurent, "PACKED_MIN_TERMS", math.inf)
+        monkeypatch.setattr(kronecker, "kron_exchange", None)
         assert verify_laurent_run(WeightedQuiver(q, weights), steps, evolve_weights=evolve) == reports
 
     @pytest.mark.parametrize("name", LONG_RUNS)
@@ -980,6 +987,205 @@ class TestLongRuns:
                 if degrees[1]:
                     (body,), (s0,), (den,) = degrees
                     assert s0 - den == body, (r.step, grading)
+
+
+def _routes(monkeypatch, wq: WeightedQuiver, steps: int, **kwargs) -> tuple[list, list]:
+    """(reports, routes) of a run: routes[i] is True when step i + 1 took the
+    packed route, False when it declined and None when it was not tried."""
+    routes = []
+    exchange, kron_exchange = laurent._exchange_fraction, kronecker.kron_exchange
+
+    def step(*args):
+        routes.append(None)
+        return exchange(*args)
+
+    def recording(*args):
+        routes[-1] = (terms := kron_exchange(*args)) is not None
+        return terms
+
+    monkeypatch.setattr(laurent, "_exchange_fraction", step)
+    monkeypatch.setattr(kronecker, "kron_exchange", recording)
+    return verify_laurent_run(wq, steps, **kwargs), routes
+
+
+class TestPackedExchange:
+    """Which exchanges take the packed route of kronecker.kron_exchange, and
+    that its declines leave the reports, the budget and the held run's
+    divisions as the route that builds every product gives them."""
+
+    def test_steps_that_take_the_route(self, monkeypatch):
+        # Steps 1-4 divide by the seeds and step 5 by a two-term body.
+        _, routes = _routes(monkeypatch, somos4_weighted(), 11)
+        assert routes == [None] * 5 + [True] * 6
+
+    def test_the_long_run_declines_on_the_slot_cap_before_any_hull(self, monkeypatch):
+        # From step 15 the bounds on N_b and N_s, with their headroom, pass
+        # a slot of 8 bytes; that is known from the norms alone.
+        wq, _, reports = _long_run("somos4")
+        state = [r.variable for r in reports[-4:]]
+
+        def refuse(*args):
+            raise AssertionError("hull built")
+
+        monkeypatch.setattr(kronecker, "_hull", refuse)
+        factors = [((v.body.terms, v.num_s0.terms), c) for v, c in zip(state, wq.quiver.b[0]) if c]
+        divisor = (state[0].body.terms, state[0].num_s0.terms)
+        assert kronecker.kron_exchange(4, factors, divisor, wq.weights[0], DEFAULT_TERM_BUDGET) is None
+        monkeypatch.undo()
+        assert _routes(monkeypatch, wq, 14)[1] == [None] * 5 + [True] * 9
+
+    @pytest.mark.parametrize(
+        "case, refused",
+        [
+            ("exact", None),
+            ("two translates", None),
+            ("slope on its own translate", None),
+            ("remainder of q", "_read"),
+            ("remainder of s", "_read"),
+            ("full rank", "_pack"),
+            ("pivot entry 2", "_pack"),
+            ("slot past 8 bytes", "_hull"),
+            ("2·box past the budget", "_pack"),
+            ("bound of the read q", None),
+        ],
+    )
+    def test_answers_and_declines(self, monkeypatch, case, refused):
+        # Hand-built exchanges over β = 1 + x with w = 0, so N_b = out + into;
+        # the refused helper must not run before a decline.
+        x, y, z = (Poly.variable(3, i) for i in range(3))
+        zero, beta, w, budget, expected = Poly.zero(3), 1 + x, 0, DEFAULT_TERM_BUDGET, None
+        factors = [((x + x * x - 1, zero), 1)]
+        if case == "exact":
+            expected = (x, zero)
+        elif case == "two translates":
+            # out and into lie on the translates through y and z
+            factors = [((y * beta, zero), 1), ((z * beta, zero), -1)]
+            expected = (y + z, zero)
+        elif case == "slope on its own translate":
+            factors = [((y * beta, z * beta), 1), ((y * beta, zero), -1)]
+            expected = (2 * y, z)
+        elif case == "remainder of q":
+            factors = [((x + x * x, zero), 1)]
+        elif case == "remainder of s":
+            # held P(3,1) step 4: the body divides and s_0 does not
+            wq = WeightedQuiver(primitive(3, 1), (1, 0, -1))
+            state = [r.variable for r in verify_laurent_run(wq, 3, evolve_weights=False)]
+            factors = [((v.body, v.num_s0), c) for v, c in zip(state, wq.quiver.b[0]) if c]
+            beta, t, w = state[0].body, state[0].num_s0, 1
+        elif case == "full rank":
+            factors = [((x + y + z - 1, zero), 1)]
+        elif case == "pivot entry 2":
+            beta = 1 + x * x * y
+            factors = [((beta * beta - 1, zero), 1)]
+        elif case == "slot past 8 bytes":
+            factors = [((2**70 * (x + x * x) - 1, zero), 1)]
+        elif case == "2·box past the budget":
+            budget = 2
+        elif case == "bound of the read q":
+            # max|q| = 100 against max|N_b| = 99: with no headroom the
+            # slot holds N_b but not min(|q|, |β|)·max|q|·max|β|.
+            beta = (1 + x) ** 2
+            q = Poly(3, {(i, 0, 0): (-1) ** i * (i + 1) + 1 for i in range(100)})
+            factors = [((q * beta - 1, zero), 1)]
+            monkeypatch.setattr(kronecker, "HEADROOM", 0)
+        if refused:
+
+            def refuse(*args):
+                raise AssertionError(f"{refused} ran")
+
+            monkeypatch.setattr(kronecker, refused, refuse)
+        if case != "remainder of s":
+            t = zero
+        got = kronecker.kron_exchange(
+            3, [((b.terms, s.terms), c) for (b, s), c in factors], (beta.terms, t.terms), w, budget
+        )
+        assert got == (expected and (expected[0].terms, expected[1].terms))
+
+    def test_held_steps_never_take_the_route(self, monkeypatch):
+        # After step 3 the state holds fractions; test_held_steps_divide_the_body_once
+        # counts the divisions this leaves.
+        _, routes = _routes(monkeypatch, WeightedQuiver(primitive(3, 1), (1, 0, -1)), 7, evolve_weights=False)
+        assert True not in routes
+
+    def test_a_budget_below_twice_the_box_keeps_the_reports(self, monkeypatch):
+        # 11 Somos-4 steps: the built products reach 852 terms and the
+        # reduced fractions 1203, while 2·box is 1408 at step 10 and 2160 at
+        # step 11.  A budget between them sends those two steps back to the
+        # built products, and the reports stay those of the default budget.
+        products = {}
+        check = laurent._check_budget
+
+        def recording(terms, budget, step, what):
+            if what == "exchange product":
+                products[step] = max(products.get(step, 0), terms)
+            return check(terms, budget, step, what)
+
+        monkeypatch.setattr(laurent, "PACKED_MIN_TERMS", math.inf)
+        monkeypatch.setattr(laurent, "_check_budget", recording)
+        reports = verify_laurent_run(somos4_weighted(), 11)
+        monkeypatch.undo()
+        boxes = []
+        hull = kronecker._hull
+
+        def measuring(*args):
+            found = hull(*args)
+            boxes.append(math.prod(found[0][1]))
+            return found
+
+        monkeypatch.setattr(kronecker, "_hull", measuring)
+        assert verify_laurent_run(somos4_weighted(), 11) == reports
+        assert len(boxes) == 6 and [2 * box for box in boxes][-2:] == [1408, 2160]
+        # 2·box bounds every product the route does not build.
+        assert all(products[step] <= 2 * box for step, box in zip(range(6, 12), boxes))
+        monkeypatch.undo()
+        got, routes = _routes(monkeypatch, somos4_weighted(), 11, budget=1300)
+        assert got == reports
+        assert routes == [None] * 5 + [True] * 4 + [False] * 2
+
+
+@cache
+def _weighted_period_one(n: int) -> list[WeightedQuiver]:
+    """The period-1 quivers of palindromic first rows with entries in −2..2
+    that carry a weight function, with it."""
+    quivers = [period_one_quiver(row) for row in palindromic_rows(n, range(-2, 3))]
+    return [WeightedQuiver(q, w) for q in quivers if (w := solve_weight(q)) is not None]
+
+
+# A weighted period-1 quiver on 4 to 7 vertices.
+weighted_period_one = st.integers(min_value=4, max_value=7).flatmap(
+    lambda n: st.sampled_from(_weighted_period_one(n))
+)
+
+
+class TestPeriodOneQuivers:
+    """The paper's weighted class: the period-1 quivers of palindromic first
+    rows, whose hulls reach rank n, as the packed route's gate."""
+
+    def test_palindromic_rows_give_the_period_one_quivers(self):
+        for n in range(4, 8):
+            assert all(period_one_quiver(row).is_period_one() for row in palindromic_rows(n, range(-2, 3)))
+        assert [len(_weighted_period_one(n)) for n in range(4, 8)] == [6, 6, 27, 27]
+        assert period_one_quiver((1, -2, 1)) == Quiver(SOMOS4_ROWS)
+
+    @given(weighted_period_one)
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_runs_do_not_depend_on_the_route(self, wq):
+        # Five steps are Laurent.  Five steps past the seeds reach the route
+        # on every n; the budget stops the runs whose terms grow fastest, on
+        # both routes alike.
+        runs = []
+        for threshold in (laurent.PACKED_MIN_TERMS, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(laurent, "PACKED_MIN_TERMS", threshold)
+                runs.append(verify_laurent_run(wq, 5))
+                try:
+                    runs.append(verify_laurent_run(wq, wq.n + 5, budget=1000))
+                except BudgetExceededError as exc:
+                    runs.append(str(exc))
+        assert runs[:2] == runs[2:]
+        assert all(r.is_laurent for r in runs[0])
+        if not isinstance(runs[1], str):
+            assert all(r.is_laurent for r in runs[1])
 
 
 # name: (steps, a second weight vector w′) for the linearity checks

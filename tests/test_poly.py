@@ -312,22 +312,24 @@ class TestKroneckerKernel:
         assert got == tuple_mul(a, b)
 
     def test_the_laurent_somos4_request_takes_the_kernel(self, tmp_path, monkeypatch):
-        # The laurent-somos4 benchmark request.  A threshold or hull change
-        # that sent all its products back to the sparse kernel fails here.
+        # The laurent-somos4 benchmark request.  Its exchanges from step 6 on
+        # run whole on the hull, and none of its products reaches the sparse
+        # kernel's 500 term pairs.  A threshold or hull change that sent its
+        # work back to the sparse kernel fails here.
         answered = []
-        kron_mul = kronecker.kron_mul
+        for name in ("kron_mul", "kron_exchange"):
 
-        def counting(*args):
-            terms = kron_mul(*args)
-            answered.append(terms is not None)
-            return terms
+            def counting(*args, kernel=getattr(kronecker, name), name=name):
+                terms = kernel(*args)
+                answered.append((name, terms is not None))
+                return terms
 
-        monkeypatch.setattr(kronecker, "kron_mul", counting)
+            monkeypatch.setattr(kronecker, name, counting)
         path = tmp_path / "somos4.json"
         path.write_text(json.dumps({"b": [[0, 1, -2, 1], [-1, 0, 3, -2], [2, -3, 0, 1], [-1, 2, -1, 0]]}))
         argv = ["laurent", "--quiver", str(path), "--weights=1,0,0,-1", "--steps", "11", "--format", "json"]
         assert main(argv, out=io.StringIO()) == 0
-        assert sum(answered) > 0
+        assert answered == [("kron_exchange", True)] * 6
 
 
 @st.composite

@@ -73,6 +73,8 @@ def _commands(tmp_path):
         (["laurent", "--quiver", p31, "--weights", "1,0,-1", "--hold-weights", "--steps", "5", "--check", "--emit", "sexpr"], 1),
         (["laurent", "--quiver", s4w, "--steps", "8", "--budget", "50"], 1),
         (["laurent", "--quiver", s4w, "--steps", "11", "--format", "json"], 0),
+        # the laurent-held request: held steps take the Kronecker product kernel
+        (["laurent", "--quiver", p31, "--weights=1,0,-1", "--hold-weights", "--steps", "7", "--format", "json"], 0),
         (["seq", "--family", "somos4", "--terms", "12", "--deform", "m2:1"], 0),
         (["seq", "--family", "gale-robinson", "--N", "6", "--r", "2", "--s", "3", "--terms", "14", "--deform", "m1:1", "--format", "csv"], 0),
         (["seq", "--family", "somos4", "--init-a=1,1,1,0", "--terms", "8", "--deform", "none", "--format", "text"], 0),
